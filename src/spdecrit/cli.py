@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 a verification check failed, 2 bad input
 (parse errors, invalid parameters), 3 I/O failure.  Flags override
 config-file entries, which override built-in defaults; SPDECRIT_SEED
 supplies the default seed.
+
+Only the commands that run the numerical lab import it (and with it
+numpy and mpmath), so `analyze` starts with the symbolic half alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -18,19 +20,15 @@ from pathlib import Path
 
 from . import __version__
 from .dsl import BUNDLED_SPECS, SpecError, load_bundled_spec, parse_spec, validate_spec
-from .expansion import expand
-from .lab import fields as lf
-from .lab import io as lio
-from .lab import noise as ln
-from .lab.heat import subsample
+from .expansion import ExpansionError, expand
 from .report import (
+    SUITE_NAMES,
+    atomic_write,
     build_envelope,
-    deterministic_bytes,
     render_table,
     report_payload,
     serialize_envelope,
 )
-from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,6 +38,13 @@ EXIT_IO = 3
 
 class CliInputError(Exception):
     pass
+
+
+def run_suite(name: str, **kwargs) -> dict:
+    """`spdecrit.suites.run_suite`, importing the lab on first use."""
+    from .suites import run_suite as run
+
+    return run(name, **kwargs)
 
 
 def _default_seed() -> int:
@@ -76,6 +81,13 @@ def _merge(args, config: dict, name: str, convert, default=None):
         except (ValueError, TypeError) as exc:
             raise CliInputError(f"config value for {name!r}: {exc}")
     return default
+
+
+def _emit(text: str, out_path) -> None:
+    if out_path:
+        atomic_write(Path(out_path), text.encode())
+    else:
+        sys.stdout.write(text)
 
 
 def _load_spec_source(ref: str):
@@ -125,10 +137,7 @@ def _cmd_analyze(args) -> int:
     fmt = _merge(args, config, "format", str, "table")
     out_path = _merge(args, config, "out", str)
     text = serialize_envelope({k: v for k, v in doc.items() if k != "_rendered"}) if fmt == "json" else doc["_rendered"]
-    if out_path:
-        lio._atomic_write(Path(out_path), text.encode())
-    else:
-        sys.stdout.write(text)
+    _emit(text, out_path)
     return EXIT_OK
 
 
@@ -173,14 +182,16 @@ def _cmd_verify(args) -> int:
             lines.append(f"{status}  {c['name']}{extra}")
         lines.append("suite " + ("passed" if result["passed"] else "FAILED"))
         text = "\n".join(lines) + "\n"
-    if out_path:
-        lio._atomic_write(Path(out_path), text.encode())
-    else:
-        sys.stdout.write(text)
+    _emit(text, out_path)
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_noise_sample(args) -> int:
+    from .lab import fields as lf
+    from .lab import heat as lh
+    from .lab import io as lio
+    from .lab import noise as ln
+
     config = _read_config(args.config) if args.config else {}
     dim = _merge(args, config, "dim", int, 1)
     grid = _merge(args, config, "grid", int, 4096)
@@ -198,7 +209,7 @@ def _cmd_noise_sample(args) -> int:
     elif kind == "z1":
         traj = ln.solve_z1_mild(dim, shape, dt, steps, seed)
         stride = max(1, traj.steps // 8)
-        thinned = subsample(traj, stride) if traj.steps % stride == 0 else traj
+        thinned = lh.subsample(traj, stride) if traj.steps % stride == 0 else traj
         lio.write_trajectory(thinned, out_dir, n=grid, seed=seed)
         field = traj.final()
     else:
@@ -239,10 +250,7 @@ def _cmd_tychonov(args) -> int:
             for c in result["checks"]
         ]
         text = "\n".join(lines) + "\n"
-    if out_path:
-        lio._atomic_write(Path(out_path), text.encode())
-    else:
-        sys.stdout.write(text)
+    _emit(text, out_path)
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -313,7 +321,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SpecError, CliInputError, ValueError, KeyError) as exc:
+    except (SpecError, ExpansionError, CliInputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

@@ -8,31 +8,17 @@ trajectory is a directory of snapshots plus a JSON manifest.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ..report import atomic_write
 from .fields import PeriodicField, Trajectory
 
 MAGIC = b"SPDF"
 VERSION = 1
-
-
-def _atomic_write(path: Path, data: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def field_to_bytes(field: PeriodicField) -> bytes:
@@ -43,7 +29,7 @@ def field_to_bytes(field: PeriodicField) -> bytes:
 
 
 def write_field(field: PeriodicField, path) -> None:
-    _atomic_write(Path(path), field_to_bytes(field))
+    atomic_write(Path(path), field_to_bytes(field))
 
 
 def read_field(path) -> PeriodicField:
@@ -71,7 +57,7 @@ def write_trajectory(traj: Trajectory, directory, n: Optional[int] = None, seed:
         "n": n,
         "seed": seed,
     }
-    _atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n")
+    atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n")
 
 
 def read_trajectory(directory) -> Trajectory:

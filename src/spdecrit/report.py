@@ -4,19 +4,26 @@ Rationals travel as "p/q" strings and affine bounds as {"c0", "cd"}
 pairs so golden values survive JSON exactly.  The envelope adds tool
 version, config echo and a UTC timestamp; everything except the
 timestamp is reproducible byte-for-byte for a fixed config.
+
+Nothing here imports numpy or mpmath: the symbolic commands render and
+write their output through this module alone.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import os
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Optional, Tuple
 
+from . import __version__
 from .affine import DimExpr, RegBound, format_affine
 from .expansion import CriticalityReport, ExpansionRow, render_forcing
 
-TOOL_VERSION = "0.1.0"
+SUITE_NAMES = ("uniqueness", "inequality", "steklov", "tychonov", "noise", "bony")
 
 
 def affine_to_json(e: Optional[DimExpr]) -> Optional[dict]:
@@ -126,7 +133,7 @@ def render_table(report: CriticalityReport) -> str:
 
 def build_envelope(command: str, config: dict, payload: dict, checks: Optional[list] = None) -> dict:
     doc = {
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "config": config,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -146,3 +153,17 @@ def deterministic_bytes(doc: dict) -> bytes:
     """Serialization with the timestamp removed, for reproducibility checks."""
     trimmed = {k: v for k, v in doc.items() if k != "timestamp"}
     return json.dumps(trimmed, sort_keys=True).encode()
+
+
+def atomic_write(path: Path, data: bytes):
+    """Write through a temp file and a rename, so no partial file appears."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -17,8 +17,7 @@ from .lab import fields as lf
 from .lab import heat as lh
 from .lab import noise as ln
 from .lab import tychonov as lt
-
-SUITE_NAMES = ("uniqueness", "inequality", "steklov", "tychonov", "noise", "bony")
+from .report import SUITE_NAMES
 
 
 def _check(name: str, passed: bool, value=None, target: str = "") -> Dict:
@@ -34,6 +33,12 @@ def _finish(suite: str, checks: List[Dict]) -> Dict:
     return {"suite": suite, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
+def _require_positive(**sizes):
+    for name, value in sizes.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _spawn(seed: int, count: int):
     return np.random.SeedSequence(seed).spawn(count)
 
@@ -43,8 +48,9 @@ def _spawn(seed: int, count: int):
 
 def run_inequality(n: Optional[int] = None, samples: int = 1_000_000, seed: int = 0) -> Dict:
     """Random sweep plus the exact closed form of the pairing inequality."""
+    _require_positive(samples=samples)
     checks = []
-    powers = (n,) if n else (3, 5, 7, 9)
+    powers = (n,) if n is not None else (3, 5, 7, 9)
     rng = np.random.default_rng(seed)
     for p in powers:
         a = rng.uniform(-10.0, 10.0, size=samples)
@@ -95,8 +101,14 @@ def run_uniqueness(
     """Mesh convergence and integral-norm contraction for the damped flow."""
     if dim != 1:
         raise ValueError("the uniqueness experiment runs on dim 1")
-    checks = []
+    _require_positive(tmax=tmax, dt=dt)
     steps = round(tmax / dt)
+    # the contraction checks march at a coarser step of their own
+    dt_b = max(dt, 1.0e-3)
+    steps_b = round(tmax / dt_b)
+    if steps_b < 1:  # dt_b >= dt, so steps >= steps_b
+        raise ValueError(f"tmax={tmax!r} is shorter than one step of {dt_b!r}")
+    checks = []
 
     u_in = _smooth_data(grid, 0)
     coarse = lh.solve_damped_heat(u_in, n, dt, steps)
@@ -114,8 +126,6 @@ def run_uniqueness(
         )
     )
 
-    dt_b = max(dt, 1.0e-3)
-    steps_b = round(tmax / dt_b)
     t1 = lh.solve_damped_heat(_smooth_data(grid, 0), n, dt_b, steps_b)
     t2 = lh.solve_damped_heat(_smooth_data(grid, 1), n, dt_b, steps_b)
     curve = lh.l1_contraction_curve(t1, t2)
@@ -150,6 +160,7 @@ def run_uniqueness(
 
 def run_steklov(seed: int = 0, series_count: int = 100, length: int = 64, grid: int = 16) -> Dict:
     """Window-average contraction and approximation quality."""
+    _require_positive(samples=series_count)
     checks = []
     dt = 0.01
     qs = (1, 2, 3)
@@ -217,6 +228,7 @@ def _lq_lq(series, q: int) -> float:
 
 def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) -> Dict:
     """Pointwise values, vanishing past, and the two-route residual check."""
+    _require_positive(terms=terms)
     checks = []
     series = lt.TychonovSeries.build(alpha, terms + 2)
 
@@ -275,6 +287,8 @@ def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) 
 
 def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
+    lf._check_shape(1, (grid,))
+    _require_positive(ensembles=ensembles)
     checks = []
 
     # flat spectrum: per-mode variance 1, distinct modes uncorrelated
@@ -390,39 +404,23 @@ def run_bony(seed: int = 0) -> Dict:
     return _finish("bony", checks)
 
 
+# suite -> (runner, {verify flag: runner keyword}) for the flags it reads
+_SUITES = {
+    "inequality": (run_inequality, {"n": "n", "samples": "samples", "seed": "seed"}),
+    "uniqueness": (
+        run_uniqueness,
+        {"n": "n", "dim": "dim", "grid": "grid", "tmax": "tmax", "dt": "dt", "seed": "seed"},
+    ),
+    "steklov": (run_steklov, {"seed": "seed", "samples": "series_count"}),
+    "tychonov": (run_tychonov, {"alpha": "alpha", "terms": "terms", "region": "region"}),
+    "noise": (run_noise, {"seed": "seed", "grid": "grid", "ensembles": "ensembles"}),
+    "bony": (run_bony, {"seed": "seed"}),
+}
+
+
 def run_suite(name: str, **kwargs) -> Dict:
-    if name == "inequality":
-        return run_inequality(
-            n=kwargs.get("n"),
-            samples=kwargs.get("samples") or 1_000_000,
-            seed=kwargs.get("seed") or 0,
-        )
-    if name == "uniqueness":
-        return run_uniqueness(
-            n=kwargs.get("n") or 3,
-            dim=kwargs.get("dim") or 1,
-            grid=kwargs.get("grid") or 256,
-            tmax=kwargs.get("tmax") or 1.0,
-            dt=kwargs.get("dt") or 1.0e-4,
-            seed=kwargs.get("seed") or 0,
-        )
-    if name == "steklov":
-        return run_steklov(
-            seed=kwargs.get("seed") or 0,
-            series_count=kwargs.get("samples") or 100,
-        )
-    if name == "tychonov":
-        return run_tychonov(
-            alpha=kwargs.get("alpha") or 2,
-            terms=kwargs.get("terms") or 30,
-            region=kwargs.get("region") or (0.5, 1.0, -1.0, 1.0),
-        )
-    if name == "noise":
-        return run_noise(
-            seed=kwargs.get("seed") or 0,
-            grid=kwargs.get("grid") or 4096,
-            ensembles=kwargs.get("ensembles") or 16,
-        )
-    if name == "bony":
-        return run_bony(seed=kwargs.get("seed") or 0)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    """Run a named suite; a flag that is None keeps the runner's default."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    runner, flags = _SUITES[name]
+    return runner(**{key: kwargs[flag] for flag, key in flags.items() if kwargs.get(flag) is not None})

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spdecrit
 from spdecrit import cli
 from spdecrit.report import deterministic_bytes
 
@@ -210,3 +214,84 @@ def test_json_rows_round_trip(capsys):
         assert row.forcing_bound == forcing
         assert row.object_bound == obj
         assert row.remainder_bound == rem
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_analyze_bad_dim_exits_2(capsys, dim):
+    code, out, err = run(capsys, "analyze", "navier_stokes", "--dim", dim)
+    assert code == 2
+    assert err.startswith("error: E_DIM: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("uniqueness", "--dt", "0"),
+        ("uniqueness", "--tmax", "0"),
+        ("inequality", "--samples", "0"),
+        ("noise", "--grid", "0"),
+        ("steklov", "--samples", "0"),
+    ],
+    ids=" ".join,
+)
+def test_verify_zero_size_exits_2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_verify_accepts_seed_zero(capsys):
+    code, out, _ = run(
+        capsys, "verify", "inequality", "--n", "3", "--samples", "1000", "--seed", "0", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 0
+
+
+_PROBE = """\
+import sys
+import spdecrit
+if sys.argv[1:]:
+    from spdecrit.cli import main
+    code = main(sys.argv[1:])
+    assert code == 0, code
+print("loaded:" + ",".join(m for m in ("numpy", "mpmath") if m in sys.modules))
+"""
+
+
+def _lab_modules_after(tmp_path, *argv):
+    """numpy/mpmath present once `main(argv)` returns in a fresh interpreter."""
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("loaded:")
+    return set(filter(None, last[len("loaded:"):].split(",")))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("--version",),
+        ("analyze", "navier_stokes", "--levels", "4"),
+        ("analyze", "navier_stokes", "--dim", "3", "--format", "json"),
+        ("analyze", "sqg", "--param", "gamma=1", "--param", "alpha=1/2"),
+        ("analyze", "navier_stokes", "--dim", "symbolic"),
+        ("analyze", "phi4", "--format", "json", "--out", "report.json"),
+        ("analyze", "navier_stokes", "--config", "run.cfg"),
+    ],
+    ids=lambda argv: " ".join(argv) or "import",
+)
+def test_symbolic_commands_leave_lab_unloaded(tmp_path, argv):
+    (tmp_path / "run.cfg").write_text("levels 2;\nformat json;\n")
+    assert _lab_modules_after(tmp_path, *argv) == set()
+
+
+def test_verify_loads_lab(tmp_path):
+    assert "numpy" in _lab_modules_after(tmp_path, "verify", "bony")
