@@ -165,6 +165,9 @@ def _cmd_verify(args) -> int:
         "ensembles": _merge(args, config, "ensembles", int),
         "region": region,
     }
+    stray = sorted(set(config) - set(kwargs) - {"format", "out"})
+    if stray:
+        raise CliInputError(f"verify {args.suite} does not read config key {', '.join(stray)}")
     result = run_suite(args.suite, **kwargs)
     cfg_echo = {k: v for k, v in kwargs.items() if v is not None}
     cfg_echo["suite"] = args.suite

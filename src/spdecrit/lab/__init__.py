@@ -7,6 +7,7 @@ from .fields import (
     synthetic_field,
     littlewood_paley_blocks,
     lp_fields,
+    fit_window,
     estimate_holder_exponent,
     holder_quotient_exponent,
     bony_decompose,
@@ -16,6 +17,7 @@ from .heat import (
     BlowupError,
     SmoothTestFunction,
     solve_damped_heat,
+    solve_damped_heat_batch,
     weak_residual,
     steklov_average,
     proof_inequality_gap,
@@ -35,12 +37,14 @@ __all__ = [
     "synthetic_field",
     "littlewood_paley_blocks",
     "lp_fields",
+    "fit_window",
     "estimate_holder_exponent",
     "holder_quotient_exponent",
     "bony_decompose",
     "sample_spatial_white",
     "solve_z1_mild",
     "solve_damped_heat",
+    "solve_damped_heat_batch",
     "weak_residual",
     "steklov_average",
     "proof_inequality_gap",

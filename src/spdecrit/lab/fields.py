@@ -9,8 +9,9 @@ j >= 1 keeps 2^(j-1) < |m| <= 2^j, which partitions the modes exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,36 +34,47 @@ def _check_shape(dim: int, grid_shape: Tuple[int, ...]):
 class PeriodicField:
     """Samples of a real field on a uniform periodic grid.
 
-    The spectral view is computed on demand and cached; constructing
-    from coefficients enforces Hermitian symmetry so values stay real.
+    Either view is computed from the other on first read and cached: a
+    field built from samples transforms forward when its spectrum is
+    asked for, one built from coefficients transforms back only when its
+    values are.  Coefficients must be Hermitian for the values to be
+    the field's; the inverse transform keeps the real part.
     """
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         _check_shape(values.ndim, values.shape)
-        self.values = values
+        self._values: Optional[np.ndarray] = values
+        self._spectral: Optional[np.ndarray] = None
         self.dim = values.ndim
         self.grid_shape = values.shape
-        self._spectral: Optional[np.ndarray] = None
 
     @classmethod
     def from_spectral(cls, coeffs: np.ndarray) -> "PeriodicField":
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         _check_shape(coeffs.ndim, coeffs.shape)
-        values = np.fft.ifftn(coeffs) * coeffs.size
-        f = cls(values.real)
+        f = cls.__new__(cls)
+        f._values = None
         f._spectral = coeffs
+        f.dim = coeffs.ndim
+        f.grid_shape = coeffs.shape
         return f
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = (np.fft.ifftn(self._spectral) * self._spectral.size).real
+        return self._values
 
     @property
     def spectral(self) -> np.ndarray:
         if self._spectral is None:
-            self._spectral = np.fft.fftn(self.values) / self.values.size
+            self._spectral = np.fft.fftn(self._values) / self._values.size
         return self._spectral
 
     @property
     def npoints(self) -> int:
-        return self.values.size
+        return math.prod(self.grid_shape)
 
     def mode_magnitudes(self) -> np.ndarray:
         """Euclidean wavenumber magnitude per spectral entry."""
@@ -86,17 +98,40 @@ class PeriodicField:
         return PeriodicField(self.values.copy())
 
 
-@dataclass
 class Trajectory:
-    """Uniformly spaced time samples of one evolving field."""
+    """Uniformly spaced time samples of one evolving field.
 
-    dt: float
-    times: np.ndarray
-    fields: List[PeriodicField]
+    The samples live in one (steps+1, *grid) array, either of sample
+    values or, for a trajectory solved in frequency space, of spectral
+    coefficients.  `fields` views its rows as PeriodicFields made when
+    indexed and never kept, so a spectral row runs its inverse FFT only
+    when its values are read, and the values are freed with the field.
+    Build one from a list of fields, from `values=` or from `spectral=`.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if len(self.times) != len(self.fields):
+    def __init__(
+        self,
+        dt: float,
+        times,
+        fields: Optional[Sequence[PeriodicField]] = None,
+        *,
+        values: Optional[np.ndarray] = None,
+        spectral: Optional[np.ndarray] = None,
+    ):
+        if sum(a is not None for a in (fields, values, spectral)) != 1:
+            raise TypeError("give exactly one of fields, values and spectral")
+        if fields is not None:
+            values = np.stack([f.values for f in fields])
+        self._is_spectral = spectral is not None
+        if self._is_spectral:
+            rows = np.asarray(spectral, dtype=np.complex128)
+        else:
+            rows = np.asarray(values, dtype=np.float64)
+        _check_shape(rows.ndim - 1, rows.shape[1:])
+        self._rows = rows
+        self.dt = dt
+        self.times = np.asarray(times, dtype=np.float64)
+        if len(self.times) != len(rows):
             raise ValueError("times and fields disagree in length")
         if len(self.times) > 1:
             gaps = np.diff(self.times)
@@ -105,13 +140,58 @@ class Trajectory:
 
     @property
     def steps(self) -> int:
-        return len(self.fields) - 1
+        return len(self._rows) - 1
+
+    @property
+    def grid_shape(self) -> Tuple[int, ...]:
+        return self._rows.shape[1:]
+
+    @property
+    def fields(self) -> "_FieldRows":
+        return _FieldRows(self._rows, self._is_spectral)
 
     def final(self) -> PeriodicField:
         return self.fields[-1]
 
     def values_array(self) -> np.ndarray:
-        return np.stack([f.values for f in self.fields])
+        """All sample values, (steps+1, *grid); a read-only view when stored."""
+        if self._is_spectral:
+            return np.stack([f.values for f in self.fields])
+        return _read_only(self._rows)
+
+    def spectral_array(self) -> np.ndarray:
+        """All spectral coefficients, (steps+1, *grid); a read-only view when stored."""
+        if self._is_spectral:
+            return _read_only(self._rows)
+        return np.stack([f.spectral for f in self.fields])
+
+    def _every(self, stride: int) -> "Trajectory":
+        """Every stride-th sample, sharing this trajectory's rows."""
+        rows = {"spectral" if self._is_spectral else "values": self._rows[::stride]}
+        return Trajectory(self.dt * stride, self.times[::stride], **rows)
+
+
+class _FieldRows(SequenceABC):
+    """The rows of a trajectory as PeriodicFields, each made when indexed."""
+
+    def __init__(self, rows: np.ndarray, spectral: bool):
+        self._rows = rows
+        self._spectral = spectral
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        row = self._rows[i]
+        return PeriodicField.from_spectral(row) if self._spectral else PeriodicField(row)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +238,34 @@ def littlewood_paley_blocks(f: PeriodicField) -> List[Tuple[int, float]]:
     return [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f)]
 
 
+def fit_window(grid_shape: Tuple[int, ...], j_lo: int = 2, j_margin: int = 2) -> range:
+    """Blocks j in [j_lo, J - j_margin] that an exponent fit uses, J = max_block.
+
+    Depends on the grid alone, so a run can check it before it samples;
+    raises ResolutionError when the grid resolves too few blocks.
+    """
+    resolved = max_block(grid_shape)
+    if resolved < 4:
+        raise ResolutionError(f"grid {tuple(grid_shape)}: need at least 4 dyadic blocks to fit an exponent")
+    window = range(max(j_lo, 1), resolved - j_margin + 1)
+    if len(window) < 2:
+        raise ResolutionError(f"grid {tuple(grid_shape)}: exponent-fit window is empty at this resolution")
+    return window
+
+
 def estimate_holder_exponent(f: PeriodicField, j_lo: int = 2, j_margin: int = 2) -> float:
     """Least-squares slope of compensated -log2 block sup norms over
-    j in [j_lo, J - j_margin].
+    j in [j_lo, J - j_margin] (see fit_window).
 
     The sup of a block of ~2^j random-phase modes runs a factor
     sqrt(j ln 2) above its mean-square size; fitting the raw norms
     would shave roughly 0.15 off the exponent over this window, so
-    that factor is divided out before the fit.
+    that factor is divided out before the fit.  Only the blocks in the
+    window are transformed back.
     """
-    resolved = max_block(f.grid_shape)
-    blocks = [(j, s) for j, s in littlewood_paley_blocks(f) if 1 <= j <= resolved]
-    if len(blocks) < 4:
-        raise ResolutionError("need at least 4 dyadic blocks to fit an exponent")
-    jmax = blocks[-1][0]
-    window = [(j, s) for j, s in blocks if j_lo <= j <= jmax - j_margin and s > 0]
+    js_fit = fit_window(f.grid_shape, j_lo, j_margin)
+    sups = [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f) if j in js_fit]
+    window = [(j, s) for j, s in sups if s > 0]
     if len(window) < 2:
         raise ResolutionError("exponent-fit window is empty at this resolution")
     js = np.array([j for j, _ in window], dtype=np.float64)
@@ -227,13 +320,19 @@ def synthetic_field(dim: int, grid_shape: Tuple[int, ...], exponent: float, seed
     return PeriodicField.from_spectral(coeffs)
 
 
-def _conjugate_reverse(a: np.ndarray) -> np.ndarray:
-    """a[-m] (indices mod N per axis), conjugated."""
-    rev = a
-    for axis, n in enumerate(a.shape):
-        idx = (-np.arange(n)) % n
-        rev = np.take(rev, idx, axis=axis)
-    return np.conj(rev)
+def _conjugate_reverse(a: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
+    """a[..., -m] (indices mod N per axis over the last dim axes, all by default), conjugated.
+
+    Along each axis index 0 stays and 1..N-1 reverse, so the result is
+    2^dim slice copies.
+    """
+    dim = a.ndim if dim is None else dim
+    out = np.empty_like(a)
+    for parts in itertools.product((False, True), repeat=dim):
+        dst = tuple(slice(1, None) if rest else slice(0, 1) for rest in parts)
+        src = tuple(slice(None, 0, -1) if rest else slice(0, 1) for rest in parts)
+        out[(Ellipsis,) + dst] = a[(Ellipsis,) + src]
+    return np.conj(out, out=out)
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:

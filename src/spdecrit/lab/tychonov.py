@@ -15,9 +15,9 @@ the independent finite-difference check runs in arbitrary precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
 
@@ -56,20 +56,16 @@ class TychonovSeries:
 
     alpha: int
     poly_table: List[Poly]
+    # (k, mp precision) -> mpf coefficients of P_k, highest power first
+    _mp_coeffs: Dict[Tuple[int, int], Tuple] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, alpha: int, depth: int) -> "TychonovSeries":
         if not isinstance(alpha, int) or alpha < 2:
             raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
-        table: List[Poly] = [(Fraction(1),)]
-        for _ in range(depth):
-            p = table[-1]
-            nxt = _add(
-                _scale(_shift(_differentiate(p), 2), Fraction(-1)),
-                _scale(_shift(p, alpha + 1), Fraction(alpha)),
-            )
-            table.append(nxt)
-        return cls(alpha=alpha, poly_table=table)
+        series = cls(alpha=alpha, poly_table=[(Fraction(1),)])
+        series.ensure_depth(depth)
+        return series
 
     def ensure_depth(self, depth: int):
         while len(self.poly_table) <= depth:
@@ -84,6 +80,15 @@ class TychonovSeries:
         self.ensure_depth(k)
         return self.poly_table[k]
 
+    def mp_coeffs(self, k: int) -> Tuple:
+        """P_k's coefficients as mpf at the ambient precision, highest power first."""
+        key = (k, mp.mp.prec)
+        coeffs = self._mp_coeffs.get(key)
+        if coeffs is None:
+            coeffs = tuple(mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(self.poly(k)))
+            self._mp_coeffs[key] = coeffs
+        return coeffs
+
     def g_derivative(self, k: int, t: float) -> float:
         """d^k/dt^k of g at t (0 for t <= 0)."""
         if t <= 0:
@@ -94,8 +99,14 @@ class TychonovSeries:
     def g_derivative_mp(self, k: int, t) -> mp.mpf:
         if t <= 0:
             return mp.mpf(0)
-        s = mp.mpf(1) / mp.mpf(t)
-        return _horner_mp(self.poly(k), s) * mp.e ** (-(s**self.alpha))
+        s, damping = _mp_point(self.alpha, t)
+        return _horner_mp(self.mp_coeffs(k), s) * damping
+
+
+def _mp_point(alpha: int, t):
+    """s = 1/t and g(t) = exp(-s^alpha) in mp, shared by every term at t."""
+    s = mp.mpf(1) / mp.mpf(t)
+    return s, mp.e ** (-(s**alpha))
 
 
 def _horner_float(p: Poly, s: float) -> float:
@@ -105,11 +116,29 @@ def _horner_float(p: Poly, s: float) -> float:
     return acc
 
 
-def _horner_mp(p: Poly, s) -> mp.mpf:
+def _horner_mp(coeffs: Sequence, s) -> mp.mpf:
     acc = mp.mpf(0)
-    for c in reversed(p):
-        acc = acc * s + mp.mpf(c.numerator) / mp.mpf(c.denominator)
+    for c in coeffs:
+        # adding an exact zero would only re-round acc * s to itself
+        acc = acc * s + c if c else acc * s
     return acc
+
+
+def _g_values_mp(series: TychonovSeries, t, K: int) -> List:
+    """g^(k)(t) for k = 0..K in mp; empty for t <= 0, where g vanishes."""
+    if t <= 0:
+        return []
+    s, damping = _mp_point(series.alpha, t)
+    return [_horner_mp(series.mp_coeffs(k), s) * damping for k in range(K + 1)]
+
+
+def _partial_sum_mp(g_values: Sequence, x) -> mp.mpf:
+    """Sum of g_values[k] x^(2k) / (2k)! over k."""
+    total = mp.mpf(0)
+    x = mp.mpf(x)
+    for k, g_k in enumerate(g_values):
+        total += g_k * x ** (2 * k) / mp.factorial(2 * k)
+    return total
 
 
 def tychonov_eval(series: TychonovSeries, t: float, x: float, K: int) -> float:
@@ -144,11 +173,7 @@ def tychonov_eval_mp(series: TychonovSeries, t, x, K: int) -> mp.mpf:
     if t <= 0:
         return mp.mpf(0)
     series.ensure_depth(K + 1)
-    total = mp.mpf(0)
-    x = mp.mpf(x)
-    for k in range(K + 1):
-        total += series.g_derivative_mp(k, t) * x ** (2 * k) / mp.factorial(2 * k)
-    return total
+    return _partial_sum_mp(_g_values_mp(series, t, K), x)
 
 
 def tychonov_residual(series: TychonovSeries, K: int, t_values: Sequence[float], x_values: Sequence[float]) -> float:
@@ -178,7 +203,9 @@ def fd_heat_residual(series: TychonovSeries, K: int, t, x, delta: str = "1e-25",
         x = mp.mpf(x)
         u = lambda tt, xx: tychonov_eval_mp(series, tt, xx, K)
         du_dt = (u(t + d, x) - u(t - d, x)) / (2 * d)
-        d2u_dx2 = (u(t, x + d) - 2 * u(t, x) + u(t, x - d)) / (d * d)
+        at_t = _g_values_mp(series, t, K)  # the three x-stencil points share t
+        u_t = lambda xx: _partial_sum_mp(at_t, xx)
+        d2u_dx2 = (u_t(x + d) - 2 * u_t(x) + u_t(x - d)) / (d * d)
         return du_dt - d2u_dx2
 
 

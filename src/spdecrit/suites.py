@@ -126,8 +126,8 @@ def run_uniqueness(
         )
     )
 
-    t1 = lh.solve_damped_heat(_smooth_data(grid, 0), n, dt_b, steps_b)
-    t2 = lh.solve_damped_heat(_smooth_data(grid, 1), n, dt_b, steps_b)
+    # three independent runs at one step size march as one stack
+    t1, t2, traj = lh.solve_damped_heat_batch([_smooth_data(grid, k) for k in (0, 1, 2)], n, dt_b, steps_b)
     curve = lh.l1_contraction_curve(t1, t2)
     growth = float(np.max(np.diff(curve)))
     checks.append(
@@ -139,13 +139,7 @@ def run_uniqueness(
         )
     )
 
-    pos = _smooth_data(grid, 2)
-    traj = lh.solve_damped_heat(pos, n, dt_b, steps_b)
-    zero = lh.Trajectory(
-        dt=dt_b,
-        times=traj.times.copy(),
-        fields=[lf.PeriodicField(np.zeros(pos.grid_shape)) for _ in traj.fields],
-    )
+    zero = lh.Trajectory(dt=dt_b, times=traj.times.copy(), values=np.zeros((len(traj.times),) + traj.grid_shape))
     curve0 = lh.l1_contraction_curve(traj, zero)
     checks.append(
         _check(
@@ -169,11 +163,7 @@ def run_steklov(seed: int = 0, series_count: int = 100, length: int = 64, grid: 
     for ss in _spawn(seed, series_count):
         rng = np.random.default_rng(ss)
         vals = rng.standard_normal((length, grid))
-        series = lh.Trajectory(
-            dt=dt,
-            times=np.arange(length) * dt,
-            fields=[lf.PeriodicField(v) for v in vals],
-        )
+        series = lh.Trajectory(dt=dt, times=np.arange(length) * dt, values=vals)
         norms = {q: _lq_lq(series, q) for q in qs}
         for r in (1, 2, 5, 8):
             avg = lh.steklov_average(series, r * dt)
@@ -194,19 +184,13 @@ def run_steklov(seed: int = 0, series_count: int = 100, length: int = 64, grid: 
     # smooth series: approximation error shrinks monotonically with the window
     x = np.arange(grid) * (2.0 * math.pi / grid)
     times = np.arange(length) * dt
-    smooth = lh.Trajectory(
-        dt=dt,
-        times=times,
-        fields=[lf.PeriodicField(np.sin(x) * math.cos(t)) for t in times],
-    )
+    profile = np.sin(x)
+    smooth = lh.Trajectory(dt=dt, times=times, values=np.stack([profile * math.cos(t) for t in times]))
     errors = []
     for r in (1, 2, 4, 8, 16):
         avg = lh.steklov_average(smooth, r * dt)
         start = 16  # compare past the zero-extension ramp
-        err = max(
-            float(np.max(np.abs(a.values - b.values)))
-            for a, b in zip(avg.fields[start:], smooth.fields[start:])
-        )
+        err = float(np.max(np.abs(avg.values_array()[start:] - smooth.values_array()[start:])))
         errors.append(err)
     monotone = all(errors[i] <= errors[i + 1] + 1e-15 for i in range(len(errors) - 1))
     checks.append(
@@ -221,8 +205,10 @@ def run_steklov(seed: int = 0, series_count: int = 100, length: int = 64, grid: 
 
 
 def _lq_lq(series, q: int) -> float:
-    dv = series.fields[0].volume_element()
-    total = sum(float(np.sum(np.abs(f.values) ** q)) * dv * series.dt for f in series.fields)
+    dv = series.final().volume_element()
+    powers = np.abs(series.values_array()) ** q
+    row_sums = np.sum(powers, axis=tuple(range(1, powers.ndim))) * dv * series.dt
+    total = sum(row_sums.tolist())  # left to right over time, as a Python sum
     return total ** (1.0 / q)
 
 
@@ -289,15 +275,16 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
     lf._check_shape(1, (grid,))
     _require_positive(ensembles=ensembles)
+    lf.fit_window((grid,))  # the roughness fit needs enough blocks; check before sampling
     checks = []
 
     # flat spectrum: per-mode variance 1, distinct modes uncorrelated
     draws = 10_000
     small = 64
-    coeffs = np.empty((draws, small), dtype=np.complex128)
+    pairs = np.empty((draws, 2, small))
     for i, ss in enumerate(_spawn(seed, draws)):
-        rng = np.random.default_rng(ss)
-        coeffs[i] = ln._hermitian_gaussian(rng, (small,))
+        pairs[i] = np.random.default_rng(ss).standard_normal((2, small))
+    coeffs = ln._hermitian_part(pairs[:, 0], pairs[:, 1], 1)
     var_mode = float(np.mean(np.abs(coeffs[:, 5]) ** 2))
     var_zero = float(np.var(coeffs[:, 0].real))
     cross = float(np.abs(np.mean(coeffs[:, 5] * np.conj(coeffs[:, 9]))))
@@ -318,7 +305,7 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     for ss in _spawn(seed + 1, 8):
         rng_seed = int(np.random.default_rng(ss).integers(0, 2**31))
         traj = ln.solve_z1_mild(1, (32,), dt, steps, rng_seed, diffusion_order=2.0)
-        spec = np.stack([f.spectral for f in traj.fields[burn:]])
+        spec = traj.spectral_array()[burn:]
         for m in probe_modes:
             est[m].append(float(np.mean(np.abs(spec[:, m]) ** 2)))
     stationary_ok = True
@@ -419,8 +406,15 @@ _SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> Dict:
-    """Run a named suite; a flag that is None keeps the runner's default."""
+    """Run a named suite; a flag that is None keeps the runner's default.
+
+    A flag the suite does not read is an error, except the seed, which
+    every suite accepts (tychonov is deterministic and ignores it).
+    """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     runner, flags = _SUITES[name]
+    unread = [flag for flag, value in kwargs.items() if value is not None and flag not in flags and flag != "seed"]
+    if unread:
+        raise ValueError(f"verify {name} does not read {', '.join('--' + flag for flag in unread)}")
     return runner(**{key: kwargs[flag] for flag, key in flags.items() if kwargs.get(flag) is not None})

@@ -295,3 +295,101 @@ def test_symbolic_commands_leave_lab_unloaded(tmp_path, argv):
 
 def test_verify_loads_lab(tmp_path):
     assert "numpy" in _lab_modules_after(tmp_path, "verify", "bony")
+
+
+@pytest.mark.parametrize("grid", ["8", "16", "32"])
+def test_verify_noise_checks_fit_window_before_sampling(capsys, monkeypatch, grid):
+    from spdecrit.lab import noise as ln
+
+    calls = []
+    monkeypatch.setattr(ln, "solve_z1_mild", lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "verify", "noise", "--grid", grid)
+    assert code == 2
+    assert err.startswith("error: ") and ("dyadic blocks" in err or "window" in err)
+    assert out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (("bony", "--samples", "0"), ["--samples"]),
+        (("tychonov", "--grid", "0", "--dt", "-1"), ["--grid", "--dt"]),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv, unread):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[0] in err
+    assert all(flag in err for flag in unread)
+
+
+@pytest.mark.parametrize("item,named", [("samples 5;", "--samples"), ("levels 2;", "levels")])
+def test_verify_rejects_config_keys_the_suite_does_not_read(tmp_path, capsys, item, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(item + "\nformat json;\n")
+    code, out, err = run(capsys, "verify", "bony", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "bony" in err and named in err
+
+
+def test_verify_tychonov_accepts_seed(capsys):
+    code, out, _ = run(capsys, "verify", "tychonov", "--seed", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 3
+
+
+_INVERSE_FFTS = ("ifft", "ifftn", "irfft", "irfftn")
+
+
+def _count_inverse_points(monkeypatch, keep=lambda a: True):
+    """Points handed to numpy's inverse FFTs from now on (points, not calls)."""
+    import numpy as np
+
+    points = []
+    for name in _INVERSE_FFTS:
+        real = getattr(np.fft, name)
+
+        def counting(a, *args, _real=real, **kwargs):
+            a = np.asarray(a)
+            if keep(a):
+                points.append(a.size)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return points
+
+
+def test_noise_sample_inverse_transforms_only_what_it_writes(tmp_path, capsys, monkeypatch):
+    points = _count_inverse_points(monkeypatch)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(
+        capsys, "noise", "sample", "--dim", "1", "--grid", "256", "--steps", "32", "--out", str(out_dir)
+    )
+    assert code == 0
+    written = len(list(out_dir.glob("*.spdf")))
+    assert written == 9  # every fourth of the 33 rows
+    # the written rows and nothing else: final() is never read without --estimate
+    assert sum(points) == written * 256
+
+
+def test_stationary_noise_section_reads_spectra_only(monkeypatch):
+    from spdecrit import suites
+    from spdecrit.lab import noise as ln
+
+    grids = []
+    solve = ln.solve_z1_mild
+
+    def recording(dim, grid_shape, *args, **kwargs):
+        grids.append(tuple(grid_shape))
+        return solve(dim, grid_shape, *args, **kwargs)
+
+    monkeypatch.setattr(ln, "solve_z1_mild", recording)
+    # the stationary section alone runs on 32 points; the rest here on 64 or 256
+    points = _count_inverse_points(monkeypatch, keep=lambda a: a.shape[-1] == 32)
+    suites.run_noise(seed=0, grid=64, ensembles=1)
+    assert grids.count((32,)) == 8
+    assert sum(points) == 0
