@@ -51,7 +51,8 @@ class DimExpr:
         return self.cd == 0
 
     def evaluate(self, d: RationalLike) -> Fraction:
-        return self.c0 + self.cd * as_fraction(d)
+        d = as_fraction(d)
+        return self.c0 + self.cd * d if self.cd else self.c0
 
     def __add__(self, other) -> "DimExpr":
         other = _coerce(other)

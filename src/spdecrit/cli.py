@@ -211,9 +211,10 @@ def _cmd_noise_sample(args) -> int:
         lio.write_trajectory(traj, out_dir, n=grid, seed=seed)
     elif kind == "z1":
         traj = ln.solve_z1_mild(dim, shape, dt, steps, seed)
-        stride = max(1, traj.steps // 8)
-        thinned = lh.subsample(traj, stride) if traj.steps % stride == 0 else traj
-        lio.write_trajectory(thinned, out_dir, n=grid, seed=seed)
+        # about 8 intervals, but only a divisor of the steps keeps the
+        # endpoints and one dt; a prime step count keeps every row
+        stride = max(d for d in range(1, max(1, traj.steps // 8) + 1) if traj.steps % d == 0)
+        lio.write_trajectory(lh.subsample(traj, stride), out_dir, n=grid, seed=seed)
         field = traj.final()
     else:
         raise CliInputError(f"--kind must be white or z1, got {kind!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from fractions import Fraction
 from importlib import resources
 from typing import List, Optional, Tuple
@@ -21,6 +22,10 @@ SCALAR = "scalar"
 VECTOR = "vector"
 
 BUNDLED_SPECS = ("navier_stokes", "kpz", "phi4", "sqg", "yang_mills")
+
+# Largest degree of a nonlinear term, matching the level cap of the
+# expansion.
+MAX_DEGREE = 32
 
 
 class SpecError(Exception):
@@ -108,6 +113,8 @@ class SpdeSpec:
                 raise SpecSemanticError("E_MULTI_TERM", "degree override needs a single nonlinear term")
             term = spec.nonlinear_terms[0]
             n = int(n)
+            if n > MAX_DEGREE:
+                raise SpecSemanticError("E_BAD_DEGREE", f"degree must be <= {MAX_DEGREE}, got {n}")
             inner = term.inner_derivative_orders
             if len(set(inner)) > 1:
                 raise SpecSemanticError("E_DERIV_COUNT", "cannot retarget degree with mixed inner derivatives")
@@ -378,6 +385,8 @@ def validate_spec(spec: SpdeSpec, warn_time_white: bool = True) -> List[Diagnost
         where = f"nonlinear term {idx + 1}"
         if term.degree < 2:
             out.append(Diagnostic("E_BAD_DEGREE", f"{where}: degree must be >= 2, got {term.degree}"))
+        elif term.degree > MAX_DEGREE:
+            out.append(Diagnostic("E_BAD_DEGREE", f"{where}: degree must be <= {MAX_DEGREE}, got {term.degree}"))
         if len(term.inner_derivative_orders) != term.degree:
             out.append(Diagnostic(
                 "E_DERIV_COUNT",
@@ -425,8 +434,14 @@ def format_spec(spec: SpdeSpec) -> str:
 
 
 def load_bundled_spec(name: str) -> SpdeSpec:
-    """Load one of the specs shipped with the package."""
+    """Load one of the specs shipped with the package (parsed once per
+    process; a spec is immutable, so every caller shares it)."""
     if name not in BUNDLED_SPECS:
         raise KeyError(f"no bundled spec named {name!r}; available: {', '.join(BUNDLED_SPECS)}")
+    return _parse_bundled(name)
+
+
+@lru_cache(maxsize=None)
+def _parse_bundled(name: str) -> SpdeSpec:
     text = resources.files("spdecrit").joinpath(f"specs/{name}.spde").read_text(encoding="utf-8")
     return parse_spec(text)

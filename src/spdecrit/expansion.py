@@ -12,14 +12,20 @@ agree on either side of criticality).  Ties keep every attaining term.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .affine import DimExpr, RegBound, ScalingInfo, as_fraction
+from .affine import DimExpr, RegBound, ScalingInfo
 from .dsl import SpdeSpec, NonlinearTerm, VECTOR, validate_spec
-from .rules import noise_regularity, product_analytic
+from .rules import (
+    apply_derivative,
+    noise_regularity,
+    product_analytic,
+    product_homogeneity,
+    schauder_gain,
+    zero_order_operator,
+)
 
 MAX_LEVELS_LIMIT = 32
 
@@ -147,10 +153,15 @@ def _scaling_info(spec: SpdeSpec) -> ScalingInfo:
     return ScalingInfo(spec.scaling_time_order, dim)
 
 
+def _solve(bound: RegBound, order: Fraction) -> RegBound:
+    """Solve against a dissipative operator; one of order 0 gains nothing."""
+    return schauder_gain(bound, order) if order else zero_order_operator(bound)
+
+
 def noise_solved_bound(spec: SpdeSpec) -> RegBound:
     """Bound of the first object: noise bound plus the first solve order."""
     raw = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
-    return RegBound(raw.sup + DimExpr.const(spec.z1_effective_order))
+    return _solve(raw, spec.z1_effective_order)
 
 
 def term_exponent(spec: SpdeSpec, term: NonlinearTerm) -> DimExpr:
@@ -178,7 +189,10 @@ def scaling_exponent(spec: SpdeSpec) -> DimExpr:
     then falls back to the per-term minimum).
     """
     _require_valid(spec)
-    exps = term_exponents(spec)
+    return _common_exponent(term_exponents(spec))
+
+
+def _common_exponent(exps: Sequence[DimExpr]) -> DimExpr:
     if not exps:
         raise ExpansionError("E_NO_NONLINEAR", "spec has no nonlinear terms")
     if any(e != exps[0] for e in exps[1:]):
@@ -218,19 +232,12 @@ def classify(spec: SpdeSpec, dim: Optional[int] = "from_spec") -> Classification
     smallest exponent.
     """
     _require_valid(spec)
-    if dim == "from_spec":
-        dim = spec.dim
-    exps = term_exponents(spec)
-    if dim is not None:
-        values = [e.evaluate(dim) for e in exps]
-        worst = min(values)
-        if worst > 0:
-            return Classification(SUBCRITICAL)
-        if worst == 0:
-            return Classification(CRITICAL)
-        return Classification(SUPERCRITICAL)
-    if all(e.is_constant for e in exps):
-        worst = min(e.c0 for e in exps)
+    return _classify(term_exponents(spec), spec.dim if dim == "from_spec" else dim)
+
+
+def _classify(exps: Sequence[DimExpr], dim: Optional[int]) -> Classification:
+    if dim is not None or all(e.is_constant for e in exps):
+        worst = min(e.c0 if dim is None else e.evaluate(dim) for e in exps)
         if worst > 0:
             return Classification(SUBCRITICAL)
         if worst == 0:
@@ -256,32 +263,6 @@ def _label(level: int) -> str:
     return f"z{level}"
 
 
-def _make_product(
-    term_index: int,
-    term: NonlinearTerm,
-    levels: Tuple[int, ...],
-    regs: Dict[int, RegBound],
-) -> ProductTerm:
-    # factors descending by level; inner orders applied positionally
-    ordered = tuple(sorted(levels, reverse=True))
-    bounds = []
-    homog = DimExpr.const(0)
-    for lv, k in zip(ordered, term.inner_derivative_orders):
-        b = RegBound(regs[lv].sup - DimExpr.const(k))
-        bounds.append(b)
-        homog = homog + b.sup
-    homog = homog - DimExpr.const(term.outer_derivative_order)
-    return ProductTerm(
-        term_index=term_index,
-        factors=tuple(_label(lv) for lv in ordered),
-        inner_orders=tuple(term.inner_derivative_orders),
-        outer_order=term.outer_derivative_order,
-        projector=term.projector,
-        factor_bounds=tuple(bounds),
-        homogeneity=RegBound(homog),
-    )
-
-
 def _compare(a: DimExpr, b: DimExpr) -> Optional[int]:
     """-1/0/+1 when decidable for every dimension, else None."""
     diff = a - b
@@ -294,36 +275,95 @@ def _compare(a: DimExpr, b: DimExpr) -> Optional[int]:
     return None
 
 
+# A candidate: its factor levels (nondecreasing) and the product they make.
+_Entry = Tuple[Tuple[int, ...], ProductTerm]
+
+
+def _minimum(entries: Sequence[_Entry]):
+    """Scan for the least homogeneity against a running minimum.
+
+    Returns the entries attaining it, in order, that homogeneity, and
+    the first entry whose comparison with the running minimum depends
+    on d (None when every comparison was decided; the scan stops there).
+    """
+    best: List[_Entry] = []
+    best_h: Optional[DimExpr] = None
+    for entry in entries:
+        h = entry[1].homogeneity.sup
+        if best_h is None:
+            best, best_h = [entry], h
+            continue
+        cmp = _compare(h, best_h)
+        if cmp is None:
+            return best, best_h, entry
+        if cmp < 0:
+            best, best_h = [entry], h
+        elif cmp == 0:
+            best.append(entry)
+    return best, best_h, None
+
+
+def _tuples_with_sum(degree: int, top: int, total: int, low: int = 1):
+    """Nondecreasing tuples over low..top of the given length and sum, in
+    lexicographic order; every branch taken yields at least one tuple."""
+    if degree == 1:
+        if low <= total <= top:
+            yield (total,)
+        return
+    for first in range(max(low, total - (degree - 1) * top), min(top, total // degree) + 1):
+        for rest in _tuples_with_sum(degree - 1, top, total - first, first):
+            yield (first,) + rest
+
+
 def analytic_status(candidate: ProductTerm, d: int) -> Optional[RegBound]:
     """Fold the two-factor analytic product across all factors at a
     concrete dimension; None marks an ill-defined product."""
-    bounds = [RegBound(DimExpr.const(b.evaluate(d))) for b in candidate.factor_bounds]
+    return _fold_analytic([RegBound(DimExpr.const(b.evaluate(d))) for b in candidate.factor_bounds], d)
+
+
+def _fold_analytic(bounds: Sequence[RegBound], d: int) -> Optional[RegBound]:
     acc = bounds[0]
     for nxt in bounds[1:]:
-        result = product_analytic(acc, nxt, d)
-        if result is None:
+        acc = product_analytic(acc, nxt, d)
+        if acc is None:
             return None
-        acc = result
     return acc
 
 
 def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
-    """Run the expansion and assemble the full report."""
+    """Run the expansion and assemble the full report.
+
+    Per level, each nonlinear term offers its unabsorbed products of
+    least total factor level; the least homogeneity among them forms
+    the next object.  The work grows with the products offered, not
+    with every product of z1..z_top.
+    """
     _require_valid(spec)
     if not 1 <= max_levels <= MAX_LEVELS_LIMIT:
         raise ValueError(f"max_levels must be in [1, {MAX_LEVELS_LIMIT}], got {max_levels}")
 
     dim = spec.dim
     gamma = spec.diffusion_order
+    vector_rank = spec.unknown_rank == VECTOR
+    terms = spec.nonlinear_terms
     regs: Dict[int, RegBound] = {}
     rows: List[ExpansionRow] = []
-    seen_candidates: Dict[Tuple[int, Tuple[str, ...]], ProductTerm] = {}
-    absorbed: Dict[int, set] = {i: set() for i in range(len(spec.nonlinear_terms))}
+    # registered candidates, keyed by (term index, factor levels), in first-met order
+    seen_candidates: Dict[Tuple[int, Tuple[int, ...]], ProductTerm] = {}
+    absorbed: List[set] = [set() for _ in terms]
+    # per term, a lower bound on the level sum of its unabsorbed products
+    floors = [t.degree for t in terms]
+    # each factor bound once per (level, inner order), with its value at
+    # a concrete d; inner orders go by index, so keys hash as ints
+    orders = list(dict.fromkeys(k for t in terms for k in t.inner_derivative_orders))
+    term_orders = [tuple(orders.index(k) for k in t.inner_derivative_orders) for t in terms]
+    factors: Dict[Tuple[int, int], Tuple[RegBound, Optional[RegBound]]] = {}
+    partial_sums: Dict[Tuple[int, Tuple[int, ...]], RegBound] = {}
     symbolic_stop: Optional[str] = None
     stopped_early = False
 
     noise_bound = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
-    z1_bound = RegBound(noise_bound.sup + DimExpr.const(spec.z1_effective_order))
+    z1_bound = _solve(noise_bound, spec.z1_effective_order)
     regs[1] = z1_bound
     noise_term = ProductTerm(
         term_index=-1,
@@ -336,73 +376,93 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     )
     rows.append(ExpansionRow(1, _label(1), (noise_term,), noise_bound, z1_bound))
 
-    def candidate_pool(top_level: int):
-        """Per-term minimal-levelsum unabsorbed products over z1..z_top."""
-        pool = []
-        for ti, term in enumerate(spec.nonlinear_terms):
-            combos = [
-                c
-                for c in itertools.combinations_with_replacement(range(1, top_level + 1), term.degree)
-                if c not in absorbed[ti]
-            ]
-            if not combos:
-                continue
-            min_ls = min(sum(c) for c in combos)
-            best = [c for c in combos if sum(c) == min_ls]
-            pool.append((ti, term, best))
+    def factor(level: int, order: int) -> Tuple[RegBound, Optional[RegBound]]:
+        key = (level, order)
+        known = factors.get(key)
+        if known is None:
+            bound = apply_derivative(regs[level], orders[order])
+            value = None if dim is None else RegBound(DimExpr.const(bound.evaluate(dim)))
+            known = factors[key] = (bound, value)
+        return known
+
+    def partial_homogeneity(ti: int, low: Tuple[int, ...]) -> RegBound:
+        # the len(low) lowest factors, which take the last inner orders,
+        # less the outer derivative; products met in lexicographic order
+        # share these
+        key = (ti, low)
+        h = partial_sums.get(key)
+        if h is None:
+            b = factor(low[-1], term_orders[ti][-len(low)])[0]
+            if len(low) == 1:
+                h = apply_derivative(b, terms[ti].outer_derivative_order)
+            else:
+                h = product_homogeneity(partial_homogeneity(ti, low[:-1]), b)
+            partial_sums[key] = h
+        return h
+
+    def make_product(ti: int, levels: Tuple[int, ...]) -> ProductTerm:
+        # factors descending by level; inner orders applied positionally
+        known = seen_candidates.get((ti, levels))
+        if known is not None:
+            return known
+        term = terms[ti]
+        ordered = levels[::-1]
+        return ProductTerm(
+            term_index=ti,
+            factors=tuple(_label(lv) for lv in ordered),
+            inner_orders=term.inner_derivative_orders,
+            outer_order=term.outer_derivative_order,
+            projector=term.projector,
+            factor_bounds=tuple(factor(lv, k)[0] for lv, k in zip(ordered, term_orders[ti])),
+            homogeneity=partial_homogeneity(ti, levels),
+        )
+
+    def candidate_pool(top_level: int) -> List[_Entry]:
+        """Per term, the unabsorbed products over z1..z_top of least level sum."""
+        pool: List[_Entry] = []
+        for ti, term in enumerate(terms):
+            # a product that uses z_top sums to at least top + degree - 1;
+            # absorbing products only raises the least sum of the others
+            floor = min(floors[ti], top_level + term.degree - 1)
+            for total in range(floor, term.degree * top_level + 1):
+                combos = [c for c in _tuples_with_sum(term.degree, top_level, total) if c not in absorbed[ti]]
+                if combos:
+                    floors[ti] = total
+                    pool.extend((c, make_product(ti, c)) for c in combos)
+                    break
         return pool
 
-    def register(products: List[Tuple[int, Tuple[int, ...], ProductTerm]]) -> List[str]:
+    def register(entries: Sequence[_Entry]) -> List[str]:
         """Record candidates; at concrete dim, return newly flagged labels."""
         flagged = []
-        for ti, levels, prod in products:
-            key = (ti, prod.factors)
+        for levels, prod in entries:
+            key = (prod.term_index, levels)
             if key in seen_candidates:
                 continue
             seen_candidates[key] = prod
-            if dim is not None and analytic_status(prod, dim) is None:
-                flagged.extend(prod.summands(spec.unknown_rank == VECTOR))
+            if dim is not None:
+                values = [factor(lv, k)[1] for lv, k in zip(levels[::-1], term_orders[prod.term_index])]
+                if _fold_analytic(values, dim) is None:
+                    flagged.extend(prod.summands(vector_rank))
         return flagged
 
     level = 1
     while level < max_levels:
         pool = candidate_pool(level)
-        if not pool:
-            break
-        # build every minimal product, then take the global homogeneity minimum
-        built: List[Tuple[int, Tuple[int, ...], ProductTerm]] = []
-        for ti, term, combos in pool:
-            for c in combos:
-                built.append((ti, c, _make_product(ti, term, c, regs)))
-        best: List[Tuple[int, Tuple[int, ...], ProductTerm]] = []
-        best_h: Optional[DimExpr] = None
-        undecidable = False
-        for entry in built:
-            h = entry[2].homogeneity.sup
-            if best_h is None:
-                best, best_h = [entry], h
-                continue
-            cmp = _compare(h, best_h)
-            if cmp is None:
-                undecidable = True
-                break
-            if cmp < 0:
-                best, best_h = [entry], h
-            elif cmp == 0:
-                best.append(entry)
-        if undecidable:
+        best, best_h, undecided = _minimum(pool)
+        if undecided is not None:
             symbolic_stop = "E_SYMBOLIC_STOP"
             break
 
-        new_flags = register(built)
+        new_flags = register(pool)
         level += 1
-        best.sort(key=lambda entry: tuple(sorted(entry[1], reverse=True)))
-        forcing = tuple(p for _, _, p in best)
-        reg = RegBound(best_h + DimExpr.const(gamma))
+        best.sort(key=lambda entry: entry[0][::-1])
+        forcing_bound = RegBound(best_h)
+        reg = _solve(forcing_bound, gamma)
         regs[level] = reg
-        for ti, levels, _ in best:
-            absorbed[ti].add(levels)
-        rows.append(ExpansionRow(level, _label(level), forcing, RegBound(best_h), reg, renorm=tuple(new_flags)))
+        for levels, prod in best:
+            absorbed[prod.term_index].add(levels)
+        rows.append(ExpansionRow(level, _label(level), tuple(p for _, p in best), forcing_bound, reg, renorm=tuple(new_flags)))
 
         sup = reg.sup
         done = sup.evaluate(dim) >= 0 if dim is not None else sup.nonneg_for_all_dims()
@@ -411,58 +471,41 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             break
 
     # remainder after level k is the next level's would-be regularity;
-    # the products examined here count as encountered
+    # the products examined here count as encountered, up to and
+    # including the term where the minimum became undecidable
     tail_remainder: Optional[RegBound] = None
     if symbolic_stop is None:
-        tail_best: Optional[DimExpr] = None
-        decidable = True
-        for ti, term, combos in candidate_pool(level):
-            tail_built = [(ti, c, _make_product(ti, term, c, regs)) for c in combos]
-            register(tail_built)
-            for _, _, prod in tail_built:
-                h = prod.homogeneity.sup
-                if tail_best is None:
-                    tail_best = h
-                    continue
-                cmp = _compare(h, tail_best)
-                if cmp is None:
-                    decidable = False
-                    break
-                if cmp < 0:
-                    tail_best = h
-            if not decidable:
-                break
-        if decidable and tail_best is not None:
-            tail_remainder = RegBound(tail_best + DimExpr.const(gamma))
-    remainders: List[Optional[RegBound]] = []
-    for idx in range(len(rows)):
-        if idx + 1 < len(rows):
-            remainders.append(rows[idx + 1].object_bound)
+        pool = candidate_pool(level)
+        _, tail_h, undecided = _minimum(pool)
+        if undecided is None:
+            register(pool)
+            tail_remainder = _solve(RegBound(tail_h), gamma)
         else:
-            remainders.append(tail_remainder)
+            register([entry for entry in pool if entry[1].term_index <= undecided[1].term_index])
+    remainders = [r.object_bound for r in rows[1:]] + [tail_remainder]
     rows = [
         ExpansionRow(r.level, r.label, r.forcing, r.forcing_bound, r.object_bound, rem, r.renorm)
         for r, rem in zip(rows, remainders)
     ]
 
     gain, gain_error = _gain_of_rows(rows)
+    exps = term_exponents(spec)
     try:
-        exponent = scaling_exponent(spec)
+        exponent = _common_exponent(exps)
         exponent_error = None
     except ExpansionError as exc:
         exponent, exponent_error = None, exc.code
     if symbolic_stop and gain is None:
-        classification = Classification(CONDITION_ON_DIM, _subcritical_condition(term_exponents(spec)) or "never subcritical")
+        classification = Classification(CONDITION_ON_DIM, _subcritical_condition(exps) or "never subcritical")
     else:
-        classification = classify(spec, dim)
+        classification = _classify(exps, dim)
 
-    ordered_candidates = tuple(seen_candidates.values())
     return CriticalityReport(
         spec=spec,
         dim=dim,
         max_levels=max_levels,
         rows=tuple(rows),
-        candidates=ordered_candidates,
+        candidates=tuple(seen_candidates.values()),
         gain=gain,
         gain_error=gain_error,
         scaling_exponent=exponent,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -376,6 +377,21 @@ def test_noise_sample_inverse_transforms_only_what_it_writes(tmp_path, capsys, m
     assert sum(points) == written * 256
 
 
+@pytest.mark.parametrize("steps,rows", [("100", 11), ("37", 38), ("16", 9)])
+def test_noise_sample_thins_by_a_divisor_of_the_steps(tmp_path, capsys, steps, rows):
+    from spdecrit.lab import io as lio
+
+    out_dir = tmp_path / "run"
+    code, _, _ = run(
+        capsys, "noise", "sample", "--dim", "1", "--grid", "32", "--steps", steps, "--out", str(out_dir)
+    )
+    assert code == 0
+    assert len(list(out_dir.glob("*.spdf"))) == rows
+    traj = lio.read_trajectory(out_dir)
+    assert traj.times[-1] == pytest.approx(int(steps) * 2.5e-3)
+    assert traj.dt == pytest.approx(int(steps) // (rows - 1) * 2.5e-3)
+
+
 def test_stationary_noise_section_reads_spectra_only(monkeypatch):
     from spdecrit import suites
     from spdecrit.lab import noise as ln
@@ -393,3 +409,28 @@ def test_stationary_noise_section_reads_spectra_only(monkeypatch):
     suites.run_noise(seed=0, grid=64, ensembles=1)
     assert grids.count((32,)) == 8
     assert sum(points) == 0
+
+
+def test_analyze_high_degree_many_levels_finishes(tmp_path):
+    """phi4 at degree 9 over 32 levels meets ~22k products; the exhaustive
+    enumeration of every product of z1..z32 did not finish in 60 s."""
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "analyze", "phi4", "--param", "n=9", "--levels", "32"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert "gain per level  : 10 - 4d" in proc.stdout
+    assert elapsed < 20.0, f"took {elapsed:.1f}s, budget 20s"
+
+
+@pytest.mark.parametrize("n,code", [("32", 0), ("33", 2)])
+def test_analyze_degree_cap(capsys, n, code):
+    got, out, err = run(capsys, "analyze", "phi4", "--param", f"n={n}", "--levels", "2")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: E_BAD_DEGREE")

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from importlib import resources
+
 from spdecrit.dsl import (
     BUNDLED_SPECS,
+    MAX_DEGREE,
     NonlinearTerm,
     SpdeSpec,
     SpecError,
@@ -107,6 +110,24 @@ def test_validate_reports_each_violation():
     assert "E_BAD_DEGREE" in codes
 
 
+def _spec_text(degree):
+    return (
+        "equation big {\n  dimension 2;\n  unknown u: scalar;\n  diffusion order 2;\n"
+        f"  noise stwn;\n  nonlinear {{ degree {degree}; }}\n}}\n"
+    )
+
+
+def test_degree_cap():
+    assert parse_spec(_spec_text(MAX_DEGREE)).nonlinear_terms[0].degree == MAX_DEGREE
+    with pytest.raises(SpecSemanticError) as err:
+        parse_spec(_spec_text(MAX_DEGREE + 1))
+    assert err.value.code == "E_BAD_DEGREE"
+    # rejected before an inner-order tuple of that length is built
+    with pytest.raises(SpecSemanticError) as err:
+        load_bundled_spec("phi4").with_overrides(n=10**4)
+    assert err.value.code == "E_BAD_DEGREE"
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(SpecSyntaxError) as err:
         parse_spec("equation x {\n  dimension ;\n}")
@@ -155,6 +176,19 @@ def test_override_helpers():
     phi = load_bundled_spec("phi4").with_overrides(n=5)
     assert phi.nonlinear_terms[0].degree == 5
     assert len(phi.nonlinear_terms[0].inner_derivative_orders) == 5
+
+
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
+def test_bundled_spec_is_parsed_once(name):
+    text = resources.files("spdecrit").joinpath(f"specs/{name}.spde").read_text(encoding="utf-8")
+    assert load_bundled_spec(name) == parse_spec(text)
+    assert load_bundled_spec(name) is load_bundled_spec(name)
+
+
+def test_unknown_bundled_spec_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            load_bundled_spec("no_such_spec")
 
 
 def test_warning_on_riesz_with_time_white():
