@@ -1,9 +1,13 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad input
-(parse errors, invalid parameters), 3 I/O failure.  Flags override
-config-file entries, which override built-in defaults; SPDECRIT_SEED
-supplies the default seed.
+(parse errors, invalid values, config keys a command does not read),
+3 I/O failure.  Each command lists its one-value options once, in a
+table of option -> (converter, default).  A flag overrides the
+config-file entry of the same name, which overrides the default; flag
+and config values go through the same converter.  SPDECRIT_SEED
+supplies the seed when neither gives one.  `spdecrit tychonov ARGS`
+reads as `spdecrit verify tychonov ARGS`.
 
 Only the commands that run the numerical lab import it (and with it
 numpy and mpmath), so `analyze` starts with the symbolic half alone.
@@ -47,12 +51,49 @@ def run_suite(name: str, **kwargs) -> dict:
     return run(name, **kwargs)
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
     raw = os.environ.get("SPDECRIT_SEED", "0")
     try:
         return int(raw)
     except ValueError:
         raise CliInputError(f"SPDECRIT_SEED must be an integer, got {raw!r}")
+
+
+def _one_of(*choices):
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expects {' or '.join(choices)}")
+        return text
+
+    return convert
+
+
+def _dim(text: str):
+    """A concrete dimension, or None (symbolic) for 'symbolic' or 'd'."""
+    return None if text in ("symbolic", "d") else int(text)
+
+
+def _region(text: str) -> tuple:
+    pieces = tuple(float(p) for p in text.split(","))
+    if len(pieces) != 4:
+        raise ValueError("expects t0,t1,x0,x1")
+    return pieces
+
+
+# option -> (converter of the raw flag or config string, default); a
+# callable default is called only when neither source gives the option
+_RENDER = {"format": (_one_of("table", "json"), "table"), "out": (str, None)}
+_ANALYZE = {"levels": (int, 4), "dim": (_dim, "keep"), **_RENDER}
+# `suites._SUITES` says which suite reads which of these; None keeps the suite's own default
+_VERIFY = {
+    "n": (int, None), "samples": (int, None), "seed": (int, _env_seed), "grid": (int, None), "dim": (int, None),
+    "dt": (float, None), "tmax": (float, None), "alpha": (int, None), "terms": (int, None),
+    "ensembles": (int, None), "region": (_region, None), **_RENDER,
+}
+_NOISE_SAMPLE = {
+    "dim": (int, 1), "grid": (int, 4096), "seed": (int, _env_seed), "kind": (_one_of("white", "z1"), "z1"),
+    "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
+}
 
 
 def _read_config(path) -> dict:
@@ -71,16 +112,29 @@ def _read_config(path) -> dict:
     return out
 
 
-def _merge(args, config: dict, name: str, convert, default=None):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
+def _options(args, table: dict, command: str):
+    """Every option of `table`, from its flag, else `--config`, else its default.
+
+    Returns the values and the set of options a flag or the config gave.
+    """
+    config = _read_config(args.config) if args.config else {}
+    stray = sorted(set(config) - set(table))
+    if stray:
+        raise CliInputError(f"{command} does not read config key {', '.join(stray)}")
+    values, given = {}, set()
+    for name, (convert, default) in table.items():
+        raw = getattr(args, name)
+        if raw is None:
+            raw = config.get(name)
+        if raw is None:
+            values[name] = default() if callable(default) else default
+            continue
+        given.add(name)
         try:
-            return convert(config[name])
-        except (ValueError, TypeError) as exc:
-            raise CliInputError(f"config value for {name!r}: {exc}")
-    return default
+            values[name] = convert(raw)
+        except ValueError as exc:
+            raise CliInputError(f"--{name} {raw!r}: {exc}")
+    return values, given
 
 
 def _emit(text: str, out_path) -> None:
@@ -107,76 +161,43 @@ def _apply_params(spec, params):
         key, _, value = item.partition("=")
         if key not in known or not value:
             raise CliInputError(f"--param expects k=v with k in {sorted(known)}, got {item!r}")
-        kwargs[key] = int(value) if key == "n" else Fraction(value)
+        try:
+            kwargs[key] = int(value) if key == "n" else Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliInputError(f"--param {item!r}: {exc}")
     return spec.with_overrides(**kwargs) if kwargs else spec
 
 
 def _cmd_analyze(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    spec = _load_spec_source(args.spec)
-    spec = _apply_params(spec, args.param)
-    dim_arg = _merge(args, config, "dim", str)
-    if dim_arg is not None:
-        spec = spec.with_overrides(dim=None if dim_arg in ("symbolic", "d") else int(dim_arg))
-    levels = _merge(args, config, "levels", int, 4)
+    opts, _ = _options(args, _ANALYZE, "analyze")
+    spec = _apply_params(_load_spec_source(args.spec), args.param).with_overrides(dim=opts["dim"])
 
     for diag in validate_spec(spec):
         if diag.severity == "warning":
             print(f"warning: {diag.code}: {diag.message}", file=sys.stderr)
 
-    report = expand(spec, max_levels=levels)
-    payload = report_payload(report)
-    cfg_echo = {
-        "spec": args.spec,
-        "levels": levels,
-        "dim": payload["dimension"],
-        "params": list(args.param or ()),
-    }
-    doc = build_envelope("analyze", cfg_echo, payload)
-    doc["_rendered"] = render_table(report)
-    fmt = _merge(args, config, "format", str, "table")
-    out_path = _merge(args, config, "out", str)
-    text = serialize_envelope({k: v for k, v in doc.items() if k != "_rendered"}) if fmt == "json" else doc["_rendered"]
-    _emit(text, out_path)
+    report = expand(spec, max_levels=opts["levels"])
+    if opts["format"] == "json":
+        payload = report_payload(report)
+        cfg_echo = {"spec": args.spec, "levels": opts["levels"], "dim": payload["dimension"], "params": list(args.param or ())}
+        text = serialize_envelope(build_envelope("analyze", cfg_echo, payload))
+    else:
+        text = render_table(report)
+    _emit(text, opts["out"])
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    config = _read_config(args.config) if args.config else {}
     if args.suite not in SUITE_NAMES:
         raise CliInputError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    region = None
-    region_arg = _merge(args, config, "region", str)
-    if region_arg:
-        pieces = [float(p) for p in region_arg.split(",")]
-        if len(pieces) != 4:
-            raise CliInputError("--region expects t0,t1,x0,x1")
-        region = tuple(pieces)
-    kwargs = {
-        "n": _merge(args, config, "n", int),
-        "samples": _merge(args, config, "samples", int),
-        "seed": _merge(args, config, "seed", int, _default_seed()),
-        "grid": _merge(args, config, "grid", int),
-        "dim": _merge(args, config, "dim", int),
-        "dt": _merge(args, config, "dt", float),
-        "tmax": _merge(args, config, "tmax", float),
-        "alpha": _merge(args, config, "alpha", int),
-        "terms": _merge(args, config, "terms", int),
-        "ensembles": _merge(args, config, "ensembles", int),
-        "region": region,
-    }
-    stray = sorted(set(config) - set(kwargs) - {"format", "out"})
-    if stray:
-        raise CliInputError(f"verify {args.suite} does not read config key {', '.join(stray)}")
+    opts, _ = _options(args, _VERIFY, f"verify {args.suite}")
+    kwargs = {name: value for name, value in opts.items() if name not in _RENDER}
     result = run_suite(args.suite, **kwargs)
-    cfg_echo = {k: v for k, v in kwargs.items() if v is not None}
-    cfg_echo["suite"] = args.suite
-    doc = build_envelope("verify", cfg_echo, {"suite": result["suite"]}, checks=result["checks"])
 
-    fmt = _merge(args, config, "format", str, "table")
-    out_path = _merge(args, config, "out", str)
-    if fmt == "json":
-        text = serialize_envelope(doc)
+    if opts["format"] == "json":
+        cfg_echo = {k: v for k, v in kwargs.items() if v is not None}
+        cfg_echo["suite"] = args.suite
+        text = serialize_envelope(build_envelope("verify", cfg_echo, {"suite": result["suite"]}, checks=result["checks"]))
     else:
         lines = []
         for c in result["checks"]:
@@ -185,39 +206,34 @@ def _cmd_verify(args) -> int:
             lines.append(f"{status}  {c['name']}{extra}")
         lines.append("suite " + ("passed" if result["passed"] else "FAILED"))
         text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
+    _emit(text, opts["out"])
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_noise_sample(args) -> int:
+    opts, given = _options(args, _NOISE_SAMPLE, "noise sample")
+    dim, grid, seed, kind, out_dir = (opts[k] for k in ("dim", "grid", "seed", "kind", "out"))
+    unread = [f"--{name}" for name in ("steps", "dt") if name in given]
+    if kind == "white" and unread:
+        raise CliInputError(f"noise sample --kind white does not read {', '.join(unread)}")
+
     from .lab import fields as lf
     from .lab import heat as lh
     from .lab import io as lio
     from .lab import noise as ln
 
-    config = _read_config(args.config) if args.config else {}
-    dim = _merge(args, config, "dim", int, 1)
-    grid = _merge(args, config, "grid", int, 4096)
-    seed = _merge(args, config, "seed", int, _default_seed())
-    kind = _merge(args, config, "kind", str, "z1")
-    steps = _merge(args, config, "steps", int, 400)
-    dt = _merge(args, config, "dt", float, 2.5e-3)
-    out_dir = _merge(args, config, "out", str, "noise_out")
     shape = (grid,) * dim
-
     if kind == "white":
         field = ln.sample_spatial_white(dim, shape, seed)
         traj = lf.Trajectory(dt=1.0, times=[0.0], fields=[field])
         lio.write_trajectory(traj, out_dir, n=grid, seed=seed)
-    elif kind == "z1":
-        traj = ln.solve_z1_mild(dim, shape, dt, steps, seed)
+    else:
+        traj = ln.solve_z1_mild(dim, shape, opts["dt"], opts["steps"], seed)
         # about 8 intervals, but only a divisor of the steps keeps the
         # endpoints and one dt; a prime step count keeps every row
         stride = max(d for d in range(1, max(1, traj.steps // 8) + 1) if traj.steps % d == 0)
         lio.write_trajectory(lh.subsample(traj, stride), out_dir, n=grid, seed=seed)
         field = traj.final()
-    else:
-        raise CliInputError(f"--kind must be white or z1, got {kind!r}")
 
     if args.estimate:
         exponent = lf.estimate_holder_exponent(field)
@@ -226,101 +242,48 @@ def _cmd_noise_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tychonov(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    alpha = _merge(args, config, "alpha", int, 2)
-    terms = _merge(args, config, "terms", int, 30)
-    region_arg = _merge(args, config, "region", str)
-    region = (0.5, 1.0, -1.0, 1.0)
-    if region_arg:
-        pieces = [float(p) for p in region_arg.split(",")]
-        if len(pieces) != 4:
-            raise CliInputError("--region expects t0,t1,x0,x1")
-        region = tuple(pieces)
-    result = run_suite("tychonov", alpha=alpha, terms=terms, region=region)
-    doc = build_envelope(
-        "tychonov",
-        {"alpha": alpha, "terms": terms, "region": list(region)},
-        {"suite": "tychonov"},
-        checks=result["checks"],
-    )
-    fmt = _merge(args, config, "format", str, "table")
-    out_path = _merge(args, config, "out", str)
-    if fmt == "json":
-        text = serialize_envelope(doc)
-    else:
-        lines = [
-            f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}" + (f"  [{c['value']!r}]" if "value" in c else "")
-            for c in result["checks"]
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
-    return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
+def _add_options(parser, table: dict, func) -> None:
+    for name in table:
+        parser.add_argument(f"--{name}")
+    parser.add_argument("--config", help="file of 'key value;' items, one key per option")
+    parser.set_defaults(func=func)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="spdecrit", description="criticality analyzer and numerical lab")
+    top = argparse.ArgumentParser(
+        prog="spdecrit",
+        description="criticality analyzer and numerical lab",
+        epilog="`spdecrit tychonov ARGS` runs `spdecrit verify tychonov ARGS`.",
+    )
     top.add_argument("--version", action="version", version=f"spdecrit {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="expand a spec into its regularity table")
     pa.add_argument("spec", help="path to a .spde file or a bundled spec name")
-    pa.add_argument("--levels", type=int, default=None)
-    pa.add_argument("--dim", default=None, help="concrete dimension or 'symbolic'")
     pa.add_argument("--param", action="append", metavar="K=V", help="override gamma, alpha, gamma1 or n")
-    pa.add_argument("--format", choices=("table", "json"), default=None)
-    pa.add_argument("--out", default=None)
-    pa.add_argument("--config", default=None)
-    pa.set_defaults(func=_cmd_analyze)
+    _add_options(pa, _ANALYZE, _cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--grid", type=int, default=None)
-    pv.add_argument("--dim", type=int, default=None)
-    pv.add_argument("--dt", type=float, default=None)
-    pv.add_argument("--tmax", type=float, default=None)
-    pv.add_argument("--alpha", type=int, default=None)
-    pv.add_argument("--terms", type=int, default=None)
-    pv.add_argument("--ensembles", type=int, default=None)
-    pv.add_argument("--region", default=None)
-    pv.add_argument("--format", choices=("table", "json"), default=None)
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--config", default=None)
-    pv.set_defaults(func=_cmd_verify)
+    _add_options(pv, _VERIFY, _cmd_verify)
 
     pn = sub.add_parser("noise", help="noise and first-object sampling")
     nsub = pn.add_subparsers(dest="noise_command", required=True)
     ps = nsub.add_parser("sample", help="draw a field and write snapshots")
-    ps.add_argument("--dim", type=int, default=None)
-    ps.add_argument("--grid", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--kind", choices=("white", "z1"), default=None)
-    ps.add_argument("--steps", type=int, default=None)
-    ps.add_argument("--dt", type=float, default=None)
     ps.add_argument("--estimate", action="store_true")
-    ps.add_argument("--out", default=None)
-    ps.add_argument("--config", default=None)
-    ps.set_defaults(func=_cmd_noise_sample)
-
-    pt = sub.add_parser("tychonov", help="evaluate the zero-trace caloric series")
-    pt.add_argument("--alpha", type=int, default=None)
-    pt.add_argument("--terms", type=int, default=None)
-    pt.add_argument("--region", default=None, help="t0,t1,x0,x1")
-    pt.add_argument("--format", choices=("table", "json"), default=None)
-    pt.add_argument("--out", default=None)
-    pt.add_argument("--config", default=None)
-    pt.set_defaults(func=_cmd_tychonov)
+    _add_options(ps, _NOISE_SAMPLE, _cmd_noise_sample)
 
     return top
 
 
+def _expand_alias(argv: list) -> list:
+    """`tychonov ARGS` is `verify tychonov ARGS`."""
+    return ["verify", *argv] if argv[:1] == ["tychonov"] else argv
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_expand_alias(list(sys.argv[1:] if argv is None else argv)))
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -214,8 +214,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in ("rat", "int"):
             self.fail(f"expected a rational, found {tok.text!r}")
+        try:
+            value = Fraction(tok.text)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in {tok.text!r}")
         self.next()
-        return Fraction(tok.text)
+        return value
 
     def integer(self) -> int:
         tok = self.expect("int")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import DimExpr, RegBound, ScalingInfo
-from .dsl import SpdeSpec, NonlinearTerm, VECTOR, validate_spec
+from .dsl import SpdeSpec, VECTOR, validate_spec
 from .rules import (
     apply_derivative,
     noise_regularity,
@@ -158,28 +158,30 @@ def _solve(bound: RegBound, order: Fraction) -> RegBound:
     return schauder_gain(bound, order) if order else zero_order_operator(bound)
 
 
+def _first_object(spec: SpdeSpec) -> Tuple[RegBound, RegBound]:
+    """The noise bound and the bound of the first object solved against it."""
+    noise = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
+    return noise, _solve(noise, spec.z1_effective_order)
+
+
 def noise_solved_bound(spec: SpdeSpec) -> RegBound:
     """Bound of the first object: noise bound plus the first solve order."""
-    raw = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
-    return _solve(raw, spec.z1_effective_order)
+    return _first_object(spec)[1]
 
 
-def term_exponent(spec: SpdeSpec, term: NonlinearTerm) -> DimExpr:
-    """Per-step regularity gain contributed by one nonlinear term.
+def term_exponents(spec: SpdeSpec, r1: Optional[DimExpr] = None) -> Tuple[DimExpr, ...]:
+    """Per-step regularity gain contributed by each nonlinear term.
 
-    (degree - 1) copies of the first object, minus every derivative the
+    (degree - 1) copies of the first object, whose bound is `r1` (by
+    default `noise_solved_bound(spec).sup`), minus every derivative the
     term carries, plus the dissipative order regained per level.
     """
-    r1 = noise_solved_bound(spec).sup
-    return (
-        r1 * (term.degree - 1)
-        - DimExpr.const(term.total_derivative_order)
-        + DimExpr.const(spec.diffusion_order)
+    if r1 is None:
+        r1 = noise_solved_bound(spec).sup
+    gamma = DimExpr.const(spec.diffusion_order)
+    return tuple(
+        r1 * (t.degree - 1) - DimExpr.const(t.total_derivative_order) + gamma for t in spec.nonlinear_terms
     )
-
-
-def term_exponents(spec: SpdeSpec) -> Tuple[DimExpr, ...]:
-    return tuple(term_exponent(spec, t) for t in spec.nonlinear_terms)
 
 
 def scaling_exponent(spec: SpdeSpec) -> DimExpr:
@@ -362,8 +364,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     symbolic_stop: Optional[str] = None
     stopped_early = False
 
-    noise_bound = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
-    z1_bound = _solve(noise_bound, spec.z1_effective_order)
+    noise_bound, z1_bound = _first_object(spec)
     regs[1] = z1_bound
     noise_term = ProductTerm(
         term_index=-1,
@@ -489,7 +490,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     ]
 
     gain, gain_error = _gain_of_rows(rows)
-    exps = term_exponents(spec)
+    exps = term_exponents(spec, z1_bound.sup)
     try:
         exponent = _common_exponent(exps)
         exponent_error = None

@@ -434,3 +434,163 @@ def test_analyze_degree_cap(capsys, n, code):
     if code:
         assert out == ""
         assert err.startswith("error: E_BAD_DEGREE")
+
+
+@pytest.mark.parametrize("param", ["gamma=1/0", "alpha=2/0", "gamma=abc"])
+def test_analyze_bad_param_value_exits_2(capsys, param):
+    code, out, err = run(capsys, "analyze", "sqg", "--param", param)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --param {param!r}: ")
+
+
+def _noise_or_suite_calls(monkeypatch):
+    """Record every suite run and every noise solve instead of running them."""
+    from spdecrit.lab import noise as ln
+
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(ln, "solve_z1_mild", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(ln, "sample_spatial_white", lambda *a, **k: calls.append(a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,item,message",
+    [
+        (("analyze", "phi4"), "samples 5;", "error: analyze does not read config key samples"),
+        (("noise", "sample"), "levels 3;", "error: noise sample does not read config key levels"),
+        (("noise", "sample"), "format json;", "error: noise sample does not read config key format"),
+        (("analyze", "phi4"), "format xml;", "error: --format 'xml': expects table or json"),
+        (("verify", "bony"), "format xml;", "error: --format 'xml': expects table or json"),
+    ],
+    ids=["analyze-samples", "noise-levels", "noise-format", "analyze-xml", "verify-xml"],
+)
+def test_every_command_checks_its_config_keys_and_values(tmp_path, capsys, monkeypatch, argv, item, message):
+    calls = _noise_or_suite_calls(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(item + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,name,value",
+    [
+        (("analyze", "phi4"), "levels", "abc"),
+        (("analyze", "phi4"), "dim", "three"),
+        (("verify", "tychonov"), "region", "0.5,1,-1"),
+        (("verify", "uniqueness"), "dt", "1/0"),
+        (("noise", "sample"), "kind", "pink"),
+        (("noise", "sample"), "grid", "4k"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_bad_value_reads_the_same_from_flag_and_config(tmp_path, capsys, monkeypatch, argv, name, value):
+    calls = _noise_or_suite_calls(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} {value};\n")
+    errors = []
+    for source in ([f"--{name}", value], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, *source, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: --{name} {value!r}: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "given,named",
+    [
+        (("--dt", "-5"), ["--dt"]),
+        (("--steps", "10"), ["--steps"]),
+        (("--steps", "10", "--dt", "0.1"), ["--steps", "--dt"]),
+        ("dt 0.1;", ["--dt"]),
+        ("steps 10;\ndt 0.1;", ["--steps", "--dt"]),
+    ],
+    ids=["flag-dt", "flag-steps", "flag-both", "config-dt", "config-both"],
+)
+def test_noise_sample_white_refuses_steps_and_dt(tmp_path, capsys, monkeypatch, given, named):
+    calls = _noise_or_suite_calls(monkeypatch)
+    if isinstance(given, str):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(given)
+        given = ("--config", str(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "noise", "sample", "--kind", "white", *given, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: noise sample --kind white does not read {', '.join(named)}"
+    assert calls == []
+    assert not out_dir.exists()
+
+
+def test_noise_sample_white_still_runs_without_steps(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "noise", "sample", "--kind", "white", "--dim", "1", "--grid", "64", "--out", str(tmp_path / "w")
+    )
+    assert code == 0
+    assert len(list((tmp_path / "w").glob("*.spdf"))) == 1
+
+
+def test_env_seed_is_read_only_without_a_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPDECRIT_SEED", "abc")
+    verify = ("verify", "inequality", "--n", "3", "--samples", "1000", "--format", "json")
+    code, out, _ = run(capsys, *verify, "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed 4;\n")
+    code, out, _ = run(capsys, *verify, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 4
+    sample = ("noise", "sample", "--dim", "1", "--grid", "64", "--steps", "8")
+    code, _, _ = run(capsys, *sample, "--seed", "3", "--out", str(tmp_path / "n"))
+    assert code == 0
+    # with no seed given, the bad variable is still an error
+    for argv in (verify, (*sample, "--out", str(tmp_path / "m"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: SPDECRIT_SEED must be an integer, got 'abc'"
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("spdecrit ")]
+
+
+def test_readme_lists_commands():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    assert any(line.startswith("spdecrit tychonov ") for line in commands)
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    import shlex
+
+    args = cli._build_parser().parse_args(cli._expand_alias(shlex.split(line)[1:]))
+    assert callable(args.func)
+    if args.command == "verify":
+        assert args.suite in cli.SUITE_NAMES
+
+
+def test_tychonov_alias_prints_what_verify_tychonov_prints(capsys):
+    import re
+
+    flags = ("--alpha", "2", "--terms", "12", "--format", "json")
+    outs = []
+    for argv in (("tychonov", *flags), ("verify", "tychonov", *flags)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outs.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["command"] == "verify"

@@ -247,3 +247,13 @@ def test_parsing_is_total(text):
         parse_spec(text)
     except SpecError:
         pass  # diagnosed inputs are fine; anything else would fail the test
+
+
+@pytest.mark.parametrize("item", ["diffusion order 1/0;", "noise stwn lift 3/0;"])
+def test_zero_denominator_is_a_syntax_error(item):
+    text = "equation x {\n  dimension 3;\n  unknown u: scalar;\n  " + item + "\n  noise stwn;\n  nonlinear { degree 3; }\n}"
+    if item.startswith("noise"):
+        text = text.replace("\n  noise stwn;", "")
+    with pytest.raises(SpecSyntaxError, match="zero denominator") as err:
+        parse_spec(text)
+    assert err.value.line == 4
