@@ -1,7 +1,7 @@
 """Symbolic criticality analysis for noise-driven PDE specs, plus the
 numerical experiments that back the bookkeeping."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .affine import DimExpr, RegBound, ScalingInfo
 from .rules import (

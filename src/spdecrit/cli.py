@@ -16,6 +16,7 @@ numpy and mpmath), so `analyze` starts with the symbolic half alone.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -51,12 +52,22 @@ def run_suite(name: str, **kwargs) -> dict:
     return run(name, **kwargs)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("expects a non-negative integer")
+    return seed
+
+
 def _env_seed() -> int:
     raw = os.environ.get("SPDECRIT_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise CliInputError(f"SPDECRIT_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise CliInputError(f"SPDECRIT_SEED must not be negative, got {raw!r}")
+    return seed
 
 
 def _one_of(*choices):
@@ -77,6 +88,9 @@ def _region(text: str) -> tuple:
     pieces = tuple(float(p) for p in text.split(","))
     if len(pieces) != 4:
         raise ValueError("expects t0,t1,x0,x1")
+    t0, t1, x0, x1 = pieces
+    if not all(map(math.isfinite, pieces)) or not (0 < t0 < t1 and x0 < x1):
+        raise ValueError("expects finite t0,t1,x0,x1 with 0 < t0 < t1 and x0 < x1")
     return pieces
 
 
@@ -86,12 +100,12 @@ _RENDER = {"format": (_one_of("table", "json"), "table"), "out": (str, None)}
 _ANALYZE = {"levels": (int, 4), "dim": (_dim, "keep"), **_RENDER}
 # `suites._SUITES` says which suite reads which of these; None keeps the suite's own default
 _VERIFY = {
-    "n": (int, None), "samples": (int, None), "seed": (int, _env_seed), "grid": (int, None), "dim": (int, None),
+    "n": (int, None), "samples": (int, None), "seed": (_seed, _env_seed), "grid": (int, None), "dim": (int, None),
     "dt": (float, None), "tmax": (float, None), "alpha": (int, None), "terms": (int, None),
     "ensembles": (int, None), "region": (_region, None), **_RENDER,
 }
 _NOISE_SAMPLE = {
-    "dim": (int, 1), "grid": (int, 4096), "seed": (int, _env_seed), "kind": (_one_of("white", "z1"), "z1"),
+    "dim": (int, 1), "grid": (int, 4096), "seed": (_seed, _env_seed), "kind": (_one_of("white", "z1"), "z1"),
     "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
 }
 
@@ -216,6 +230,9 @@ def _cmd_noise_sample(args) -> int:
     unread = [f"--{name}" for name in ("steps", "dt") if name in given]
     if kind == "white" and unread:
         raise CliInputError(f"noise sample --kind white does not read {', '.join(unread)}")
+    for name in ("steps", "dt"):
+        if kind == "z1" and not 0 < opts[name] < math.inf:
+            raise CliInputError(f"--{name} '{opts[name]!r}': expects a positive finite value")
 
     from .lab import fields as lf
     from .lab import heat as lh

@@ -2,17 +2,19 @@
 
 Fields live on [0, 2pi)^dim with integer wavenumbers.  The spectral
 convention divides the forward transform by the point count, so the mean
-square of the samples equals the sum of squared coefficient moduli.
+square of the samples equals the sum of squared coefficient moduli over
+the full spectrum.  Only the half spectrum is kept (numpy's rfftn
+layout): the last axis holds wavenumbers 0..N/2, and the modes left out
+are the complex conjugates of the kept ones at -m.
 Frequency blocks are sharp annuli: block -1 keeps |m| <= 1 and block
 j >= 1 keeps 2^(j-1) < |m| <= 2^j, which partitions the modes exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence as SequenceABC
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +33,58 @@ def _check_shape(dim: int, grid_shape: Tuple[int, ...]):
             raise ValueError(f"grid points per axis must be a power of two >= 4, got {n}")
 
 
+def _grid_of(half: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The (even) grid whose half spectrum has shape half."""
+    return tuple(half[:-1]) + (2 * half[-1] - 2,) if half else ()
+
+
+def mode_magnitudes(grid_shape: Tuple[int, ...]) -> np.ndarray:
+    """Euclidean wavenumber magnitude per half-spectrum entry."""
+    axes = [np.fft.fftfreq(n, d=1.0 / n) for n in grid_shape[:-1]]
+    axes.append(np.fft.rfftfreq(grid_shape[-1], d=1.0 / grid_shape[-1]))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.sqrt(sum(g * g for g in grids))
+
+
+def _pack_last(x: np.ndarray) -> np.ndarray:
+    """N reals along the last axis as N/2 + 1 coefficients of unit second
+    moment: the first and last real, the rest complex with 1/2 per part."""
+    m = x.shape[-1] // 2 + 1
+    c = np.empty(x.shape[:-1] + (m,), dtype=np.complex128)
+    c.real = x[..., :m]
+    c.imag[..., 0] = c.imag[..., -1] = 0.0
+    c.imag[..., 1:-1] = x[..., m:]
+    c[..., 1:-1] *= math.sqrt(0.5)
+    return c
+
+
+def white_half_spectrum(x: np.ndarray, dim: int) -> np.ndarray:
+    """Half spectrum of real white noise from standard normals x (..., *grid).
+
+    Every mode has E|c_m|^2 = 1 and the prod(grid) reals of a field are
+    used once each: self-conjugate modes are real, every other kept mode
+    is a complex pair, and in 2D the edge columns (last wavenumber 0 and
+    N/2) are exactly Hermitian along the first axis.
+    """
+    c = _pack_last(x)
+    if dim == 2:
+        mid = x.shape[-2] // 2
+        for j in (0, c.shape[-1] - 1):
+            col = _pack_last(x[..., :, j])
+            c[..., : mid + 1, j] = col
+            c[..., mid + 1 :, j] = np.conj(col[..., -2:0:-1])
+    return c
+
+
 class PeriodicField:
     """Samples of a real field on a uniform periodic grid.
 
     Either view is computed from the other on first read and cached: a
     field built from samples transforms forward when its spectrum is
-    asked for, one built from coefficients transforms back only when its
-    values are.  Coefficients must be Hermitian for the values to be
-    the field's; the inverse transform keeps the real part.
+    asked for, one built from half-spectrum coefficients transforms back
+    only when its values are.  Coefficients must be a real field's
+    (self-conjugate modes real, 2D edge columns Hermitian); the inverse
+    transform drops whatever part of them is not.
     """
 
     def __init__(self, values: np.ndarray):
@@ -52,35 +98,31 @@ class PeriodicField:
     @classmethod
     def from_spectral(cls, coeffs: np.ndarray) -> "PeriodicField":
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        _check_shape(coeffs.ndim, coeffs.shape)
+        grid_shape = _grid_of(coeffs.shape)
+        _check_shape(coeffs.ndim, grid_shape)
         f = cls.__new__(cls)
         f._values = None
         f._spectral = coeffs
         f.dim = coeffs.ndim
-        f.grid_shape = coeffs.shape
+        f.grid_shape = grid_shape
         return f
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = (np.fft.ifftn(self._spectral) * self._spectral.size).real
+            axes = tuple(range(self.dim))
+            self._values = np.fft.irfftn(self._spectral, s=self.grid_shape, axes=axes) * self.npoints
         return self._values
 
     @property
     def spectral(self) -> np.ndarray:
         if self._spectral is None:
-            self._spectral = np.fft.fftn(self._values) / self._values.size
+            self._spectral = np.fft.rfftn(self._values) / self._values.size
         return self._spectral
 
     @property
     def npoints(self) -> int:
         return math.prod(self.grid_shape)
-
-    def mode_magnitudes(self) -> np.ndarray:
-        """Euclidean wavenumber magnitude per spectral entry."""
-        axes = [np.fft.fftfreq(n, d=1.0 / n) for n in self.grid_shape]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.sqrt(sum(g * g for g in grids))
 
     def volume_element(self) -> float:
         return (2.0 * math.pi) ** self.dim / self.npoints
@@ -101,11 +143,12 @@ class PeriodicField:
 class Trajectory:
     """Uniformly spaced time samples of one evolving field.
 
-    The samples live in one (steps+1, *grid) array, either of sample
-    values or, for a trajectory solved in frequency space, of spectral
-    coefficients.  `fields` views its rows as PeriodicFields made when
-    indexed and never kept, so a spectral row runs its inverse FFT only
-    when its values are read, and the values are freed with the field.
+    The samples live in one array, either (steps+1, *grid) of sample
+    values or, for a trajectory solved in frequency space, (steps+1,
+    *half) of half-spectrum coefficients.  `fields` views its rows as
+    PeriodicFields made when indexed and never kept, so a spectral row
+    runs its inverse FFT only when its values are read, and the values
+    are freed with the field.
     Build one from a list of fields, from `values=` or from `spectral=`.
     """
 
@@ -127,7 +170,8 @@ class Trajectory:
             rows = np.asarray(spectral, dtype=np.complex128)
         else:
             rows = np.asarray(values, dtype=np.float64)
-        _check_shape(rows.ndim - 1, rows.shape[1:])
+        self.grid_shape = _grid_of(rows.shape[1:]) if self._is_spectral else rows.shape[1:]
+        _check_shape(rows.ndim - 1, self.grid_shape)
         self._rows = rows
         self.dt = dt
         self.times = np.asarray(times, dtype=np.float64)
@@ -143,10 +187,6 @@ class Trajectory:
         return len(self._rows) - 1
 
     @property
-    def grid_shape(self) -> Tuple[int, ...]:
-        return self._rows.shape[1:]
-
-    @property
     def fields(self) -> "_FieldRows":
         return _FieldRows(self._rows, self._is_spectral)
 
@@ -160,7 +200,7 @@ class Trajectory:
         return _read_only(self._rows)
 
     def spectral_array(self) -> np.ndarray:
-        """All spectral coefficients, (steps+1, *grid); a read-only view when stored."""
+        """All half-spectrum coefficients, (steps+1, *half); a read-only view when stored."""
         if self._is_spectral:
             return _read_only(self._rows)
         return np.stack([f.spectral for f in self.fields])
@@ -220,7 +260,7 @@ def lp_fields(f: PeriodicField) -> List[Tuple[int, PeriodicField]]:
     """
     if max_block(f.grid_shape) < 1:
         raise ResolutionError(f"grid {f.grid_shape} resolves no dyadic blocks")
-    idx = _block_index(f.mode_magnitudes())
+    idx = _block_index(mode_magnitudes(f.grid_shape))
     jtop = int(idx.max())
     out = []
     coeffs = f.spectral
@@ -231,11 +271,6 @@ def lp_fields(f: PeriodicField) -> List[Tuple[int, PeriodicField]]:
         block = np.where(mask, coeffs, 0.0)
         out.append((j, PeriodicField.from_spectral(block)))
     return out
-
-
-def littlewood_paley_blocks(f: PeriodicField) -> List[Tuple[int, float]]:
-    """(block index, sup norm of the block) for every resolved block."""
-    return [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f)]
 
 
 def fit_window(grid_shape: Tuple[int, ...], j_lo: int = 2, j_margin: int = 2) -> range:
@@ -274,69 +309,24 @@ def estimate_holder_exponent(f: PeriodicField, j_lo: int = 2, j_margin: int = 2)
     return float(slope)
 
 
-def holder_quotient_exponent(f: PeriodicField, max_octaves: int = 6) -> float:
-    """Direct oracle: slope of log sup |f(x+h) - f(x)| against log h.
-
-    Works on 1D fields only; lags run over dyadic multiples of the grid
-    spacing.  Independent of any frequency-space machinery.
-    """
-    if f.dim != 1:
-        raise ValueError("quotient sampling is implemented for dim 1")
-    n = f.grid_shape[0]
-    vals = f.values
-    ks, ds = [], []
-    for k in range(max_octaves):
-        shift = 2**k
-        if shift >= n // 4:
-            break
-        diff = np.max(np.abs(np.roll(vals, -shift) - vals))
-        if diff > 0:
-            ks.append(math.log2(shift * 2.0 * math.pi / n))
-            ds.append(math.log2(diff))
-    if len(ks) < 2:
-        raise ResolutionError("not enough usable lags for a quotient fit")
-    slope = np.polyfit(np.array(ks), np.array(ds), 1)[0]
-    return float(slope)
-
-
 def synthetic_field(dim: int, grid_shape: Tuple[int, ...], exponent: float, seed: int) -> PeriodicField:
     """Random-phase field whose dyadic block norms scale like 2^(-j*exponent).
 
     Coefficient magnitudes |m|^-(exponent + dim/2) give that scaling for
-    random phases; the zero mode is dropped.
+    random phases; the zero mode is dropped.  The phases are those of a
+    white-noise half spectrum, so self-conjugate modes get a random sign.
     """
     _check_shape(dim, tuple(grid_shape))
     rng = np.random.default_rng(seed)
     shape = tuple(grid_shape)
-    probe = PeriodicField(np.zeros(shape))
-    mags = probe.mode_magnitudes()
+    mags = mode_magnitudes(shape)
     sigma = exponent + dim / 2.0
     with np.errstate(divide="ignore"):
         amp = np.where(mags > 0, mags, 1.0) ** (-sigma)
     amp[mags == 0] = 0.0
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
-    raw = amp * np.exp(1j * phases)
-    coeffs = _hermitize(raw)
+    noise = white_half_spectrum(rng.standard_normal(shape), dim)
+    coeffs = noise * (amp / np.maximum(np.abs(noise), np.finfo(np.float64).tiny))
     return PeriodicField.from_spectral(coeffs)
-
-
-def _conjugate_reverse(a: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
-    """a[..., -m] (indices mod N per axis over the last dim axes, all by default), conjugated.
-
-    Along each axis index 0 stays and 1..N-1 reverse, so the result is
-    2^dim slice copies.
-    """
-    dim = a.ndim if dim is None else dim
-    out = np.empty_like(a)
-    for parts in itertools.product((False, True), repeat=dim):
-        dst = tuple(slice(1, None) if rest else slice(0, 1) for rest in parts)
-        src = tuple(slice(None, 0, -1) if rest else slice(0, 1) for rest in parts)
-        out[(Ellipsis,) + dst] = a[(Ellipsis,) + src]
-    return np.conj(out, out=out)
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _conjugate_reverse(a))
 
 
 def bony_decompose(f: PeriodicField, g: PeriodicField):

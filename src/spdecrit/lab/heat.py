@@ -11,13 +11,12 @@ identity d/dt (1/2)||u||^2 = -||grad u||^2 - ||u||_{n+1}^{n+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .fields import PeriodicField, Trajectory
+from .fields import PeriodicField, Trajectory, mode_magnitudes
 
 BLOWUP_LIMIT = 1.0e6
 
@@ -31,99 +30,72 @@ def _odd_check(n: int):
         raise ValueError(f"the damping power must be odd and >= 3, got {n}")
 
 
+def _power(x, k: int):
+    """x**k for an integer k >= 1 by repeated multiplication, which
+    numpy runs an order of magnitude faster than float **."""
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
 def solve_damped_heat(u_in: PeriodicField, n: int, dt: float, steps: int) -> Trajectory:
     """March the damped flow forward from u_in."""
     return solve_damped_heat_batch([u_in], n, dt, steps)[0]
 
 
-def solve_damped_heat_batch(u_ins: Sequence[PeriodicField], n: int, dt: float, steps: int) -> List[Trajectory]:
+def solve_damped_heat_batch(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[Trajectory]:
     """March the damped flow from several initial fields on one grid at once.
 
-    Each member's trajectory is exactly what solve_damped_heat gives for
-    it alone: the transforms run over the trailing grid axes of the
-    stack, and the blow-up guard watches every member.
+    dt and steps are one value for all members or one per member.  Each
+    member's trajectory is exactly what solve_damped_heat gives for it
+    alone: the step is elementwise per member, the transforms run over
+    the trailing grid axes of the stack, members drop out of the stack
+    once their steps are done, and the blow-up guard watches every
+    member still marching.
     """
     _odd_check(n)
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
     if not u_ins or any(u.grid_shape != u_ins[0].grid_shape for u in u_ins):
         raise ValueError("need at least one field, all on one grid")
-    for u in u_ins:
+    count = len(u_ins)
+    dts = [float(d) for d in np.broadcast_to(dt, (count,))]
+    steps = np.broadcast_to(steps, (count,)).tolist()
+    if not all(0 < d < math.inf for d in dts) or not all(isinstance(s, int) and s >= 1 for s in steps):
+        raise ValueError("need 0 < dt < inf and whole steps >= 1")
+    for u, d in zip(u_ins, dts):
         peak = float(np.max(np.abs(u.values)))
-        if dt * peak ** (n - 1) >= 0.5:
-            raise ValueError(
-                f"unstable step: dt * max|u|^(n-1) = {dt * peak ** (n - 1):.3g} >= 0.5"
-            )
+        if d * peak ** (n - 1) >= 0.5:
+            raise ValueError(f"unstable step: dt * max|u|^(n-1) = {d * peak ** (n - 1):.3g} >= 0.5")
+    # longest run first, so the members still marching are a leading slice
+    order = sorted(range(count), key=lambda i: -steps[i])
+    shape = u_ins[0].grid_shape
+    axes = tuple(range(-len(shape), 0))
+    lead = (count,) + (1,) * len(shape)
+    dt_rows = np.array([dts[i] for i in order]).reshape(lead)
     # complex already, as numpy would cast it for the product every step
-    decay = np.exp(-(u_ins[0].mode_magnitudes() ** 2) * dt).astype(np.complex128)
-    dim = u_ins[0].dim
-    rows = np.empty((steps + 1, len(u_ins)) + u_ins[0].grid_shape)
-    rows[0] = [u.values for u in u_ins]
-    for k in range(steps):
-        values = rows[k]
-        damped = values - dt * values**n
-        if dim == 1:  # fftn's own 1D step, without its per-call overhead
-            values = np.real(np.fft.ifft(decay * np.fft.fft(damped)))
+    decay = np.exp(-(mode_magnitudes(shape) ** 2) * dt_rows).astype(np.complex128)
+    rows = [np.empty((steps[i] + 1,) + shape) for i in order]
+    values = np.stack([u_ins[i].values for i in order])
+    for out, v in zip(rows, values):
+        out[0] = v
+    marching = count
+    for k in range(steps[order[0]]):
+        while steps[order[marching - 1]] <= k:
+            marching -= 1
+        values = values[:marching]
+        damped = values - dt_rows[:marching] * _power(values, n)
+        if len(shape) == 1:  # rfftn's own 1D step, without its per-call overhead
+            values = np.fft.irfft(decay[:marching] * np.fft.rfft(damped), n=shape[0])
         else:
-            values = np.real(np.fft.ifftn(decay * np.fft.fftn(damped, axes=(-2, -1)), axes=(-2, -1)))
-        if np.max(np.abs(values)) > BLOWUP_LIMIT:
+            values = np.fft.irfftn(decay[:marching] * np.fft.rfftn(damped, axes=axes), s=shape, axes=axes)
+        if np.abs(values).max() > BLOWUP_LIMIT:
             raise BlowupError(f"field exceeded {BLOWUP_LIMIT:g} at step {k + 1}")
-        rows[k + 1] = values
-    times = np.arange(steps + 1) * dt
-    return [Trajectory(dt=dt, times=times, values=rows[:, i]) for i in range(len(u_ins))]
-
-
-@dataclass
-class SmoothTestFunction:
-    """Smooth space-time test function with its needed derivatives.
-
-    Each callable receives (t, grids) where grids is the tuple of
-    coordinate arrays, and returns field values on the grid.
-    """
-
-    value: Callable
-    dt: Callable
-    laplacian: Callable
-
-
-def _grids(field: PeriodicField):
-    axes = [np.arange(n) * (2.0 * math.pi / n) for n in field.grid_shape]
-    return tuple(np.meshgrid(*axes, indexing="ij")) if field.dim > 1 else (axes[0],)
-
-
-def weak_residual(traj: Trajectory, n: int, psi: SmoothTestFunction) -> float:
-    """Absolute defect of the time-integrated weak form against psi.
-
-    psi must vanish at the final time of the trajectory (compact support
-    in [0, T)); space integrals are exact for trigonometric data, time
-    integrals use the trapezoid rule.
-    """
-    _odd_check(n)
-    X = _grids(traj.fields[0])
-    dv = traj.fields[0].volume_element()
-
-    def space_int(a: np.ndarray) -> float:
-        return float(np.sum(a) * dv)
-
-    T = traj.times[-1]
-    psi_end = psi.value(T, X)
-    if np.max(np.abs(psi_end)) > 1e-12:
-        raise ValueError("test function must vanish at the trajectory's final time")
-
-    boundary = space_int(traj.fields[-1].values * psi_end)
-    initial = space_int(traj.fields[0].values * psi.value(0.0, X))
-
-    integrand = []
-    for t, f in zip(traj.times, traj.fields):
-        u = f.values
-        integrand.append(
-            -space_int(u * psi.dt(t, X))
-            + space_int(u**n * psi.value(t, X))
-            - space_int(u * psi.laplacian(t, X))
-        )
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    time_integral = float(trapezoid(np.array(integrand), traj.times))
-    return abs(boundary - initial + time_integral)
+        for out, v in zip(rows, values):
+            out[k + 1] = v
+    trajs = [None] * count
+    for i, out in zip(order, rows):
+        trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
+    return trajs
 
 
 def steklov_average(series: Trajectory, h: float) -> Trajectory:
@@ -151,18 +123,18 @@ def proof_inequality_gap(a, b, n: int):
     """Sum over l of a^(n-1-l) b^l, minus half of (a^(n-1) + b^(n-1)).
 
     The uniqueness argument needs this to be nonnegative for every real
-    pair; accepts scalars or numpy arrays.
+    pair; accepts scalars or numpy arrays.  The sum runs as a Horner
+    recurrence in a and every power by repeated multiplication.
     """
     _odd_check(n)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a_top = a ** (n - 1)  # the top powers appear twice: compute them once
-    b_top = b ** (n - 1)
-    total = np.zeros(np.broadcast(a, b).shape)
-    for l in range(n):
-        a_pow = a_top if l == 0 else a ** (n - 1 - l)
-        b_pow = b_top if l == n - 1 else b**l
-        total = total + a_pow * b_pow
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    a_top, b_top = a.copy(), b.copy()
+    total = a + b  # the sum at n - 1 = 1
+    for _ in range(n - 2):  # from the sum at k to the sum at k + 1: a * sum + b^(k+1)
+        a_top *= a
+        b_top *= b
+        total *= a
+        total += b_top
     gap = total - 0.5 * (a_top + b_top)
     return float(gap) if gap.ndim == 0 else gap
 
@@ -174,19 +146,6 @@ def proof_inequality_gap_exact(a: Fraction, b: Fraction, n: int) -> Fraction:
     b = Fraction(b)
     total = sum((a ** (n - 1 - l)) * (b**l) for l in range(n))
     return total - Fraction(1, 2) * (a ** (n - 1) + b ** (n - 1))
-
-
-def power_difference_residual(u1: PeriodicField, u2: PeriodicField, n: int) -> float:
-    """Max norm of u1^n - u2^n minus its telescoping factorization."""
-    _odd_check(n)
-    if u1.grid_shape != u2.grid_shape:
-        raise ValueError("fields must share a grid")
-    a, b = u1.values, u2.values
-    w = a - b
-    series = np.zeros_like(a)
-    for l in range(n):
-        series += a ** (n - 1 - l) * b**l
-    return float(np.max(np.abs(a**n - b**n - w * series)))
 
 
 def l1_contraction_curve(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:

@@ -1,48 +1,67 @@
 """Gaussian field sampling and the mild solution of the first tree level.
 
-White noise is drawn directly in frequency space: independent unit-
-variance Gaussians per mode, Hermitian-symmetrized so samples are real.
-The linear solve evolves every mode as an exact Ornstein-Uhlenbeck
-update, so the only discretization is the time grid itself.
+White noise is drawn directly on the half spectrum: one standard normal
+per grid point, packed so that self-conjugate modes are real with unit
+variance and every other mode is a complex pair (see
+fields.white_half_spectrum).  The linear solve evolves every mode as an
+exact Ornstein-Uhlenbeck update, so the only discretization is the time
+grid itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .fields import PeriodicField, Trajectory, _check_shape, _conjugate_reverse
+from .fields import PeriodicField, Trajectory, _check_shape, mode_magnitudes, white_half_spectrum
 
-# Bytes of Gaussians solve_z1_mild draws at once.  Each step needs two
-# floats per mode, so short grids draw many steps per call; drawing all
+# Bytes of Gaussians one solve draws at once.  Each step needs one float
+# per grid point, so short grids draw many steps per call; drawing all
 # steps of a long grid at once measured slower (memory traffic).
 DRAW_BATCH_BYTES = 1 << 18
-
-
-def _hermitian_part(re: np.ndarray, im: np.ndarray, dim: int) -> np.ndarray:
-    """Conjugate-symmetric part of re + i im over the last dim axes.
-
-    Self-conjugate modes come out real with unit variance; paired modes
-    split their variance between real and imaginary parts.
-    """
-    z = re + 1j * im
-    return 0.5 * (z + _conjugate_reverse(z, dim))
-
-
-def _hermitian_gaussian(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Complex Gaussian array with conjugate symmetry and E|c_m|^2 = 1."""
-    pair = rng.standard_normal((2,) + tuple(shape))
-    return _hermitian_part(pair[0], pair[1], len(shape))
 
 
 def sample_spatial_white(dim: int, grid_shape: Tuple[int, ...], seed: int) -> PeriodicField:
     """Spatially white Gaussian field: flat unit spectrum, zero-mode included."""
     _check_shape(dim, tuple(grid_shape))
     rng = np.random.default_rng(seed)
-    coeffs = _hermitian_gaussian(rng, tuple(grid_shape))
-    return PeriodicField.from_spectral(coeffs)
+    return PeriodicField.from_spectral(white_half_spectrum(rng.standard_normal(tuple(grid_shape)), dim))
+
+
+def _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale):
+    """Per-mode decay and increment size of one step, as complex arrays."""
+    _check_shape(dim, tuple(grid_shape))
+    if not 0 < dt < math.inf or steps < 1:
+        raise ValueError(f"need 0 < dt < inf and steps >= 1, got dt={dt!r} and steps={steps!r}")
+    lam = mode_magnitudes(tuple(grid_shape)) ** diffusion_order
+    decay = np.exp(-lam * dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.where(lam > 0, (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam), dt)
+    std = noise_scale * np.sqrt(var)
+    # complex already, as numpy would cast them for each product
+    return decay.astype(np.complex128), std.astype(np.complex128)
+
+
+def _march(decay, std, grid_shape, steps: int, seeds: Sequence[int]) -> Iterator[np.ndarray]:
+    """The (members, *half) state after each step of one solve per seed.
+
+    The members march as one stack, each with its own generator and
+    draw order: one draw of count fields is the same stream as count
+    draws of one.  The state is updated in place.
+    """
+    grid_shape = tuple(grid_shape)
+    batch = max(1, DRAW_BATCH_BYTES // (8 * math.prod(grid_shape)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    state = np.zeros((len(rngs),) + decay.shape, dtype=np.complex128)
+    for first in range(0, steps, batch):
+        draws = (min(batch, steps - first),) + grid_shape
+        x = np.stack([rng.standard_normal(draws) for rng in rngs], axis=1)
+        for eta in std * white_half_spectrum(x, len(grid_shape)):
+            np.multiply(decay, state, out=state)
+            state += eta
+            yield state
 
 
 def solve_z1_mild(
@@ -62,29 +81,28 @@ def solve_z1_mild(
     random walk of variance dt per step.  The trajectory keeps the
     coefficients, so no row is transformed back unless it is read.
     """
-    _check_shape(dim, tuple(grid_shape))
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
-    rng = np.random.default_rng(seed)
-    shape = tuple(grid_shape)
-    probe = PeriodicField(np.zeros(shape))
-    lam = probe.mode_magnitudes() ** diffusion_order
-    decay = np.exp(-lam * dt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.where(lam > 0, (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam), dt)
-    std = noise_scale * np.sqrt(var)
-    # complex already, as numpy would cast them for each product
-    decay, std = decay.astype(np.complex128), std.astype(np.complex128)
-
-    coeffs = np.empty((steps + 1,) + shape, dtype=np.complex128)
-    coeffs[0] = 0.0
-    batch = max(1, DRAW_BATCH_BYTES // (16 * math.prod(shape)))
-    for first in range(0, steps, batch):
-        count = min(batch, steps - first)
-        # the same stream as one pair of draws per step
-        pairs = rng.standard_normal((count, 2) + shape)
-        eta = std * _hermitian_part(pairs[:, 0], pairs[:, 1], dim)
-        for k in range(first, first + count):
-            np.multiply(decay, coeffs[k], out=coeffs[k + 1])
-            coeffs[k + 1] += eta[k - first]
+    decay, std = _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale)
+    coeffs = np.zeros((steps + 1,) + decay.shape, dtype=np.complex128)
+    for k, state in enumerate(_march(decay, std, grid_shape, steps, [seed]), start=1):
+        coeffs[k] = state[0]
     return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, spectral=coeffs)
+
+
+def solve_z1_finals(
+    dim: int,
+    grid_shape: Tuple[int, ...],
+    dt: float,
+    steps: int,
+    seeds: Sequence[int],
+    diffusion_order: float = 2.0,
+    noise_scale: float = 1.0,
+) -> List[PeriodicField]:
+    """Final fields of one solve_z1_mild per seed, marched as one stack.
+
+    Member i is bit for bit solve_z1_mild(..., seeds[i], ...).final();
+    only the current step of the stack is kept, never a trajectory.
+    """
+    decay, std = _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale)
+    for state in _march(decay, std, grid_shape, steps, seeds):
+        pass  # steps >= 1, so state is the last step
+    return [PeriodicField.from_spectral(c) for c in state]

@@ -15,12 +15,11 @@ import datetime
 import json
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import __version__
-from .affine import DimExpr, RegBound, format_affine
+from .affine import DimExpr, format_affine
 from .expansion import CriticalityReport, ExpansionRow, render_forcing
 
 SUITE_NAMES = ("uniqueness", "inequality", "steklov", "tychonov", "noise", "bony")
@@ -30,12 +29,6 @@ def affine_to_json(e: Optional[DimExpr]) -> Optional[dict]:
     if e is None:
         return None
     return {"c0": str(e.c0), "cd": str(e.cd)}
-
-
-def affine_from_json(obj: Optional[dict]) -> Optional[DimExpr]:
-    if obj is None:
-        return None
-    return DimExpr(Fraction(obj["c0"]), Fraction(obj["cd"]))
 
 
 def report_payload(report: CriticalityReport) -> dict:
@@ -73,22 +66,6 @@ def report_payload(report: CriticalityReport) -> dict:
     if report.dim is None:
         payload["renorm_note"] = "renormalization flags require a concrete dimension"
     return payload
-
-
-def rows_from_payload(payload: dict) -> List[Tuple[int, RegBound, RegBound, Optional[RegBound]]]:
-    """Reconstruct the typed row bounds from a serialized payload."""
-    out = []
-    for row in payload["rows"]:
-        rem = affine_from_json(row["remainder"])
-        out.append(
-            (
-                row["level"],
-                RegBound(affine_from_json(row["forcing"])),
-                RegBound(affine_from_json(row["object"])),
-                RegBound(rem) if rem is not None else None,
-            )
-        )
-    return out
 
 
 def render_table(report: CriticalityReport) -> str:

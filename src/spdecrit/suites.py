@@ -20,10 +20,19 @@ from .lab import tychonov as lt
 from .report import SUITE_NAMES
 
 
+def _plain(value):
+    """A check value as plain Python floats, in lists and dicts."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return float(value)
+
+
 def _check(name: str, passed: bool, value=None, target: str = "") -> Dict:
     entry = {"name": name, "passed": bool(passed)}
     if value is not None:
-        entry["value"] = value
+        entry["value"] = _plain(value)
     if target:
         entry["target"] = target
     return entry
@@ -56,7 +65,7 @@ def run_inequality(n: Optional[int] = None, samples: int = 1_000_000, seed: int 
         a = rng.uniform(-10.0, 10.0, size=samples)
         b = rng.uniform(-10.0, 10.0, size=samples)
         gap = lh.proof_inequality_gap(a, b, p)
-        scale = np.maximum(np.abs(a), np.abs(b)) ** (p - 1)
+        scale = lh._power(np.maximum(np.abs(a), np.abs(b)), p - 1)
         worst = float(np.min(gap + 1.0e-9 * scale))
         checks.append(
             _check(
@@ -110,9 +119,14 @@ def run_uniqueness(
         raise ValueError(f"tmax={tmax!r} is shorter than one step of {dt_b!r}")
     checks = []
 
-    u_in = _smooth_data(grid, 0)
-    coarse = lh.solve_damped_heat(u_in, n, dt, steps)
-    fine = lh.solve_damped_heat(u_in, n, dt / 2.0, 2 * steps)
+    # five runs march as one stack: the same data at dt and at dt/2, and
+    # three contraction runs at the coarser step
+    coarse, fine, t1, t2, traj = lh.solve_damped_heat_batch(
+        [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)],
+        n,
+        [dt, dt / 2.0, dt_b, dt_b, dt_b],
+        [steps, 2 * steps, steps_b, steps_b, steps_b],
+    )
     diff = lh.l1_contraction_curve(coarse, lh.subsample(fine, 2))
     worst = float(np.max(diff))
     # the method is first order: above the reference step the bound scales
@@ -126,8 +140,6 @@ def run_uniqueness(
         )
     )
 
-    # three independent runs at one step size march as one stack
-    t1, t2, traj = lh.solve_damped_heat_batch([_smooth_data(grid, k) for k in (0, 1, 2)], n, dt_b, steps_b)
     curve = lh.l1_contraction_curve(t1, t2)
     growth = float(np.max(np.diff(curve)))
     checks.append(
@@ -271,6 +283,10 @@ def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) 
     return _finish("tychonov", checks)
 
 
+# roughness members marched as one stack at a time; bounds its memory
+_STACK = 16
+
+
 def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
     lf._check_shape(1, (grid,))
@@ -281,10 +297,7 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     # flat spectrum: per-mode variance 1, distinct modes uncorrelated
     draws = 10_000
     small = 64
-    pairs = np.empty((draws, 2, small))
-    for i, ss in enumerate(_spawn(seed, draws)):
-        pairs[i] = np.random.default_rng(ss).standard_normal((2, small))
-    coeffs = ln._hermitian_part(pairs[:, 0], pairs[:, 1], 1)
+    coeffs = lf.white_half_spectrum(np.random.default_rng(seed).standard_normal((draws, small)), 1)
     var_mode = float(np.mean(np.abs(coeffs[:, 5]) ** 2))
     var_zero = float(np.var(coeffs[:, 0].real))
     cross = float(np.abs(np.mean(coeffs[:, 5] * np.conj(coeffs[:, 9]))))
@@ -321,11 +334,11 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     )
 
     # roughness of the solved field in one dimension
+    seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 2, ensembles)]
     exponents = []
-    for ss in _spawn(seed + 2, ensembles):
-        rng_seed = int(np.random.default_rng(ss).integers(0, 2**31))
-        traj = ln.solve_z1_mild(1, (grid,), 2.5e-3, 400, rng_seed, diffusion_order=2.0)
-        exponents.append(lf.estimate_holder_exponent(traj.final()))
+    for first in range(0, ensembles, _STACK):
+        finals = ln.solve_z1_finals(1, (grid,), 2.5e-3, 400, seeds[first : first + _STACK], diffusion_order=2.0)
+        exponents += [lf.estimate_holder_exponent(f) for f in finals]
     mean_exp = float(np.mean(exponents))
     checks.append(
         _check(

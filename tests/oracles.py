@@ -1,0 +1,138 @@
+"""Slow or test-only routines that the tests use as oracles.
+
+None of these is called by a command.  They read only public lab and
+report data: a weak-form residual of a damped-heat trajectory, the
+telescoped power difference, block sup norms, a difference-quotient
+Hölder fit and the inverse of the report's JSON row encoding.
+"""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
+
+from spdecrit.affine import DimExpr, RegBound
+from spdecrit.lab import PeriodicField, ResolutionError, Trajectory, lp_fields
+from spdecrit.lab.heat import _odd_check
+
+
+@dataclass
+class SmoothTestFunction:
+    """Smooth space-time test function with its needed derivatives.
+
+    Each callable receives (t, grids) where grids is the tuple of
+    coordinate arrays, and returns field values on the grid.
+    """
+
+    value: Callable
+    dt: Callable
+    laplacian: Callable
+
+
+def _grids(field: PeriodicField):
+    axes = [np.arange(n) * (2.0 * math.pi / n) for n in field.grid_shape]
+    return tuple(np.meshgrid(*axes, indexing="ij")) if field.dim > 1 else (axes[0],)
+
+
+def weak_residual(traj: Trajectory, n: int, psi: SmoothTestFunction) -> float:
+    """Absolute defect of the time-integrated weak form against psi.
+
+    psi must vanish at the final time of the trajectory (compact support
+    in [0, T)); space integrals are exact for trigonometric data, time
+    integrals use the trapezoid rule.
+    """
+    _odd_check(n)
+    X = _grids(traj.fields[0])
+    dv = traj.fields[0].volume_element()
+
+    def space_int(a: np.ndarray) -> float:
+        return float(np.sum(a) * dv)
+
+    T = traj.times[-1]
+    psi_end = psi.value(T, X)
+    if np.max(np.abs(psi_end)) > 1e-12:
+        raise ValueError("test function must vanish at the trajectory's final time")
+
+    boundary = space_int(traj.fields[-1].values * psi_end)
+    initial = space_int(traj.fields[0].values * psi.value(0.0, X))
+
+    integrand = []
+    for t, f in zip(traj.times, traj.fields):
+        u = f.values
+        integrand.append(
+            -space_int(u * psi.dt(t, X))
+            + space_int(u**n * psi.value(t, X))
+            - space_int(u * psi.laplacian(t, X))
+        )
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    time_integral = float(trapezoid(np.array(integrand), traj.times))
+    return abs(boundary - initial + time_integral)
+
+
+def power_difference_residual(u1: PeriodicField, u2: PeriodicField, n: int) -> float:
+    """Max norm of u1^n - u2^n minus its telescoping factorization."""
+    _odd_check(n)
+    if u1.grid_shape != u2.grid_shape:
+        raise ValueError("fields must share a grid")
+    a, b = u1.values, u2.values
+    w = a - b
+    series = np.zeros_like(a)
+    for l in range(n):
+        series += a ** (n - 1 - l) * b**l
+    return float(np.max(np.abs(a**n - b**n - w * series)))
+
+
+def littlewood_paley_blocks(f: PeriodicField) -> List[Tuple[int, float]]:
+    """(block index, sup norm of the block) for every resolved block."""
+    return [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f)]
+
+
+def holder_quotient_exponent(f: PeriodicField, max_octaves: int = 6) -> float:
+    """Direct oracle: slope of log sup |f(x+h) - f(x)| against log h.
+
+    Works on 1D fields only; lags run over dyadic multiples of the grid
+    spacing.  Independent of any frequency-space machinery.
+    """
+    if f.dim != 1:
+        raise ValueError("quotient sampling is implemented for dim 1")
+    n = f.grid_shape[0]
+    vals = f.values
+    ks, ds = [], []
+    for k in range(max_octaves):
+        shift = 2**k
+        if shift >= n // 4:
+            break
+        diff = np.max(np.abs(np.roll(vals, -shift) - vals))
+        if diff > 0:
+            ks.append(math.log2(shift * 2.0 * math.pi / n))
+            ds.append(math.log2(diff))
+    if len(ks) < 2:
+        raise ResolutionError("not enough usable lags for a quotient fit")
+    slope = np.polyfit(np.array(ks), np.array(ds), 1)[0]
+    return float(slope)
+
+
+def affine_from_json(obj: Optional[dict]) -> Optional[DimExpr]:
+    if obj is None:
+        return None
+    return DimExpr(Fraction(obj["c0"]), Fraction(obj["cd"]))
+
+
+def rows_from_payload(payload: dict) -> List[Tuple[int, RegBound, RegBound, Optional[RegBound]]]:
+    """Reconstruct the typed row bounds from a serialized payload."""
+    out = []
+    for row in payload["rows"]:
+        rem = affine_from_json(row["remainder"])
+        out.append(
+            (
+                row["level"],
+                RegBound(affine_from_json(row["forcing"])),
+                RegBound(affine_from_json(row["object"])),
+                RegBound(rem) if rem is not None else None,
+            )
+        )
+    return out
+
+

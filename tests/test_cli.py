@@ -205,7 +205,8 @@ def test_analyze_payload_reproducible(capsys):
 def test_json_rows_round_trip(capsys):
     from spdecrit.dsl import load_bundled_spec
     from spdecrit.expansion import expand
-    from spdecrit.report import report_payload, rows_from_payload
+    from oracles import rows_from_payload
+    from spdecrit.report import report_payload
 
     report = expand(load_bundled_spec("navier_stokes"), 4)
     payload = json.loads(json.dumps(report_payload(report)))
@@ -347,7 +348,7 @@ _INVERSE_FFTS = ("ifft", "ifftn", "irfft", "irfftn")
 
 
 def _count_inverse_points(monkeypatch, keep=lambda a: True):
-    """Points handed to numpy's inverse FFTs from now on (points, not calls)."""
+    """Grid points returned by numpy's inverse FFTs from now on (points, not calls)."""
     import numpy as np
 
     points = []
@@ -355,10 +356,10 @@ def _count_inverse_points(monkeypatch, keep=lambda a: True):
         real = getattr(np.fft, name)
 
         def counting(a, *args, _real=real, **kwargs):
-            a = np.asarray(a)
-            if keep(a):
-                points.append(a.size)
-            return _real(a, *args, **kwargs)
+            out = _real(a, *args, **kwargs)
+            if keep(out):
+                points.append(out.size)
+            return out
 
         monkeypatch.setattr(np.fft, name, counting)
     return points
@@ -594,3 +595,79 @@ def test_tychonov_alias_prints_what_verify_tychonov_prints(capsys):
         outs.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out))
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["command"] == "verify"
+
+
+_REGION_ERROR = "expects finite t0,t1,x0,x1 with 0 < t0 < t1 and x0 < x1"
+_REJECTED_UP_FRONT = [
+    (("verify", "inequality", "--seed", "-1"), "error: --seed '-1': expects a non-negative integer"),
+    (("noise", "sample", "--seed", "-1"), "error: --seed '-1': expects a non-negative integer"),
+    (
+        ("noise", "sample", "--dim", "1", "--grid", "64", "--dt", "nan", "--steps", "8"),
+        "error: --dt 'nan': expects a positive finite value",
+    ),
+    (("noise", "sample", "--dt", "inf"), "error: --dt 'inf': expects a positive finite value"),
+    (("noise", "sample", "--steps", "0"), "error: --steps '0': expects a positive finite value"),
+    (("verify", "tychonov", "--region", "nan,1,-1,1"), f"error: --region 'nan,1,-1,1': {_REGION_ERROR}"),
+    (("verify", "tychonov", "--region", "1,0.5,-1,1"), f"error: --region '1,0.5,-1,1': {_REGION_ERROR}"),
+    (("verify", "tychonov", "--region", "0,1,-1,1"), f"error: --region '0,1,-1,1': {_REGION_ERROR}"),
+    (("verify", "tychonov", "--region", "0.5,1,1,1"), f"error: --region '0.5,1,1,1': {_REGION_ERROR}"),
+    (("verify", "tychonov", "--region", "0.5,1,-inf,1"), f"error: --region '0.5,1,-inf,1': {_REGION_ERROR}"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _REJECTED_UP_FRONT, ids=[" ".join(a) for a, _ in _REJECTED_UP_FRONT])
+def test_bad_seed_dt_and_region_exit_2_before_running(tmp_path, capsys, monkeypatch, argv, message):
+    calls = _noise_or_suite_calls(monkeypatch)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_seed_dt_and_region_leave_the_lab_unloaded(tmp_path):
+    probe = (
+        "import json, sys\n"
+        "from spdecrit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    argvs = [[*argv, "--out", str(tmp_path / "out")] for argv, _ in _REJECTED_UP_FRONT]
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert json.loads(proc.stdout) == {"codes": [2] * len(argvs), "numpy": False}
+    assert proc.stderr.splitlines() == [message for _, message in _REJECTED_UP_FRONT]
+
+
+def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    calls = _noise_or_suite_calls(monkeypatch)
+    monkeypatch.setenv("SPDECRIT_SEED", "-1")
+    for argv in (("verify", "bony"), ("noise", "sample", "--out", str(tmp_path / "n"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: SPDECRIT_SEED must not be negative, got '-1'"
+    assert calls == []
+
+
+def test_verify_table_prints_plain_floats(capsys):
+    code, out, _ = run(capsys, "verify", "tychonov", "--terms", "6")
+    assert code == 0
+    assert "np.float64" not in out
+    assert "PASS  ten more terms shrink the residual  [[" in out
+
+
+def test_checks_store_plain_python_values():
+    import numpy as np
+
+    from spdecrit.suites import _check
+
+    entry = _check("c", True, value={"m=2": np.float64(0.5)})
+    assert type(entry["value"]["m=2"]) is float
+    entry = _check("c", True, value=(np.float64(1.5), np.float32(2.0)))
+    assert entry["value"] == [1.5, 2.0] and all(type(v) is float for v in entry["value"])
+    assert type(_check("c", True, value=np.float64(3.0))["value"]) is float

@@ -2,7 +2,9 @@
 
 The oracles below are the per-step and per-field loops the lab used
 before it kept trajectories as one array; each fast path must give the
-same bits, not merely close values.
+same bits, not merely close values.  Where a change of stream made the
+old bits unreachable (float powers, the full complex FFT) the old
+formula stays as an oracle at a stated relative bound.
 """
 
 import math
@@ -16,7 +18,7 @@ from spdecrit.lab import PeriodicField, Trajectory
 from spdecrit.lab import heat as lh
 from spdecrit.lab import noise as ln
 from spdecrit.lab import tychonov as lt
-from spdecrit.lab.fields import _conjugate_reverse
+from spdecrit.lab.fields import mode_magnitudes, white_half_spectrum
 from spdecrit.suites import _lq_lq
 
 FAST = settings(max_examples=25, deadline=None)
@@ -31,34 +33,45 @@ def same_bits(a, b) -> bool:
 # oracles: the replaced loops
 
 
-def conjugate_reverse_oracle(a):
-    rev = a
-    for axis, n in enumerate(a.shape):
-        rev = np.take(rev, (-np.arange(n)) % n, axis=axis)
-    return np.conj(rev)
-
-
 def z1_oracle(dim, shape, dt, steps, seed, diffusion_order=2.0, noise_scale=1.0):
-    """Per-step draws and one field per step; returns (coeff rows, value rows)."""
+    """One draw of one normal per grid point and one field per step;
+    returns (coeff rows, value rows)."""
     rng = np.random.default_rng(seed)
-    lam = PeriodicField(np.zeros(shape)).mode_magnitudes() ** diffusion_order
+    lam = mode_magnitudes(shape) ** diffusion_order
     decay = np.exp(-lam * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.where(lam > 0, (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam), dt)
     std = noise_scale * np.sqrt(var)
-    coeffs = np.zeros(shape, dtype=np.complex128)
+    coeffs = np.zeros(lam.shape, dtype=np.complex128)
     rows = [coeffs.copy()]
     for _ in range(steps):
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        eta = std * (0.5 * (z + conjugate_reverse_oracle(z)))
+        eta = std * white_half_spectrum(rng.standard_normal(shape), dim)
         coeffs = decay * coeffs + eta
         rows.append(coeffs.copy())
-    values = [(np.fft.ifftn(c) * c.size).real for c in rows]
+    values = [np.fft.irfftn(c, s=shape, axes=tuple(range(dim))) * math.prod(shape) for c in rows]
     return rows, values
 
 
 def heat_oracle(u_values, n, dt, steps):
-    decay = np.exp(-(PeriodicField(u_values).mode_magnitudes() ** 2) * dt)
+    dim = u_values.ndim
+    decay = np.exp(-(mode_magnitudes(u_values.shape) ** 2) * dt)
+    values = u_values.copy()
+    rows = [values.copy()]
+    for _ in range(steps):
+        power = values
+        for _ in range(n - 1):
+            power = power * values
+        damped = values - dt * power
+        values = np.fft.irfftn(decay * np.fft.rfftn(damped), s=u_values.shape, axes=tuple(range(dim)))
+        rows.append(values.copy())
+    return rows
+
+
+def heat_full_fft_oracle(u_values, n, dt, steps):
+    """The step before the real FFT: full complex transforms and float powers."""
+    axes = [np.fft.fftfreq(k, d=1.0 / k) for k in u_values.shape]
+    mags2 = sum(g * g for g in np.meshgrid(*axes, indexing="ij"))
+    decay = np.exp(-mags2 * dt)
     values = u_values.copy()
     rows = [values.copy()]
     for _ in range(steps):
@@ -66,6 +79,14 @@ def heat_oracle(u_values, n, dt, steps):
         values = np.real(np.fft.ifftn(decay * np.fft.fftn(damped)))
         rows.append(values.copy())
     return rows
+
+
+def gap_power_oracle(a, b, n):
+    """The pairing gap with float ** for every power."""
+    total = np.zeros(np.broadcast(a, b).shape)
+    for l in range(n):
+        total = total + a ** (n - 1 - l) * b**l
+    return total - 0.5 * (a ** (n - 1) + b ** (n - 1))
 
 
 def steklov_oracle(rows, r):
@@ -155,7 +176,7 @@ seeds = st.integers(0, 2**31 - 1)
     seeds,
     st.sampled_from([0.01, 0.05, 2.5e-3]),
     st.sampled_from([2.0, 1.5]),
-    st.sampled_from([1, 768, ln.DRAW_BATCH_BYTES]),  # one step, a few, or all per batch
+    st.sampled_from([1, 384, ln.DRAW_BATCH_BYTES]),  # one step, a few, or all per batch
 )
 def test_z1_solve_matches_per_step_loop(shape, steps, seed, dt, order, batch_bytes):
     saved = ln.DRAW_BATCH_BYTES
@@ -172,29 +193,84 @@ def test_z1_solve_matches_per_step_loop(shape, steps, seed, dt, order, batch_byt
 
 
 def test_z1_batched_draws_span_several_batches():
-    # 32 points draw 512 steps per batch: 1300 steps take three batches
-    traj = ln.solve_z1_mild(1, (32,), 0.05, 1300, 5)
-    coeffs, _ = z1_oracle(1, (32,), 0.05, 1300, 5)
+    # 32 points draw 1024 steps per batch: 2300 steps take three batches
+    traj = ln.solve_z1_mild(1, (32,), 0.05, 2300, 5)
+    coeffs, _ = z1_oracle(1, (32,), 0.05, 2300, 5)
     assert same_bits(traj.spectral_array(), np.stack(coeffs))
 
 
 @FAST
-@given(st.sampled_from([(4,), (64,), (8, 8), (4, 16)]), seeds, st.integers(1, 5))
-def test_conjugate_reverse_matches_take(shape, seed, lead):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((lead,) + shape) + 1j * rng.standard_normal((lead,) + shape)
-    assert same_bits(_conjugate_reverse(a[0]), conjugate_reverse_oracle(a[0]))
-    batched = _conjugate_reverse(a, len(shape))
-    for row, want in zip(batched, a):
-        assert same_bits(row, conjugate_reverse_oracle(want))
+@given(shapes, st.integers(1, 30), st.lists(seeds, min_size=1, max_size=5), st.sampled_from([1, 384]))
+def test_z1_finals_match_separate_solves(shape, steps, member_seeds, batch_bytes):
+    saved = ln.DRAW_BATCH_BYTES
+    ln.DRAW_BATCH_BYTES = batch_bytes
+    try:
+        finals = ln.solve_z1_finals(len(shape), shape, 0.01, steps, member_seeds)
+        alone = [ln.solve_z1_mild(len(shape), shape, 0.01, steps, s).final() for s in member_seeds]
+    finally:
+        ln.DRAW_BATCH_BYTES = saved
+    assert len(finals) == len(member_seeds)
+    for got, want in zip(finals, alone):
+        assert same_bits(got.spectral, want.spectral)
+        assert same_bits(got.values, want.values)
 
 
-def test_hermitian_gaussian_keeps_the_stream():
-    for shape in ((64,), (8, 16)):
-        new = ln._hermitian_gaussian(np.random.default_rng(3), shape)
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert same_bits(new, 0.5 * (z + conjugate_reverse_oracle(z)))
+# ---------------------------------------------------------------------------
+# the half-spectrum sampler: exact structure and second moments
+
+
+def _self_conjugate(shape):
+    """Index tuples of the half-spectrum modes with m = -m."""
+    axes = [(0, n // 2) for n in shape[:-1]] + [(0, shape[-1] // 2)]
+    return [tuple(idx) for idx in np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(shape), -1).T]
+
+
+@FAST
+@given(st.sampled_from([(4,), (64,), (4, 4), (8, 16), (16, 8)]), seeds, st.integers(1, 4))
+def test_white_half_spectrum_is_exactly_hermitian(shape, seed, lead):
+    c = white_half_spectrum(np.random.default_rng(seed).standard_normal((lead,) + shape), len(shape))
+    assert c.shape == (lead,) + shape[:-1] + (shape[-1] // 2 + 1,)
+    for idx in _self_conjugate(shape):
+        assert np.all(c[(Ellipsis,) + idx].imag == 0.0)
+    if len(shape) == 2:
+        n0 = shape[0]
+        for j in (0, c.shape[-1] - 1):
+            col = c[..., j]
+            assert np.all(col[..., (-np.arange(n0)) % n0] == np.conj(col))
+
+
+@FAST
+@given(st.sampled_from([(4,), (64,), (8, 8), (16, 4)]), seeds)
+def test_white_half_spectrum_round_trips(shape, seed):
+    c = white_half_spectrum(np.random.default_rng(seed).standard_normal(shape), len(shape))
+    field = PeriodicField.from_spectral(c)
+    again = PeriodicField(field.values).spectral
+    assert np.max(np.abs(again - c)) <= 1e-12
+
+
+def test_white_half_spectrum_second_moments():
+    # 40,000 fields: a mean of squares of variance-1/2 parts has standard
+    # error sqrt(2 * 0.25 / 40000) = 0.0035; every tolerance is over 8 of those
+    draws = 40_000
+    for shape in ((16,), (8, 8)):
+        c = white_half_spectrum(np.random.default_rng(11).standard_normal((draws,) + shape), len(shape))
+        power = np.mean(np.abs(c) ** 2, axis=0)
+        assert np.all(np.abs(power - 1.0) < 0.05)  # E|c_m|^2 = 1 at every mode
+        re2 = np.mean(c.real**2, axis=0)
+        im2 = np.mean(c.imag**2, axis=0)
+        mixed = np.mean(c.real * c.imag, axis=0)
+        selfconj = np.zeros(power.shape, dtype=bool)
+        for idx in _self_conjugate(shape):
+            selfconj[idx] = True
+        assert np.all(np.abs(re2[selfconj] - 1.0) < 0.05)
+        assert np.all(im2[selfconj] == 0.0)
+        assert np.all(np.abs(re2[~selfconj] - 0.5) < 0.03)
+        assert np.all(np.abs(im2[~selfconj] - 0.5) < 0.03)
+        assert np.all(np.abs(mixed) < 0.03)
+        # distinct kept modes are uncorrelated
+        flat = c.reshape(draws, -1)
+        cov = np.abs(flat.conj().T @ flat / draws - np.diag(power.ravel()))
+        assert np.max(cov) < 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +294,45 @@ def test_damped_heat_batch_matches_separate_runs(shape, seed, members, steps):
     assert len(trajs) == members
     for traj, u in zip(trajs, data):
         assert same_bits(traj.values_array(), np.stack(heat_oracle(u, 3, 1e-3, steps)))
+
+
+@FAST
+@given(
+    st.sampled_from([(16,), (256,), (8, 8)]),
+    seeds,
+    st.lists(st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3]), st.integers(1, 30)), min_size=1, max_size=5),
+)
+def test_stacked_runs_with_own_steps_match_separate_runs(shape, seed, runs):
+    # each member with its own dt and step count; members drop out as they finish
+    data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(runs))]
+    dts, steps = zip(*runs)
+    trajs = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], 3, list(dts), list(steps))
+    for traj, u, dt, count in zip(trajs, data, dts, steps):
+        alone = lh.solve_damped_heat(PeriodicField(u), 3, dt, count)
+        assert same_bits(traj.values_array(), alone.values_array())
+        assert same_bits(traj.values_array(), np.stack(heat_oracle(u, 3, dt, count)))
+        assert same_bits(traj.times, alone.times) and traj.dt == dt
+
+
+def test_uniqueness_stack_matches_separate_runs():
+    # the coarse run, the fine run at half its step, and three contraction runs
+    from spdecrit.suites import _smooth_data
+
+    data = [_smooth_data(256, k) for k in (0, 0, 0, 1, 2)]
+    dts = [1e-3, 5e-4, 4e-3, 4e-3, 4e-3]
+    steps = [100, 200, 25, 25, 25]
+    stacked = lh.solve_damped_heat_batch(data, 3, dts, steps)
+    for traj, u, dt, count in zip(stacked, data, dts, steps):
+        assert same_bits(traj.values_array(), lh.solve_damped_heat(u, 3, dt, count).values_array())
+
+
+@FAST
+@given(st.sampled_from([(16,), (64,), (8, 8)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
+def test_damped_heat_tracks_full_fft_power_step(shape, seed, n, steps):
+    u = smooth_values(shape, seed)
+    got = lh.solve_damped_heat(PeriodicField(u), n, 1e-3, steps).values_array()
+    want = np.stack(heat_full_fft_oracle(u, n, 1e-3, steps))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @FAST
@@ -250,7 +365,7 @@ def test_l1_contraction_curve_matches_field_loop(shape, seed, length):
 
 
 def test_l1_curve_on_batched_members():
-    # members of one batch are strided views of a shared array
+    # the curve of two members of one batch
     data = [smooth_values((128,), s) for s in (1, 2)]
     t1, t2 = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], 3, 1e-3, 50)
     want = l1_oracle(heat_oracle(data[0], 3, 1e-3, 50), heat_oracle(data[1], 3, 1e-3, 50))
@@ -259,14 +374,33 @@ def test_l1_curve_on_batched_members():
 
 @FAST
 @given(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False), st.sampled_from([3, 5, 7, 9]))
-def test_gap_reuses_powers_bit_for_bit(a, b, n):
+def test_gap_by_products_tracks_power_oracle(a, b, n):
     arr_a = np.array([a, b, -a, 0.5 * b])
     arr_b = np.array([b, a, 1.5 * b, -a])
-    total = np.zeros(arr_a.shape)
-    for l in range(n):
-        total = total + arr_a ** (n - 1 - l) * arr_b**l
-    want = total - 0.5 * (arr_a ** (n - 1) + arr_b ** (n - 1))
-    assert same_bits(lh.proof_inequality_gap(arr_a, arr_b, n), want)
+    got = lh.proof_inequality_gap(arr_a, arr_b, n)
+    want = gap_power_oracle(arr_a, arr_b, n)
+    # the relative bound, floored at the smallest normal float: powers of
+    # tiny inputs are subnormal, where one rounding is a whole subnormal step
+    bound = 1e-12 * np.maximum(np.abs(arr_a), np.abs(arr_b)) ** (n - 1) + np.finfo(np.float64).tiny
+    assert np.all(np.abs(got - want) <= bound)
+    assert lh.proof_inequality_gap(a, b, n) == got[0]  # scalars take the same path
+
+
+def test_gap_by_products_on_the_suite_range():
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-10.0, 10.0, size=100_000)
+    b = rng.uniform(-10.0, 10.0, size=100_000)
+    for n in (3, 5, 7, 9):
+        scale = np.maximum(np.abs(a), np.abs(b)) ** (n - 1)
+        err = np.abs(lh.proof_inequality_gap(a, b, n) - gap_power_oracle(a, b, n)) / scale
+        assert float(np.max(err)) <= 1e-12
+
+
+def test_power_by_products_tracks_float_power():
+    x = np.random.default_rng(1).uniform(-3.0, 3.0, size=1000)
+    for k in range(1, 10):
+        assert np.allclose(lh._power(x, k), x**k, rtol=1e-14, atol=0.0)
+    assert same_bits(lh._power(x, 1), x)
 
 
 # ---------------------------------------------------------------------------

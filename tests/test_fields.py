@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import holder_quotient_exponent, littlewood_paley_blocks
 from spdecrit.lab import (
     PeriodicField,
     ResolutionError,
     bony_decompose,
     estimate_holder_exponent,
-    holder_quotient_exponent,
-    littlewood_paley_blocks,
     lp_fields,
     synthetic_field,
 )
@@ -22,16 +21,33 @@ def grid_1d(n):
     return np.arange(n) * (2.0 * math.pi / n)
 
 
+def _full_spectrum_power(coeffs):
+    """Sum of |c_m|^2 over the full spectrum from the half one: every
+    column but the first and the last (wavenumber N/2) stands for a
+    conjugate pair."""
+    weights = np.full(coeffs.shape[-1], 2.0)
+    weights[[0, -1]] = 1.0
+    return float(np.sum(np.abs(coeffs) ** 2 * weights))
+
+
 def test_parseval_identity():
-    f = synthetic_field(1, (256,), 0.5, 11)
-    assert abs(f.mean_square() - float(np.sum(np.abs(f.spectral) ** 2))) <= 1e-12 * f.mean_square()
+    for dim, shape in ((1, (256,)), (2, (32, 16))):
+        f = synthetic_field(dim, shape, 0.5, 11)
+        assert abs(f.mean_square() - _full_spectrum_power(f.spectral)) <= 1e-12 * f.mean_square()
+        g = PeriodicField(f.values)  # the forward transform keeps it too
+        assert abs(g.mean_square() - _full_spectrum_power(g.spectral)) <= 1e-12 * g.mean_square()
 
 
 def test_hermitian_symmetry_gives_real_samples():
     f = synthetic_field(2, (32, 32), 0.8, 3)
     coeffs = f.spectral
-    flipped = np.conj(coeffs[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32])
-    assert np.allclose(coeffs, flipped, atol=1e-14)
+    assert coeffs.shape == (32, 17)
+    for j in (0, 16):  # the edge columns are their own mirror along the first axis
+        col = coeffs[:, j]
+        assert np.all(col[(-np.arange(32)) % 32] == np.conj(col))
+    assert np.all(coeffs[[0, 0, 16, 16], [0, 16, 0, 16]].imag == 0.0)
+    # the samples carry exactly these coefficients back
+    assert np.max(np.abs(PeriodicField(f.values).spectral - coeffs)) <= 1e-14
 
 
 def test_grid_shape_validation():

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import SmoothTestFunction, power_difference_residual, weak_residual
 from spdecrit.lab import (
     BlowupError,
     PeriodicField,
-    SmoothTestFunction,
     Trajectory,
     l1_contraction_curve,
-    power_difference_residual,
     proof_inequality_gap,
     proof_inequality_gap_exact,
     solve_damped_heat,
+    solve_damped_heat_batch,
     steklov_average,
-    weak_residual,
 )
 from spdecrit.lab.heat import subsample
 
@@ -62,6 +61,20 @@ def test_odd_power_enforced():
         solve_damped_heat(smooth_field(), 4, 1e-3, 10)
     with pytest.raises(ValueError):
         solve_damped_heat(smooth_field(), 1, 1e-3, 10)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_non_finite_or_non_positive_dt_rejected(dt):
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        solve_damped_heat(smooth_field(), 3, dt, 10)
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        solve_damped_heat_batch([smooth_field(), smooth_field()], 3, [1e-3, dt], [10, 10])
+
+
+@pytest.mark.parametrize("steps", [[10, 0], [10, 2.5], 2.5])
+def test_batch_needs_whole_steps_for_every_member(steps):
+    with pytest.raises(ValueError, match="whole steps >= 1"):
+        solve_damped_heat_batch([smooth_field(), smooth_field()], 3, 1e-3, steps)
 
 
 def test_unstable_step_rejected():

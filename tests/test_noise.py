@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from spdecrit.lab import sample_spatial_white, solve_z1_mild
-from spdecrit.lab.fields import PeriodicField
-from spdecrit.lab.noise import _hermitian_gaussian
+from spdecrit.lab import sample_spatial_white, solve_z1_finals, solve_z1_mild
+from spdecrit.lab.fields import PeriodicField, white_half_spectrum
 
 
 def test_equal_seeds_equal_fields():
@@ -19,9 +18,9 @@ def test_equal_seeds_equal_fields():
 def test_per_mode_variance_flat():
     draws = 4000
     rng = np.random.default_rng(9)
-    acc = np.zeros(64)
+    acc = np.zeros(33)  # the half spectrum of 64 points
     for _ in range(draws):
-        acc += np.abs(_hermitian_gaussian(rng, (64,))) ** 2
+        acc += np.abs(white_half_spectrum(rng.standard_normal(64), 1)) ** 2
     var = acc / draws
     # unit variance at every mode, including the zero mode
     assert np.all(np.abs(var - 1.0) < 0.1)
@@ -31,7 +30,7 @@ def test_per_mode_variance_flat():
 def test_distinct_modes_uncorrelated():
     draws = 4000
     rng = np.random.default_rng(10)
-    samples = np.stack([_hermitian_gaussian(rng, (64,)) for _ in range(draws)])
+    samples = np.stack([white_half_spectrum(rng.standard_normal(64), 1) for _ in range(draws)])
     cov = np.mean(samples[:, 3] * np.conj(samples[:, 11]))
     assert abs(cov) < 0.05
 
@@ -83,3 +82,19 @@ def test_rejects_bad_grids():
         sample_spatial_white(1, (100,), 0)
     with pytest.raises(ValueError):
         solve_z1_mild(3, (16, 16, 16), 0.01, 5, 0)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.01])
+def test_rejects_non_finite_or_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        solve_z1_mild(1, (64,), dt, 8, 0)
+    with pytest.raises(ValueError, match="0 < dt < inf"):
+        solve_z1_finals(1, (64,), dt, 8, [0, 1])
+
+
+def test_half_spectrum_layout():
+    traj = solve_z1_mild(2, (16, 8), 0.01, 3, seed=2)
+    assert traj.grid_shape == (16, 8)
+    assert traj.spectral_array().shape == (4, 16, 5)
+    assert traj.final().values.shape == (16, 8)
+    assert sample_spatial_white(1, (64,), 0).spectral.shape == (33,)
