@@ -9,8 +9,11 @@ and config values go through the same converter.  SPDECRIT_SEED
 supplies the seed when neither gives one.  `spdecrit tychonov ARGS`
 reads as `spdecrit verify tychonov ARGS`.
 
-Only the commands that run the numerical lab import it (and with it
-numpy and mpmath), so `analyze` starts with the symbolic half alone.
+Each command imports only what it runs.  `analyze` loads the symbolic
+half (`dsl`, `expansion`, `rules`, `affine`) and never numpy.  `verify`
+and `noise sample` load numpy and the lab but not the symbolic half, and
+only `verify tychonov` loads mpmath.  The names below that reach either
+half import it on their first call.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dsl import BUNDLED_SPECS, SpecError, load_bundled_spec, parse_spec, validate_spec
-from .expansion import ExpansionError, expand
+from .errors import ExpansionError, SpecError
 from .report import (
     SUITE_NAMES,
     atomic_write,
@@ -50,6 +52,32 @@ def run_suite(name: str, **kwargs) -> dict:
     from .suites import run_suite as run
 
     return run(name, **kwargs)
+
+
+# The symbolic half's entry points, each importing it on first call as
+# run_suite does the lab, so that `verify` and `noise sample` never load it.
+def load_bundled_spec(*args, **kwargs):
+    from .dsl import load_bundled_spec as load
+
+    return load(*args, **kwargs)
+
+
+def parse_spec(*args, **kwargs):
+    from .dsl import parse_spec as parse
+
+    return parse(*args, **kwargs)
+
+
+def validate_spec(*args, **kwargs):
+    from .dsl import validate_spec as validate
+
+    return validate(*args, **kwargs)
+
+
+def expand(*args, **kwargs):
+    from .expansion import expand as run
+
+    return run(*args, **kwargs)
 
 
 def _seed(text: str) -> int:
@@ -159,6 +187,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def _load_spec_source(ref: str):
+    from .dsl import BUNDLED_SPECS
+
     path = Path(ref)
     if path.exists():
         return parse_spec(path.read_text(encoding="utf-8"))

@@ -16,6 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import List, Optional, Tuple
 
+from .errors import SpecError
 from .rules import NOISE_KINDS, SPACE_TIME_WHITE, SPATIAL_WHITE
 
 SCALAR = "scalar"
@@ -26,10 +27,6 @@ BUNDLED_SPECS = ("navier_stokes", "kpz", "phi4", "sqg", "yang_mills")
 # Largest degree of a nonlinear term, matching the level cap of the
 # expansion.
 MAX_DEGREE = 32
-
-
-class SpecError(Exception):
-    """Base class for everything parse_spec can raise."""
 
 
 class SpecSyntaxError(SpecError):

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import DimExpr, RegBound, ScalingInfo
 from .dsl import SpdeSpec, VECTOR, validate_spec
+from .errors import ExpansionError
 from .rules import (
     apply_derivative,
     noise_regularity,
@@ -33,12 +34,6 @@ SUBCRITICAL = "Subcritical"
 CRITICAL = "Critical"
 SUPERCRITICAL = "Supercritical"
 CONDITION_ON_DIM = "ConditionOnDim"
-
-
-class ExpansionError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Desk-scale numerical experiments backing the symbolic analyzer."""
+"""Desk-scale numerical experiments backing the symbolic analyzer.
+
+The Tychonov names load `tychonov`, and with it mpmath, on first access.
+"""
 
 from .fields import (
     PeriodicField,
@@ -21,7 +24,8 @@ from .heat import (
     proof_inequality_gap_exact,
     l1_contraction_curve,
 )
-from .tychonov import TychonovSeries, tychonov_eval, tychonov_residual, fd_heat_residual
+
+_TYCHONOV = ("TychonovSeries", "tychonov_eval", "tychonov_residual", "fd_heat_residual")
 
 __all__ = [
     "PeriodicField",
@@ -48,3 +52,15 @@ __all__ = [
     "tychonov_residual",
     "fd_heat_residual",
 ]
+
+
+def __getattr__(name):
+    if name not in _TYCHONOV:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tychonov
+
+    return getattr(tychonov, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

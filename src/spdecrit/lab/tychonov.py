@@ -2,7 +2,7 @@
 
 u(t, x) sums g^(k)(t) x^(2k) / (2k)! over k, where g(t) = exp(-1/t^alpha)
 for t > 0 and 0 otherwise.  For integer alpha >= 2 every derivative of g
-is P_k(1/t) g(t) with P_k an exact-rational polynomial obeying
+is P_k(1/t) g(t) with P_k an integer polynomial obeying
 
     P_0 = 1,   P_{k+1}(s) = -s^2 P_k'(s) + alpha s^(alpha+1) P_k(s).
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
@@ -28,26 +27,16 @@ class EvaluationOverflow(OverflowError):
     pass
 
 
-Poly = Tuple[Fraction, ...]  # coefficient of s^i at index i
+Poly = Tuple[int, ...]  # coefficient of s^i at index i
 
 
-def _differentiate(p: Poly) -> Poly:
-    return tuple(c * i for i, c in enumerate(p))[1:] or (Fraction(0),)
-
-
-def _shift(p: Poly, k: int) -> Poly:
-    return (Fraction(0),) * k + tuple(p)
-
-
-def _add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    p = tuple(p) + (Fraction(0),) * (n - len(p))
-    q = tuple(q) + (Fraction(0),) * (n - len(q))
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def _scale(p: Poly, c: Fraction) -> Poly:
-    return tuple(c * a for a in p)
+def _next_poly(p: Poly, alpha: int) -> Poly:
+    """-s^2 P'(s) + alpha s^(alpha+1) P(s)."""
+    out = [0] * (len(p) + alpha + 1)
+    for i, c in enumerate(p):
+        out[i + 1] -= i * c
+        out[i + alpha + 1] += alpha * c
+    return tuple(out)
 
 
 @dataclass
@@ -58,23 +47,20 @@ class TychonovSeries:
     poly_table: List[Poly]
     # (k, mp precision) -> mpf coefficients of P_k, highest power first
     _mp_coeffs: Dict[Tuple[int, int], Tuple] = field(default_factory=dict, repr=False, compare=False)
+    # (t, mp precision) -> (1/t, g(t), {k: g^(k)(t)}) in mp
+    _mp_points: Dict[Tuple, Tuple] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, alpha: int, depth: int) -> "TychonovSeries":
         if not isinstance(alpha, int) or alpha < 2:
             raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
-        series = cls(alpha=alpha, poly_table=[(Fraction(1),)])
+        series = cls(alpha=alpha, poly_table=[(1,)])
         series.ensure_depth(depth)
         return series
 
     def ensure_depth(self, depth: int):
         while len(self.poly_table) <= depth:
-            p = self.poly_table[-1]
-            nxt = _add(
-                _scale(_shift(_differentiate(p), 2), Fraction(-1)),
-                _scale(_shift(p, self.alpha + 1), Fraction(self.alpha)),
-            )
-            self.poly_table.append(nxt)
+            self.poly_table.append(_next_poly(self.poly_table[-1], self.alpha))
 
     def poly(self, k: int) -> Poly:
         self.ensure_depth(k)
@@ -85,7 +71,7 @@ class TychonovSeries:
         key = (k, mp.mp.prec)
         coeffs = self._mp_coeffs.get(key)
         if coeffs is None:
-            coeffs = tuple(mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(self.poly(k)))
+            coeffs = tuple(mp.mpf(c) for c in reversed(self.poly(k)))
             self._mp_coeffs[key] = coeffs
         return coeffs
 
@@ -97,16 +83,28 @@ class TychonovSeries:
         return _horner_float(self.poly(k), s) * math.exp(-(s**self.alpha))
 
     def g_derivative_mp(self, k: int, t) -> mp.mpf:
-        if t <= 0:
-            return mp.mpf(0)
-        s, damping = _mp_point(self.alpha, t)
-        return _horner_mp(self.mp_coeffs(k), s) * damping
+        return _g_values_mp(self, t, k, start=k)[0] if t > 0 else mp.mpf(0)
 
 
-def _mp_point(alpha: int, t):
-    """s = 1/t and g(t) = exp(-s^alpha) in mp, shared by every term at t."""
-    s = mp.mpf(1) / mp.mpf(t)
-    return s, mp.e ** (-(s**alpha))
+def _g_values_mp(series: TychonovSeries, t, K: int, start: int = 0) -> List:
+    """g^(k)(t) for k = start..K in mp; empty for t <= 0, where g vanishes.
+
+    Each value is computed once per (t, precision) and kept on the series:
+    the residual checks ask for the same times at many x.
+    """
+    if t <= 0:
+        return []
+    t = mp.mpf(t)
+    key = (t, mp.mp.prec)
+    point = series._mp_points.get(key)
+    if point is None:
+        s = mp.mpf(1) / t
+        point = series._mp_points[key] = (s, mp.e ** (-(s**series.alpha)), {})
+    s, damping, values = point
+    for k in range(start, K + 1):
+        if k not in values:
+            values[k] = _horner_mp(series.mp_coeffs(k), s) * damping
+    return [values[k] for k in range(start, K + 1)]
 
 
 def _horner_float(p: Poly, s: float) -> float:
@@ -122,14 +120,6 @@ def _horner_mp(coeffs: Sequence, s) -> mp.mpf:
         # adding an exact zero would only re-round acc * s to itself
         acc = acc * s + c if c else acc * s
     return acc
-
-
-def _g_values_mp(series: TychonovSeries, t, K: int) -> List:
-    """g^(k)(t) for k = 0..K in mp; empty for t <= 0, where g vanishes."""
-    if t <= 0:
-        return []
-    s, damping = _mp_point(series.alpha, t)
-    return [_horner_mp(series.mp_coeffs(k), s) * damping for k in range(K + 1)]
 
 
 def _partial_sum_mp(g_values: Sequence, x) -> mp.mpf:

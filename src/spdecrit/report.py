@@ -6,7 +6,8 @@ version, config echo and a UTC timestamp; everything except the
 timestamp is reproducible byte-for-byte for a fixed config.
 
 Nothing here imports numpy or mpmath: the symbolic commands render and
-write their output through this module alone.
+write their output through this module alone.  The lab writes through
+it too, so the two renderers import the symbolic half when called.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
-from .affine import DimExpr, format_affine
-from .expansion import CriticalityReport, ExpansionRow, render_forcing
+
+if TYPE_CHECKING:
+    from .affine import DimExpr
+    from .expansion import CriticalityReport
 
 SUITE_NAMES = ("uniqueness", "inequality", "steklov", "tychonov", "noise", "bony")
 
@@ -33,6 +36,8 @@ def affine_to_json(e: Optional[DimExpr]) -> Optional[dict]:
 
 def report_payload(report: CriticalityReport) -> dict:
     """JSON-ready body of an analysis report."""
+    from .affine import format_affine
+
     rows = []
     for row in report.rows:
         terms: List[str] = []
@@ -70,6 +75,9 @@ def report_payload(report: CriticalityReport) -> dict:
 
 def render_table(report: CriticalityReport) -> str:
     """ASCII table mirroring the expansion rows, plus a summary block."""
+    from .affine import format_affine
+    from .expansion import render_forcing
+
     headers = ("k", "most singular term", "forcing beta <", "object beta <", "remainder beta <")
     body = []
     for row in report.rows:

@@ -16,7 +16,6 @@ import numpy as np
 from .lab import fields as lf
 from .lab import heat as lh
 from .lab import noise as ln
-from .lab import tychonov as lt
 from .report import SUITE_NAMES
 
 
@@ -226,11 +225,16 @@ def _lq_lq(series, q: int) -> float:
 
 def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) -> Dict:
     """Pointwise values, vanishing past, and the two-route residual check."""
+    from .lab import tychonov as lt  # the one suite that needs mpmath
+
     _require_positive(terms=terms)
     checks = []
     series = lt.TychonovSeries.build(alpha, terms + 2)
 
-    center = lt.tychonov_eval(series, 1.0, 0.0, terms)
+    try:
+        center = lt.tychonov_eval(series, 1.0, 0.0, terms)
+    except OverflowError:
+        raise ValueError(f"--terms {terms}: the series at --alpha {alpha} overflows a double") from None
     checks.append(
         _check(
             "value at (t,x)=(1,0) is exp(-1)",
@@ -263,8 +267,12 @@ def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) 
         )
     )
 
-    max_k = lt.tychonov_residual(series, terms, t_grid, x_grid)
-    max_k10 = lt.tychonov_residual(series, terms + 10, t_grid, x_grid)
+    try:
+        max_k = lt.tychonov_residual(series, terms, t_grid, x_grid)
+        max_k10 = lt.tychonov_residual(series, terms + 10, t_grid, x_grid)
+    except OverflowError:
+        region_text = ",".join(map(repr, region))
+        raise ValueError(f"--terms {terms} --region {region_text}: the residual bound overflows a double") from None
     checks.append(
         _check(
             "ten more terms shrink the residual",

@@ -3,7 +3,8 @@
 None of these is called by a command.  They read only public lab and
 report data: a weak-form residual of a damped-heat trajectory, the
 telescoped power difference, block sup norms, a difference-quotient
-Hölder fit and the inverse of the report's JSON row encoding.
+Hölder fit, the inverse of the report's JSON row encoding and the
+exact-rational recurrence of the Tychonov derivative polynomials.
 """
 
 import math
@@ -136,3 +137,27 @@ def rows_from_payload(payload: dict) -> List[Tuple[int, RegBound, RegBound, Opti
     return out
 
 
+
+
+def tychonov_poly_table_oracle(alpha: int, depth: int) -> List[Tuple[Fraction, ...]]:
+    """P_0..P_depth from P_{k+1} = -s^2 P_k' + alpha s^(alpha+1) P_k in Fractions,
+    coefficient of s^i at index i, as the lab built them before its table
+    held integers."""
+
+    def add(p, q):
+        n = max(len(p), len(q))
+        p = tuple(p) + (Fraction(0),) * (n - len(p))
+        q = tuple(q) + (Fraction(0),) * (n - len(q))
+        return tuple(a + b for a, b in zip(p, q))
+
+    table = [(Fraction(1),)]
+    while len(table) <= depth:
+        p = table[-1]
+        derivative = tuple(c * i for i, c in enumerate(p))[1:] or (Fraction(0),)
+        table.append(
+            add(
+                tuple(-c for c in (Fraction(0),) * 2 + derivative),
+                tuple(Fraction(alpha) * c for c in (Fraction(0),) * (alpha + 1) + p),
+            )
+        )
+    return table

@@ -299,6 +299,39 @@ def test_verify_loads_lab(tmp_path):
     assert "numpy" in _lab_modules_after(tmp_path, "verify", "bony")
 
 
+_HALVES = ("mpmath", "spdecrit.dsl", "spdecrit.expansion", "spdecrit.rules", "spdecrit.affine")
+_HALVES_PROBE = """\
+import sys
+from spdecrit.cli import main
+code = main(sys.argv[2:])
+assert code == 0, code
+print("loaded:" + ",".join(m for m in sys.argv[1].split(",") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (("verify", "bony"), set()),
+        (("verify", "inequality", "--samples", "10"), set()),
+        (("noise", "sample", "--dim", "1", "--grid", "64", "--steps", "4", "--out", "out"), set()),
+        (("verify", "tychonov", "--terms", "4"), {"mpmath"}),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_lab_commands_leave_the_symbolic_half_unloaded(tmp_path, argv, loaded):
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HALVES_PROBE, ",".join(_HALVES), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("loaded:")
+    assert set(filter(None, last[len("loaded:"):].split(","))) == loaded
+
+
 @pytest.mark.parametrize("grid", ["8", "16", "32"])
 def test_verify_noise_checks_fit_window_before_sampling(capsys, monkeypatch, grid):
     from spdecrit.lab import noise as ln
@@ -671,3 +704,21 @@ def test_checks_store_plain_python_values():
     entry = _check("c", True, value=(np.float64(1.5), np.float32(2.0)))
     assert entry["value"] == [1.5, 2.0] and all(type(v) is float for v in entry["value"])
     assert type(_check("c", True, value=np.float64(3.0))["value"]) is float
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--terms", "400"), "error: --terms 400: the series at --alpha 2 overflows a double"),
+        (
+            ("--region", "0.5,1,-1e300,1e300"),
+            "error: --terms 30 --region 0.5,1.0,-1e+300,1e+300: the residual bound overflows a double",
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_tychonov_overflow_exits_2_naming_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "tychonov", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message

@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles import tychonov_poly_table_oracle
 
 from spdecrit.lab import PeriodicField, Trajectory
 from spdecrit.lab import heat as lh
@@ -440,3 +441,42 @@ def test_fd_residual_matches_five_point_oracle():
         got = lt.fd_heat_residual(series, 10, t, x, dps=60)
         with mp.workdps(60):
             assert mp_bits(got) == mp_bits(fd_heat_residual_oracle(series, 10, t, x, dps=60))
+
+
+def test_integer_poly_table_matches_fraction_recurrence():
+    for alpha in (2, 3, 4, 5):
+        table = lt.TychonovSeries.build(alpha, 40).poly_table
+        oracle = tychonov_poly_table_oracle(alpha, 40)
+        assert table == oracle
+        assert [len(p) for p in table] == [len(p) for p in oracle]
+        assert all(type(c) is int for p in table for c in p)
+
+
+def test_tychonov_suite_evaluates_each_time_once(monkeypatch):
+    from spdecrit import suites
+
+    calls = []
+    horner = lt._horner_mp
+
+    def counted(coeffs, s):
+        calls.append(None)
+        return horner(coeffs, s)
+
+    monkeypatch.setattr(lt, "_horner_mp", counted)
+    assert suites.run_tychonov()["passed"]
+    # 5 times x (K+1 terms at t - delta, t, t + delta, plus g^(K+1)(t)) at K = 30
+    assert len(calls) <= 470
+
+
+def test_fd_residual_cache_keeps_precision_and_series_apart():
+    t, x = 0.75, 0.5
+    series = lt.TychonovSeries.build(2, 12)
+    for dps in (60, 120, 60):
+        got = lt.fd_heat_residual(series, 10, t, x, dps=dps)
+        with mp.workdps(dps):
+            assert mp_bits(got) == mp_bits(fd_heat_residual_oracle(series, 10, t, x, dps=dps))
+    for alpha in (2, 3):
+        other = lt.TychonovSeries.build(alpha, 12)
+        got = lt.fd_heat_residual(other, 10, t, x, dps=60)
+        with mp.workdps(60):
+            assert mp_bits(got) == mp_bits(fd_heat_residual_oracle(other, 10, t, x, dps=60))
