@@ -5,7 +5,7 @@ The names below load their module on first access, so a process that
 runs only the lab never imports the symbolic half.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _EXPORTS = {
     "affine": ("DimExpr", "RegBound", "ScalingInfo"),

@@ -254,6 +254,24 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
+def _stride(steps: int) -> int:
+    """The largest divisor of steps that is at most steps // 8, or 1.
+
+    About 8 intervals, but only a divisor keeps the endpoints and one dt.
+    A divisor above isqrt(steps) is steps // q for a q at most isqrt(steps),
+    so both searches stop there: O(sqrt(steps)) for a prime step count,
+    which keeps every row, and a few trials for most others.
+    """
+    root = math.isqrt(steps)
+    for q in range(8, root + 1):  # the fewest intervals, at least 8, that split the steps
+        if steps % q == 0:
+            return steps // q
+    for d in range(min(root, steps // 8), 1, -1):
+        if steps % d == 0:
+            return d
+    return 1
+
+
 def _cmd_noise_sample(args) -> int:
     opts, given = _options(args, _NOISE_SAMPLE, "noise sample")
     dim, grid, seed, kind, out_dir = (opts[k] for k in ("dim", "grid", "seed", "kind", "out"))
@@ -265,7 +283,6 @@ def _cmd_noise_sample(args) -> int:
             raise CliInputError(f"--{name} '{opts[name]!r}': expects a positive finite value")
 
     from .lab import fields as lf
-    from .lab import heat as lh
     from .lab import io as lio
     from .lab import noise as ln
 
@@ -273,14 +290,17 @@ def _cmd_noise_sample(args) -> int:
     if kind == "white":
         field = ln.sample_spatial_white(dim, shape, seed)
         traj = lf.Trajectory(dt=1.0, times=[0.0], fields=[field])
-        lio.write_trajectory(traj, out_dir, n=grid, seed=seed)
     else:
-        traj = ln.solve_z1_mild(dim, shape, opts["dt"], opts["steps"], seed)
-        # about 8 intervals, but only a divisor of the steps keeps the
-        # endpoints and one dt; a prime step count keeps every row
-        stride = max(d for d in range(1, max(1, traj.steps // 8) + 1) if traj.steps % d == 0)
-        lio.write_trajectory(lh.subsample(traj, stride), out_dir, n=grid, seed=seed)
+        steps, dt = opts["steps"], opts["dt"]
+        stride = _stride(steps)
+        # exact OU steps compose: one step of dt * stride between written
+        # rows gives them the law of the march at dt, without its other rows
+        solved = ln.solve_z1_mild(dim, shape, dt * stride, steps // stride, seed)
+        # k * dt as numpy's arange(0, steps + 1, stride) * dt has it, for any size of int
+        times = [k * dt for k in range(0, steps + 1, stride)]
+        traj = lf.Trajectory(dt * stride, times, spectral=solved.spectral_array())
         field = traj.final()
+    lio.write_trajectory(traj, out_dir, n=grid, seed=seed)
 
     if args.estimate:
         exponent = lf.estimate_holder_exponent(field)

@@ -5,7 +5,8 @@ per grid point, packed so that self-conjugate modes are real with unit
 variance and every other mode is a complex pair (see
 fields.white_half_spectrum).  The linear solve evolves every mode as an
 exact Ornstein-Uhlenbeck update, so the only discretization is the time
-grid itself.
+grid itself.  Exact updates compose, so a caller that reads only some
+rows can solve with one step from each read row to the next.
 """
 
 from __future__ import annotations

@@ -8,14 +8,17 @@ is P_k(1/t) g(t) with P_k an integer polynomial obeying
 
 Truncating the series after K terms leaves a heat-equation residual that
 telescopes to the single term g^(K+1)(t) x^(2K) / (2K)!.  That residual
-is astronomically small (around 1e-22 at K = 30 on moderate regions), so
-the independent finite-difference check runs in arbitrary precision.
+is astronomically small (around 4e-36 at K = 30 on the default region), so
+the independent finite-difference check runs in arbitrary precision, with
+a step and a precision that shrink and grow with it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import mpmath as mp
@@ -167,18 +170,42 @@ def tychonov_eval_mp(series: TychonovSeries, t, x, K: int) -> mp.mpf:
 
 
 def tychonov_residual(series: TychonovSeries, K: int, t_values: Sequence[float], x_values: Sequence[float]) -> float:
-    """Max |d_t u_K - d_xx u_K| over the grid, by the telescoping formula."""
+    """Max |d_t u_K - d_xx u_K| over the grid, by the telescoping formula.
+
+    Raises EvaluationOverflow when a term is not a finite double.
+    """
     if min(t_values) <= 0:
         raise ValueError("the region must stay away from t = 0")
     series.ensure_depth(K + 1)
     fact = math.factorial(2 * K)
+    exact = fact > sys.float_info.max  # (2K)! for K >= 86 is no double: divide exactly, round once
     worst = 0.0
     for t in t_values:
         top = abs(series.g_derivative(K + 1, t))
         for x in x_values:
-            r = top * abs(float(x)) ** (2 * K) / fact
-            worst = max(worst, r)
+            r = top * abs(float(x)) ** (2 * K)
+            if not math.isfinite(r):
+                raise EvaluationOverflow(f"residual term at K={K} is not a finite double")
+            worst = max(worst, float(Fraction(r) / fact) if exact else r / fact)
     return worst
+
+
+def fd_step_and_precision(scale) -> Tuple[str, int]:
+    """Step and decimal precision at which fd_heat_residual resolves a
+    residual of size `scale`.
+
+    The centered stencils miss the derivatives by about delta^2 times
+    derivatives of u_K of order one (~7e-50 at delta = 1e-25 on the
+    default region), and their roundoff is about 10^-dps / delta^2.  Both
+    are put ~12 digits below `scale`; the step is at most 1e-25 and the
+    precision at least 120 digits, the settings for a residual above
+    ~1e-38 (K <= 31 on the default region).
+    """
+    if not scale:
+        return "1e-25", 120
+    digits = float(-mp.log10(abs(scale)))
+    step = max(25, math.ceil((digits + 12) / 2))
+    return f"1e-{step}", max(120, 2 * step + math.ceil(digits) + 20)
 
 
 def fd_heat_residual(series: TychonovSeries, K: int, t, x, delta: str = "1e-25", dps: int = 120) -> mp.mpf:

@@ -3,8 +3,10 @@
 None of these is called by a command.  They read only public lab and
 report data: a weak-form residual of a damped-heat trajectory, the
 telescoped power difference, block sup norms, a difference-quotient
-Hölder fit, the inverse of the report's JSON row encoding and the
-exact-rational recurrence of the Tychonov derivative polynomials.
+Hölder fit, the inverse of the report's JSON row encoding, the
+exact-rational recurrence of the Tychonov derivative polynomials, the
+whole-array form of the inequality sweep and the float residual bound
+as it divided by (2K)! before that could exceed a double.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from spdecrit.affine import DimExpr, RegBound
 from spdecrit.lab import PeriodicField, ResolutionError, Trajectory, lp_fields
-from spdecrit.lab.heat import _odd_check
+from spdecrit.lab.heat import _odd_check, _power, proof_inequality_gap
 
 
 @dataclass
@@ -161,3 +163,28 @@ def tychonov_poly_table_oracle(alpha: int, depth: int) -> List[Tuple[Fraction, .
             )
         )
     return table
+
+
+def inequality_sweep_oracle(powers, samples: int, seed: int) -> List[Tuple[float, bool]]:
+    """(min gap, passed) per power of the inequality sweep, each over the
+    whole sample array at once, with the suite's draws."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in powers:
+        a = rng.uniform(-10.0, 10.0, size=samples)
+        b = rng.uniform(-10.0, 10.0, size=samples)
+        gap = proof_inequality_gap(a, b, p)
+        scale = _power(np.maximum(np.abs(a), np.abs(b)), p - 1)
+        out.append((float(np.min(gap)), float(np.min(gap + 1.0e-9 * scale)) >= 0.0))
+    return out
+
+
+def tychonov_residual_float_oracle(series, K: int, t_values, x_values) -> float:
+    """Max of |g^(K+1)(t)| |x|^(2K) / (2K)! with (2K)! divided as a double."""
+    fact = math.factorial(2 * K)
+    worst = 0.0
+    for t in t_values:
+        top = abs(series.g_derivative(K + 1, t))
+        for x in x_values:
+            worst = max(worst, top * abs(float(x)) ** (2 * K) / fact)
+    return worst

@@ -426,6 +426,86 @@ def test_noise_sample_thins_by_a_divisor_of_the_steps(tmp_path, capsys, steps, r
     assert traj.dt == pytest.approx(int(steps) // (rows - 1) * 2.5e-3)
 
 
+def test_stride_is_the_largest_divisor_up_to_an_eighth():
+    def brute(steps):
+        return max(d for d in range(1, max(1, steps // 8) + 1) if steps % d == 0)
+
+    for steps in range(1, 1200):
+        assert cli._stride(steps) == brute(steps), steps
+    for steps in (2 * 1_000_003, 7 * 1_000_003, 8 * 1_000_003, 16 * 1_000_003):
+        assert cli._stride(steps) == brute(steps), steps
+    assert cli._stride(1_000_003**2) == 1_000_003  # its divisors are 1, p and p^2
+    start = time.monotonic()
+    assert cli._stride(10**12) == 10**12 // 8
+    assert cli._stride(999_999_000_001) == 1  # prime: every row
+    assert cli._stride(10**30) == 10**30 // 8
+    assert time.monotonic() - start < 2.0
+
+
+def test_noise_sample_huge_step_count_writes_nine_rows(tmp_path, capsys):
+    from spdecrit.lab import io as lio
+
+    out_dir = tmp_path / "run"
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "noise", "sample", "--grid", "64", "--steps", "100000000", "--out", str(out_dir)
+    )
+    assert (code, err) == (0, "")
+    assert time.monotonic() - start < 5.0
+    assert len(list(out_dir.glob("*.spdf"))) == 9
+    traj = lio.read_trajectory(out_dir)
+    assert traj.dt == 2.5e-3 * 12_500_000
+    assert traj.times.tolist() == [k * 2.5e-3 for k in range(0, 100_000_001, 12_500_000)]
+
+
+@pytest.mark.parametrize(
+    "dim,grid,steps,stride", [("1", "256", "32", 4), ("2", "16", "100", 10), ("1", "32", "37", 1)]
+)
+def test_noise_sample_solves_one_exact_step_per_written_row(tmp_path, capsys, monkeypatch, dim, grid, steps, stride):
+    import numpy as np
+
+    from spdecrit.lab import io as lio
+    from spdecrit.lab import noise as ln
+
+    solves = []
+    solve = ln.solve_z1_mild
+
+    def recording(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ln, "solve_z1_mild", recording)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(
+        capsys, "noise", "sample", "--dim", dim, "--grid", grid, "--steps", steps, "--seed", "5", "--out", str(out_dir)
+    )
+    assert code == 0
+    shape = (int(grid),) * int(dim)
+    assert solves == [(int(dim), shape, 2.5e-3 * stride, int(steps) // stride, 5)]
+    want = solve(int(dim), shape, 2.5e-3 * stride, int(steps) // stride, 5)
+    got = lio.read_trajectory(out_dir)
+    assert np.array_equal(got.values_array(), want.values_array())
+    # times and dt as a march at 2.5e-3 thinned to every stride-th row has them
+    assert got.times.tolist() == (np.arange(int(steps) + 1) * 2.5e-3)[::stride].tolist()
+    assert got.dt == 2.5e-3 * stride
+
+
+def test_verify_noise_reads_z1_after_one_exact_step(monkeypatch):
+    from spdecrit import suites
+    from spdecrit.lab import noise as ln
+
+    calls = []
+    finals = ln.solve_z1_finals
+
+    def recording(dim, grid_shape, dt, steps, seeds, **kwargs):
+        calls.append((dt, steps, len(seeds)))
+        return finals(dim, grid_shape, dt, steps, seeds, **kwargs)
+
+    monkeypatch.setattr(ln, "solve_z1_finals", recording)
+    suites.run_noise(seed=0, grid=64, ensembles=20)
+    assert calls == [(1.0, 1, 16), (1.0, 1, 4)]
+
+
 def test_stationary_noise_section_reads_spectra_only(monkeypatch):
     from spdecrit import suites
     from spdecrit.lab import noise as ln
@@ -722,3 +802,26 @@ def test_tychonov_overflow_exits_2_naming_the_flag(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.strip() == message
+
+
+@pytest.mark.parametrize("terms", ["35", "40", "76"])
+def test_tychonov_passes_past_the_old_precision_floor(capsys, terms):
+    """At 35 terms and more the residual sits below the error of the
+    1e-25 stencils; at 76 the bound at K + 10 divides by (2K)! > 170!."""
+    code, out, err = run(capsys, "verify", "tychonov", "--terms", terms, "--format", "json")
+    assert (code, err) == (0, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks[f"analytic vs finite-difference residual at K={terms}"]["value"] < 1e-10
+    low, high = checks["ten more terms shrink the residual"]["value"]
+    assert 0.0 < high < low
+
+
+def test_tychonov_float_overflow_is_one_error_line(capsys):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "tychonov", "--terms", "155")
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (2, "")
+    assert err == "error: --terms 155 --region 0.5,1.0,-1.0,1.0: the residual bound overflows a double\n"

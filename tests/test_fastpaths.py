@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import tychonov_poly_table_oracle
+from oracles import inequality_sweep_oracle, tychonov_poly_table_oracle, tychonov_residual_float_oracle
 
+from spdecrit import suites
 from spdecrit.lab import PeriodicField, Trajectory
 from spdecrit.lab import heat as lh
 from spdecrit.lab import noise as ln
@@ -397,6 +399,27 @@ def test_gap_by_products_on_the_suite_range():
         assert float(np.max(err)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [1000, suites._INEQUALITY_BLOCK, suites._INEQUALITY_BLOCK + 1, 3 * suites._INEQUALITY_BLOCK, 77_881],
+)
+def test_inequality_blocks_match_whole_array(monkeypatch, samples):
+    sizes = []
+    gap = lh.proof_inequality_gap
+
+    def counted(a, b, n):
+        sizes.append(len(a))
+        return gap(a, b, n)
+
+    monkeypatch.setattr(lh, "proof_inequality_gap", counted)
+    result = suites.run_inequality(samples=samples, seed=samples)
+    assert max(sizes) <= suites._INEQUALITY_BLOCK and sum(sizes) == 4 * samples
+    got = [(c["value"], c["passed"]) for c in result["checks"][:-1]]
+    want = inequality_sweep_oracle((3, 5, 7, 9), samples, seed=samples)
+    signed = lambda pairs: [(v, math.copysign(1.0, v), ok) for v, ok in pairs]  # -0.0 != 0.0 in JSON
+    assert signed(got) == signed(want)
+
+
 def test_power_by_products_tracks_float_power():
     x = np.random.default_rng(1).uniform(-3.0, 3.0, size=1000)
     for k in range(1, 10):
@@ -480,3 +503,26 @@ def test_fd_residual_cache_keeps_precision_and_series_apart():
         got = lt.fd_heat_residual(other, 10, t, x, dps=60)
         with mp.workdps(60):
             assert mp_bits(got) == mp_bits(fd_heat_residual_oracle(other, 10, t, x, dps=60))
+
+
+def test_residual_bound_keeps_its_bits_where_the_factorial_is_a_double():
+    series = lt.TychonovSeries.build(2, 90)
+    t_grid = np.linspace(0.5, 1.0, 5).tolist()
+    for x_grid in (np.linspace(-1.0, 1.0, 5).tolist(), [0.3, 1.7, -2.5]):
+        for K in (1, 12, 30, 40, 84, 85):
+            got = lt.tychonov_residual(series, K, t_grid, x_grid)
+            assert same_bits(got, tychonov_residual_float_oracle(series, K, t_grid, x_grid))
+
+
+def test_residual_bound_past_170_factorial_divides_exactly():
+    series = lt.TychonovSeries.build(2, 100)
+    t_grid = np.linspace(0.5, 1.0, 5).tolist()
+    x_grid = np.linspace(-1.0, 1.0, 5).tolist()
+    for K in (86, 90, 99):
+        got = lt.tychonov_residual(series, K, t_grid, x_grid)
+        with mp.workdps(60):
+            fact = mp.factorial(2 * K)
+            want = max(
+                abs(series.g_derivative(K + 1, t)) * abs(x) ** (2 * K) / fact for t in t_grid for x in x_grid
+            )
+        assert 0.0 < got and abs(got - float(want)) <= 1e-15 * float(want)

@@ -98,3 +98,31 @@ def test_half_spectrum_layout():
     assert traj.spectral_array().shape == (4, 16, 5)
     assert traj.final().values.shape == (16, 8)
     assert sample_spatial_white(1, (64,), 0).spectral.shape == (33,)
+
+
+@pytest.mark.parametrize(
+    "dim,shape,dt,m",
+    [
+        (1, (4096,), 2.5e-3, 400),  # verify noise: z1(1) in one step instead of 400
+        (1, (4096,), 2.5e-3, 50),  # noise sample: one step per written row at the defaults
+        (2, (256, 256), 2.5e-3, 10),  # noise sample --dim 2 --grid 256 --steps 100
+        (2, (16, 8), 0.01, 7),
+    ],
+)
+@pytest.mark.parametrize("order,scale", [(2.0, 1.0), (1.5, 0.5)])
+def test_one_step_has_the_law_of_m_steps(dim, shape, dt, m, order, scale):
+    """Exact OU steps compose: per mode, one step of m * dt has the decay
+    and increment variance of m steps of dt, so the rows a run reads have
+    the same law however many unread steps lie between them."""
+    from spdecrit.lab.noise import _ou_factors
+
+    decay, std = _ou_factors(dim, shape, dt, m, order, scale)
+    decay_m, std_m = _ou_factors(dim, shape, dt * m, 1, order, scale)
+    weights = np.abs(decay[None]) ** (2 * np.arange(m).reshape((m,) + (1,) * dim))
+    composed_var = np.sum(np.abs(std) ** 2 * weights, axis=0)
+    # relative, floored at the smallest normal float: a decay that falls
+    # to the subnormals keeps fewer digits either way
+    tiny = np.finfo(np.float64).tiny
+    np.testing.assert_allclose(decay_m, decay**m, rtol=1e-12, atol=tiny)
+    np.testing.assert_allclose(np.abs(std_m) ** 2, composed_var, rtol=1e-12, atol=tiny)
+    assert np.all(decay_m.imag == 0) and np.all(std_m.imag == 0)

@@ -117,3 +117,30 @@ def test_alpha_three_recurrence():
         g = lambda tt: mp.e ** (-1 / tt**3)
         fd = (g(t + d) - g(t - d)) / (2 * d)
         assert abs(fd - s3.g_derivative_mp(1, t)) < mp.mpf("1e-10") * abs(fd)
+
+
+def test_fd_step_and_precision_follow_the_residual():
+    from spdecrit.lab.tychonov import fd_step_and_precision
+
+    # K <= 31 on the default region: the fixed settings, so those outputs keep their bits
+    for scale in (mp.mpf("4.1e-36"), mp.mpf("7.1e-38"), 0.5, mp.mpf(0)):
+        assert fd_step_and_precision(scale) == ("1e-25", 120)
+    # smaller residuals: stencil error (~delta^2) and roundoff (~10^-dps / delta^2)
+    # both twelve digits below the residual
+    for scale in (mp.mpf("1.49e-44"), mp.mpf("9.1e-122"), mp.mpf("4e-218")):
+        delta, dps = fd_step_and_precision(scale)
+        step = mp.mpf(delta)
+        assert dps >= 120 and step <= mp.mpf("1e-25")
+        assert step**2 <= scale * 1e-12 and mp.mpf(10) ** -dps / step**2 <= scale * 1e-12
+
+
+def test_residual_two_routes_agree_past_35_terms():
+    from spdecrit.lab.tychonov import fd_step_and_precision
+
+    series = TychonovSeries.build(2, 42)
+    points = [(t, x) for t in (0.5, 0.75, 1.0) for x in (-1.0, 0.5, 1.0)]
+    analytic = [analytic_heat_residual_mp(series, 40, t, x) for t, x in points]
+    scale = max(abs(a) for a in analytic)
+    delta, dps = fd_step_and_precision(scale)
+    fd = [fd_heat_residual(series, 40, t, x, delta=delta, dps=dps) for t, x in points]
+    assert float(max(abs(a - b) for a, b in zip(analytic, fd)) / scale) < 1e-10
