@@ -28,14 +28,10 @@ def as_fraction(x: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class DimExpr:
-    """Affine value c0 + cd*d with exact rational coefficients."""
+    """Affine value c0 + cd*d with Fraction coefficients; `const` takes any rational."""
 
     c0: Fraction
     cd: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c0", as_fraction(self.c0))
-        object.__setattr__(self, "cd", as_fraction(self.cd))
 
     @staticmethod
     def const(x: RationalLike) -> "DimExpr":

@@ -281,12 +281,16 @@ def _cmd_noise_sample(args) -> int:
     for name in ("steps", "dt"):
         if kind == "z1" and not 0 < opts[name] < math.inf:
             raise CliInputError(f"--{name} '{opts[name]!r}': expects a positive finite value")
+    if kind == "z1" and opts["steps"] * Fraction(opts["dt"]) > sys.float_info.max:  # exact: steps may pass a float
+        raise CliInputError(f"--dt {opts['dt']!r} --steps {opts['steps']}: the end time dt * steps overflows a double")
 
     from .lab import fields as lf
     from .lab import io as lio
     from .lab import noise as ln
 
     shape = (grid,) * dim
+    if args.estimate:
+        lf.fit_window(shape)  # the fit needs enough blocks; check before sampling
     if kind == "white":
         field = ln.sample_spatial_white(dim, shape, seed)
         traj = lf.Trajectory(dt=1.0, times=[0.0], fields=[field])

@@ -14,7 +14,7 @@ from .fields import (
     estimate_holder_exponent,
     bony_decompose,
 )
-from .noise import sample_spatial_white, solve_z1_mild, solve_z1_finals
+from .noise import sample_spatial_white, solve_z1_mild, solve_z1_mild_batch
 from .heat import (
     BlowupError,
     solve_damped_heat,
@@ -41,7 +41,7 @@ __all__ = [
     "bony_decompose",
     "sample_spatial_white",
     "solve_z1_mild",
-    "solve_z1_finals",
+    "solve_z1_mild_batch",
     "solve_damped_heat",
     "solve_damped_heat_batch",
     "steklov_average",

@@ -12,7 +12,7 @@ rows can solve with one step from each read row to the next.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,26 +45,6 @@ def _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale):
     return decay.astype(np.complex128), std.astype(np.complex128)
 
 
-def _march(decay, std, grid_shape, steps: int, seeds: Sequence[int]) -> Iterator[np.ndarray]:
-    """The (members, *half) state after each step of one solve per seed.
-
-    The members march as one stack, each with its own generator and
-    draw order: one draw of count fields is the same stream as count
-    draws of one.  The state is updated in place.
-    """
-    grid_shape = tuple(grid_shape)
-    batch = max(1, DRAW_BATCH_BYTES // (8 * math.prod(grid_shape)))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    state = np.zeros((len(rngs),) + decay.shape, dtype=np.complex128)
-    for first in range(0, steps, batch):
-        draws = (min(batch, steps - first),) + grid_shape
-        x = np.stack([rng.standard_normal(draws) for rng in rngs], axis=1)
-        for eta in std * white_half_spectrum(x, len(grid_shape)):
-            np.multiply(decay, state, out=state)
-            state += eta
-            yield state
-
-
 def solve_z1_mild(
     dim: int,
     grid_shape: Tuple[int, ...],
@@ -82,14 +62,10 @@ def solve_z1_mild(
     random walk of variance dt per step.  The trajectory keeps the
     coefficients, so no row is transformed back unless it is read.
     """
-    decay, std = _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale)
-    coeffs = np.zeros((steps + 1,) + decay.shape, dtype=np.complex128)
-    for k, state in enumerate(_march(decay, std, grid_shape, steps, [seed]), start=1):
-        coeffs[k] = state[0]
-    return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, spectral=coeffs)
+    return solve_z1_mild_batch(dim, grid_shape, dt, steps, [seed], diffusion_order, noise_scale)[0]
 
 
-def solve_z1_finals(
+def solve_z1_mild_batch(
     dim: int,
     grid_shape: Tuple[int, ...],
     dt: float,
@@ -97,13 +73,25 @@ def solve_z1_finals(
     seeds: Sequence[int],
     diffusion_order: float = 2.0,
     noise_scale: float = 1.0,
-) -> List[PeriodicField]:
-    """Final fields of one solve_z1_mild per seed, marched as one stack.
+) -> List[Trajectory]:
+    """One solve_z1_mild per seed, marched as one stack.
 
-    Member i is bit for bit solve_z1_mild(..., seeds[i], ...).final();
-    only the current step of the stack is kept, never a trajectory.
+    Each member keeps its own generator and draw order, so member i is
+    solve_z1_mild(..., seeds[i], ...) bit for bit: one draw of count
+    fields is the same stream as count draws of one.  Every step of
+    every member is written into one preallocated array.
     """
+    if not seeds:
+        raise ValueError("need at least one seed")
+    grid_shape = tuple(grid_shape)
     decay, std = _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale)
-    for state in _march(decay, std, grid_shape, steps, seeds):
-        pass  # steps >= 1, so state is the last step
-    return [PeriodicField.from_spectral(c) for c in state]
+    batch = max(1, DRAW_BATCH_BYTES // (8 * math.prod(grid_shape)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    coeffs = np.zeros((len(rngs), steps + 1) + decay.shape, dtype=np.complex128)
+    for first in range(0, steps, batch):
+        draws = (min(batch, steps - first),) + grid_shape
+        x = np.stack([rng.standard_normal(draws) for rng in rngs], axis=1)
+        for k, eta in enumerate(std * white_half_spectrum(x, len(grid_shape)), start=first):
+            np.multiply(decay, coeffs[:, k], out=coeffs[:, k + 1])
+            coeffs[:, k + 1] += eta
+    return [Trajectory(dt=dt, times=np.arange(steps + 1) * dt, spectral=c) for c in coeffs]

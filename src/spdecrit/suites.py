@@ -61,6 +61,10 @@ _INEQUALITY_BLOCK = 1 << 15
 def run_inequality(n: Optional[int] = None, samples: int = 1_000_000, seed: int = 0) -> Dict:
     """Random sweep plus the exact closed form of the pairing inequality."""
     _require_positive(samples=samples)
+    if n is not None:
+        lh._odd_check(n)
+        if math.log10(n) + n - 1 > math.log10(np.finfo(float).max):
+            raise ValueError(f"--n {n}: samples in [-10, 10] take the gap to n * 10^(n-1), past a double; use n <= 305")
     checks = []
     powers = (n,) if n is not None else (3, 5, 7, 9)
     rng = np.random.default_rng(seed)
@@ -337,9 +341,8 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     dt, steps, burn = 0.05, 2400, 400
     probe_modes = (2, 3, 4)
     est = {m: [] for m in probe_modes}
-    for ss in _spawn(seed + 1, 8):
-        rng_seed = int(np.random.default_rng(ss).integers(0, 2**31))
-        traj = ln.solve_z1_mild(1, (32,), dt, steps, rng_seed, diffusion_order=2.0)
+    seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 1, 8)]
+    for traj in ln.solve_z1_mild_batch(1, (32,), dt, steps, seeds, diffusion_order=2.0):
         spec = traj.spectral_array()[burn:]
         for m in probe_modes:
             est[m].append(float(np.mean(np.abs(spec[:, m]) ** 2)))
@@ -361,8 +364,8 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 2, ensembles)]
     exponents = []
     for first in range(0, ensembles, _STACK):
-        finals = ln.solve_z1_finals(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK], diffusion_order=2.0)
-        exponents += [lf.estimate_holder_exponent(f) for f in finals]
+        trajs = ln.solve_z1_mild_batch(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK], diffusion_order=2.0)
+        exponents += [lf.estimate_holder_exponent(t.final()) for t in trajs]
     mean_exp = float(np.mean(exponents))
     checks.append(
         _check(

@@ -18,6 +18,29 @@ def test_evaluate_is_exact():
     assert isinstance(e.evaluate(5), Fraction)
 
 
+def test_arithmetic_builds_fractions_without_recoercing(monkeypatch):
+    from spdecrit import affine
+
+    a, b = DimExpr.const("1/2"), DimExpr(Fraction(-1), Fraction(3, 4))
+    assert a == DimExpr(Fraction(1, 2)) and isinstance(a.c0, Fraction) and isinstance(a.cd, Fraction)
+    coerced = []
+    real = affine.as_fraction
+    monkeypatch.setattr(affine, "as_fraction", lambda x: coerced.append(x) or real(x))
+    results = [a + b, a - b, -b, b + 1, 2 - a, a * 3, Fraction(1, 3) * b]
+    assert all(isinstance(c, Fraction) for e in results for c in (e.c0, e.cd))
+    # only the int and Fraction scalars cross the boundary, never a coefficient
+    assert coerced == [1, 2, 3, Fraction(1, 3)]
+    assert results == [
+        DimExpr(Fraction(-1, 2), Fraction(3, 4)),
+        DimExpr(Fraction(3, 2), Fraction(-3, 4)),
+        DimExpr(Fraction(1), Fraction(-3, 4)),
+        DimExpr(Fraction(0), Fraction(3, 4)),
+        DimExpr(Fraction(3, 2)),
+        DimExpr(Fraction(3, 2)),
+        DimExpr(Fraction(-1, 3), Fraction(1, 4)),
+    ]
+
+
 def test_scaling_weight_heat_three_dims():
     s = ScalingInfo(Fraction(2), DimExpr.const(3))
     assert s.weight.evaluate(0) == 5

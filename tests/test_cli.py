@@ -337,7 +337,7 @@ def test_verify_noise_checks_fit_window_before_sampling(capsys, monkeypatch, gri
     from spdecrit.lab import noise as ln
 
     calls = []
-    monkeypatch.setattr(ln, "solve_z1_mild", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(ln, "solve_z1_mild_batch", lambda *a, **k: calls.append(a))
     code, out, err = run(capsys, "verify", "noise", "--grid", grid)
     assert code == 2
     assert err.startswith("error: ") and ("dyadic blocks" in err or "window" in err)
@@ -495,33 +495,35 @@ def test_verify_noise_reads_z1_after_one_exact_step(monkeypatch):
     from spdecrit.lab import noise as ln
 
     calls = []
-    finals = ln.solve_z1_finals
+    batch = ln.solve_z1_mild_batch
 
     def recording(dim, grid_shape, dt, steps, seeds, **kwargs):
-        calls.append((dt, steps, len(seeds)))
-        return finals(dim, grid_shape, dt, steps, seeds, **kwargs)
+        calls.append((tuple(grid_shape), dt, steps, len(seeds)))
+        return batch(dim, grid_shape, dt, steps, seeds, **kwargs)
 
-    monkeypatch.setattr(ln, "solve_z1_finals", recording)
+    monkeypatch.setattr(ln, "solve_z1_mild_batch", recording)
     suites.run_noise(seed=0, grid=64, ensembles=20)
-    assert calls == [(1.0, 1, 16), (1.0, 1, 4)]
+    # the roughness members, on the check's own grid
+    assert [call[1:] for call in calls if call[0] == (64,)] == [(1.0, 1, 16), (1.0, 1, 4)]
 
 
 def test_stationary_noise_section_reads_spectra_only(monkeypatch):
     from spdecrit import suites
     from spdecrit.lab import noise as ln
 
-    grids = []
-    solve = ln.solve_z1_mild
+    batches = []
+    batch = ln.solve_z1_mild_batch
 
-    def recording(dim, grid_shape, *args, **kwargs):
-        grids.append(tuple(grid_shape))
-        return solve(dim, grid_shape, *args, **kwargs)
+    def recording(dim, grid_shape, dt, steps, seeds, **kwargs):
+        batches.append((tuple(grid_shape), steps, len(seeds)))
+        return batch(dim, grid_shape, dt, steps, seeds, **kwargs)
 
-    monkeypatch.setattr(ln, "solve_z1_mild", recording)
+    monkeypatch.setattr(ln, "solve_z1_mild_batch", recording)
     # the stationary section alone runs on 32 points; the rest here on 64 or 256
     points = _count_inverse_points(monkeypatch, keep=lambda a: a.shape[-1] == 32)
     suites.run_noise(seed=0, grid=64, ensembles=1)
-    assert grids.count((32,)) == 8
+    # its 8 solves march as one stack
+    assert [b for b in batches if b[0] == (32,)] == [((32,), 2400, 8)]
     assert sum(points) == 0
 
 
@@ -825,3 +827,56 @@ def test_tychonov_float_overflow_is_one_error_line(capsys):
     assert [str(w.message) for w in caught] == []
     assert (code, out) == (2, "")
     assert err == "error: --terms 155 --region 0.5,1.0,-1.0,1.0: the residual bound overflows a double\n"
+
+
+@pytest.mark.parametrize("n", ["307", "401"])
+def test_inequality_rejects_n_past_a_double_before_drawing(capsys, n):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "inequality", "--n", n, "--samples", "1000")
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --n {n}: ")
+
+
+def test_inequality_largest_odd_n_passes_finite(capsys):
+    import math
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "inequality", "--n", "305", "--samples", "1000", "--format", "json")
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (0, "")
+    value = json.loads(out)["checks"][0]["value"]
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("kind", ["z1", "white"])
+def test_noise_sample_estimate_checks_fit_window_before_sampling(tmp_path, capsys, monkeypatch, kind):
+    calls = _noise_or_suite_calls(monkeypatch)
+    out_dir = tmp_path / "D"
+    code, out, err = run(
+        capsys, "noise", "sample", "--dim", "2", "--grid", "8", "--kind", kind, "--estimate", "--out", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: grid (8, 8): need at least 4 dyadic blocks to fit an exponent\n"
+    assert calls == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "steps,dt",
+    [("16", "1e308"), ("100", "1e307"), ("1" + "0" * 400, "2.5e-3")],
+    ids=["step-overflows", "end-time-overflows", "steps-past-a-double"],
+)
+def test_noise_sample_names_the_flags_when_the_end_time_overflows(tmp_path, capsys, monkeypatch, steps, dt):
+    calls = _noise_or_suite_calls(monkeypatch)
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, "noise", "sample", "--grid", "64", "--steps", steps, "--dt", dt, "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: --dt {float(dt)!r} --steps {steps}: the end time dt * steps overflows a double\n"
+    assert calls == []
+    assert not out_dir.exists()

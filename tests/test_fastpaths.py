@@ -202,20 +202,41 @@ def test_z1_batched_draws_span_several_batches():
     assert same_bits(traj.spectral_array(), np.stack(coeffs))
 
 
+def _same_trajectory(got, want) -> bool:
+    return (
+        got.dt == want.dt
+        and same_bits(got.times, want.times)
+        and same_bits(got.spectral_array(), want.spectral_array())
+    )
+
+
 @FAST
 @given(shapes, st.integers(1, 30), st.lists(seeds, min_size=1, max_size=5), st.sampled_from([1, 384]))
-def test_z1_finals_match_separate_solves(shape, steps, member_seeds, batch_bytes):
+def test_z1_batch_matches_separate_solves(shape, steps, member_seeds, batch_bytes):
     saved = ln.DRAW_BATCH_BYTES
     ln.DRAW_BATCH_BYTES = batch_bytes
     try:
-        finals = ln.solve_z1_finals(len(shape), shape, 0.01, steps, member_seeds)
-        alone = [ln.solve_z1_mild(len(shape), shape, 0.01, steps, s).final() for s in member_seeds]
+        trajs = ln.solve_z1_mild_batch(len(shape), shape, 0.01, steps, member_seeds)
+        alone = [ln.solve_z1_mild(len(shape), shape, 0.01, steps, s) for s in member_seeds]
     finally:
         ln.DRAW_BATCH_BYTES = saved
-    assert len(finals) == len(member_seeds)
-    for got, want in zip(finals, alone):
-        assert same_bits(got.spectral, want.spectral)
-        assert same_bits(got.values, want.values)
+    assert len(trajs) == len(member_seeds)
+    for got, want in zip(trajs, alone):
+        assert _same_trajectory(got, want)
+        for field, row in zip(got.fields, want.fields):
+            assert same_bits(field.values, row.values)
+
+
+# 32 points draw 1024 steps per batch and 16 x 8 points 256, so both span
+# three batches
+@pytest.mark.parametrize("shape,steps", [((32,), 2300), ((16, 8), 600)])
+def test_z1_batch_spans_several_draw_batches(shape, steps):
+    member_seeds = [5, 11, 2**31 - 1]
+    trajs = ln.solve_z1_mild_batch(len(shape), shape, 0.05, steps, member_seeds)
+    for got, s in zip(trajs, member_seeds):
+        assert _same_trajectory(got, ln.solve_z1_mild(len(shape), shape, 0.05, steps, s))
+        coeffs, _ = z1_oracle(len(shape), shape, 0.05, steps, s)
+        assert same_bits(got.spectral_array(), np.stack(coeffs))
 
 
 # ---------------------------------------------------------------------------

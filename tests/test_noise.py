@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdecrit.lab import sample_spatial_white, solve_z1_finals, solve_z1_mild
+from spdecrit.lab import sample_spatial_white, solve_z1_mild, solve_z1_mild_batch
 from spdecrit.lab.fields import PeriodicField, white_half_spectrum
 
 
@@ -89,7 +89,12 @@ def test_rejects_non_finite_or_non_positive_dt(dt):
     with pytest.raises(ValueError, match="0 < dt < inf"):
         solve_z1_mild(1, (64,), dt, 8, 0)
     with pytest.raises(ValueError, match="0 < dt < inf"):
-        solve_z1_finals(1, (64,), dt, 8, [0, 1])
+        solve_z1_mild_batch(1, (64,), dt, 8, [0, 1])
+
+
+def test_batch_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        solve_z1_mild_batch(1, (64,), 0.01, 8, [])
 
 
 def test_half_spectrum_layout():
