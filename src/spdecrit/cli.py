@@ -1,13 +1,13 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad input
-(parse errors, invalid values, config keys a command does not read),
-3 I/O failure.  Each command lists its one-value options once, in a
-table of option -> (converter, default).  A flag overrides the
-config-file entry of the same name, which overrides the default; flag
-and config values go through the same converter.  SPDECRIT_SEED
-supplies the seed when neither gives one.  `spdecrit tychonov ARGS`
-reads as `spdecrit verify tychonov ARGS`.
+(parse errors, invalid values, config keys a command does not read,
+work too large to allocate), 3 I/O failure.  Each command lists its
+one-value options once, in a table of option -> (converter, default).
+A flag overrides the config-file entry of the same name, which
+overrides the default; flag and config values go through the same
+converter.  SPDECRIT_SEED supplies the seed when neither gives one.
+`spdecrit tychonov ARGS` reads as `spdecrit verify tychonov ARGS`.
 
 Each command imports only what it runs.  `analyze` loads the symbolic
 half (`dsl`, `expansion`, `rules`, `affine`) and never numpy.  `verify`
@@ -98,13 +98,14 @@ def _env_seed() -> int:
     return seed
 
 
-def _one_of(*choices):
-    def convert(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expects {' or '.join(choices)}")
-        return text
+def _one_of(*choices, convert=str):
+    def check(text: str):
+        value = convert(text)
+        if value not in choices:
+            raise ValueError(f"expects {' or '.join(map(str, choices))}")
+        return value
 
-    return convert
+    return check
 
 
 def _dim(text: str):
@@ -133,8 +134,8 @@ _VERIFY = {
     "ensembles": (int, None), "region": (_region, None), **_RENDER,
 }
 _NOISE_SAMPLE = {
-    "dim": (int, 1), "grid": (int, 4096), "seed": (_seed, _env_seed), "kind": (_one_of("white", "z1"), "z1"),
-    "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
+    "dim": (_one_of(1, 2, convert=int), 1), "grid": (int, 4096), "seed": (_seed, _env_seed),
+    "kind": (_one_of("white", "z1"), "z1"), "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
 }
 
 
@@ -293,7 +294,7 @@ def _cmd_noise_sample(args) -> int:
         lf.fit_window(shape)  # the fit needs enough blocks; check before sampling
     if kind == "white":
         field = ln.sample_spatial_white(dim, shape, seed)
-        traj = lf.Trajectory(dt=1.0, times=[0.0], fields=[field])
+        traj = lf.Trajectory(dt=1.0, times=[0.0], spectral=field.spectral[None])
     else:
         steps, dt = opts["steps"], opts["dt"]
         stride = _stride(steps)
@@ -304,7 +305,7 @@ def _cmd_noise_sample(args) -> int:
         times = [k * dt for k in range(0, steps + 1, stride)]
         traj = lf.Trajectory(dt * stride, times, spectral=solved.spectral_array())
         field = traj.final()
-    lio.write_trajectory(traj, out_dir, n=grid, seed=seed)
+    lio.write_trajectory(traj, out_dir, seed=seed)
 
     if args.estimate:
         exponent = lf.estimate_holder_exponent(field)
@@ -361,6 +362,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SpecError, ExpansionError, CliInputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -359,7 +359,7 @@ def parse_spec(text: str) -> SpdeSpec:
     return _Parser(text).parse()
 
 
-def validate_spec(spec: SpdeSpec, warn_time_white: bool = True) -> List[Diagnostic]:
+def validate_spec(spec: SpdeSpec) -> List[Diagnostic]:
     """Check all invariants; empty result means the spec is valid.
 
     Warnings (severity 'warning') never make a spec invalid.
@@ -395,7 +395,7 @@ def validate_spec(spec: SpdeSpec, warn_time_white: bool = True) -> List[Diagnost
             ))
         if any(k < 0 for k in term.inner_derivative_orders) or term.outer_derivative_order < 0:
             out.append(Diagnostic("E_NEG_ORDER", f"{where}: derivative orders must be >= 0"))
-        if warn_time_white and term.projector == "riesz" and spec.noise_kind == SPACE_TIME_WHITE:
+        if term.projector == "riesz" and spec.noise_kind == SPACE_TIME_WHITE:
             out.append(Diagnostic(
                 "W_TIME_WHITE_RIESZ",
                 f"{where}: Riesz-type nonlinearity with time-white noise; known constructions avoid this combination",

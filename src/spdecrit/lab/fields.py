@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence as SequenceABC
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -136,9 +136,6 @@ class PeriodicField:
     def mean_square(self) -> float:
         return float(np.mean(self.values**2))
 
-    def copy(self) -> "PeriodicField":
-        return PeriodicField(self.values.copy())
-
 
 class Trajectory:
     """Uniformly spaced time samples of one evolving field.
@@ -149,22 +146,12 @@ class Trajectory:
     PeriodicFields made when indexed and never kept, so a spectral row
     runs its inverse FFT only when its values are read, and the values
     are freed with the field.
-    Build one from a list of fields, from `values=` or from `spectral=`.
+    Build one from `values=` or from `spectral=`.
     """
 
-    def __init__(
-        self,
-        dt: float,
-        times,
-        fields: Optional[Sequence[PeriodicField]] = None,
-        *,
-        values: Optional[np.ndarray] = None,
-        spectral: Optional[np.ndarray] = None,
-    ):
-        if sum(a is not None for a in (fields, values, spectral)) != 1:
-            raise TypeError("give exactly one of fields, values and spectral")
-        if fields is not None:
-            values = np.stack([f.values for f in fields])
+    def __init__(self, dt: float, times, *, values: Optional[np.ndarray] = None, spectral: Optional[np.ndarray] = None):
+        if (values is None) == (spectral is None):
+            raise TypeError("give exactly one of values and spectral")
         self._is_spectral = spectral is not None
         if self._is_spectral:
             rows = np.asarray(spectral, dtype=np.complex128)
@@ -273,8 +260,8 @@ def lp_fields(f: PeriodicField) -> List[Tuple[int, PeriodicField]]:
     return out
 
 
-def fit_window(grid_shape: Tuple[int, ...], j_lo: int = 2, j_margin: int = 2) -> range:
-    """Blocks j in [j_lo, J - j_margin] that an exponent fit uses, J = max_block.
+def fit_window(grid_shape: Tuple[int, ...]) -> range:
+    """Blocks j in [2, J - 2] that an exponent fit uses, J = max_block.
 
     Depends on the grid alone, so a run can check it before it samples;
     raises ResolutionError when the grid resolves too few blocks.
@@ -282,15 +269,15 @@ def fit_window(grid_shape: Tuple[int, ...], j_lo: int = 2, j_margin: int = 2) ->
     resolved = max_block(grid_shape)
     if resolved < 4:
         raise ResolutionError(f"grid {tuple(grid_shape)}: need at least 4 dyadic blocks to fit an exponent")
-    window = range(max(j_lo, 1), resolved - j_margin + 1)
+    window = range(2, resolved - 1)
     if len(window) < 2:
         raise ResolutionError(f"grid {tuple(grid_shape)}: exponent-fit window is empty at this resolution")
     return window
 
 
-def estimate_holder_exponent(f: PeriodicField, j_lo: int = 2, j_margin: int = 2) -> float:
+def estimate_holder_exponent(f: PeriodicField) -> float:
     """Least-squares slope of compensated -log2 block sup norms over
-    j in [j_lo, J - j_margin] (see fit_window).
+    j in [2, J - 2] (see fit_window).
 
     The sup of a block of ~2^j random-phase modes runs a factor
     sqrt(j ln 2) above its mean-square size; fitting the raw norms
@@ -298,7 +285,7 @@ def estimate_holder_exponent(f: PeriodicField, j_lo: int = 2, j_margin: int = 2)
     that factor is divided out before the fit.  Only the blocks in the
     window are transformed back.
     """
-    js_fit = fit_window(f.grid_shape, j_lo, j_margin)
+    js_fit = fit_window(f.grid_shape)
     sups = [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f) if j in js_fit]
     window = [(j, s) for j, s in sups if s > 0]
     if len(window) < 2:

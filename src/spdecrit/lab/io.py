@@ -46,7 +46,8 @@ def read_field(path) -> PeriodicField:
     return PeriodicField(values.copy())
 
 
-def write_trajectory(traj: Trajectory, directory, n: Optional[int] = None, seed: Optional[int] = None) -> None:
+def write_trajectory(traj: Trajectory, directory, seed: Optional[int] = None) -> None:
+    """One snapshot per row and a manifest; its n is the points along the first axis."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for idx, field in enumerate(traj.fields):
@@ -54,7 +55,7 @@ def write_trajectory(traj: Trajectory, directory, n: Optional[int] = None, seed:
     manifest = {
         "dt": traj.dt,
         "times": [float(t) for t in traj.times],
-        "n": n,
+        "n": traj.grid_shape[0],
         "seed": seed,
     }
     atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n")
@@ -63,5 +64,5 @@ def write_trajectory(traj: Trajectory, directory, n: Optional[int] = None, seed:
 def read_trajectory(directory) -> Trajectory:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    fields = [read_field(p) for p in sorted(directory.glob("field_*.spdf"))]
-    return Trajectory(dt=manifest["dt"], times=np.array(manifest["times"]), fields=fields)
+    values = np.stack([read_field(p).values for p in sorted(directory.glob("field_*.spdf"))])
+    return Trajectory(dt=manifest["dt"], times=np.array(manifest["times"]), values=values)

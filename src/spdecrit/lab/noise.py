@@ -31,48 +31,34 @@ def sample_spatial_white(dim: int, grid_shape: Tuple[int, ...], seed: int) -> Pe
     return PeriodicField.from_spectral(white_half_spectrum(rng.standard_normal(tuple(grid_shape)), dim))
 
 
-def _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale):
+def _ou_factors(dim, grid_shape, dt, steps):
     """Per-mode decay and increment size of one step, as complex arrays."""
     _check_shape(dim, tuple(grid_shape))
     if not 0 < dt < math.inf or steps < 1:
         raise ValueError(f"need 0 < dt < inf and steps >= 1, got dt={dt!r} and steps={steps!r}")
-    lam = mode_magnitudes(tuple(grid_shape)) ** diffusion_order
+    lam = mode_magnitudes(tuple(grid_shape)) ** 2.0
     decay = np.exp(-lam * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.where(lam > 0, (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam), dt)
-    std = noise_scale * np.sqrt(var)
+    std = np.sqrt(var)
     # complex already, as numpy would cast them for each product
     return decay.astype(np.complex128), std.astype(np.complex128)
 
 
-def solve_z1_mild(
-    dim: int,
-    grid_shape: Tuple[int, ...],
-    dt: float,
-    steps: int,
-    seed: int,
-    diffusion_order: float = 2.0,
-    noise_scale: float = 1.0,
-) -> Trajectory:
-    """Evolve the noise-forced linear equation from zero data.
+def solve_z1_mild(dim: int, grid_shape: Tuple[int, ...], dt: float, steps: int, seed: int) -> Trajectory:
+    """Evolve dz = Laplacian z dt + dW, W space-time white, from zero data.
 
-    Mode m decays at rate |m|^order and receives a Gaussian increment of
-    exact variance (1 - exp(-2 |m|^order dt)) / (2 |m|^order), which is
-    the integrated forcing over one step; the zero mode performs a
-    random walk of variance dt per step.  The trajectory keeps the
+    Mode m decays at rate |m|^2 and receives a Gaussian increment of
+    exact variance (1 - exp(-2 |m|^2 dt)) / (2 |m|^2), which is the
+    integrated forcing over one step; the zero mode performs a random
+    walk of variance dt per step.  The trajectory keeps the
     coefficients, so no row is transformed back unless it is read.
     """
-    return solve_z1_mild_batch(dim, grid_shape, dt, steps, [seed], diffusion_order, noise_scale)[0]
+    return solve_z1_mild_batch(dim, grid_shape, dt, steps, [seed])[0]
 
 
 def solve_z1_mild_batch(
-    dim: int,
-    grid_shape: Tuple[int, ...],
-    dt: float,
-    steps: int,
-    seeds: Sequence[int],
-    diffusion_order: float = 2.0,
-    noise_scale: float = 1.0,
+    dim: int, grid_shape: Tuple[int, ...], dt: float, steps: int, seeds: Sequence[int]
 ) -> List[Trajectory]:
     """One solve_z1_mild per seed, marched as one stack.
 
@@ -84,7 +70,7 @@ def solve_z1_mild_batch(
     if not seeds:
         raise ValueError("need at least one seed")
     grid_shape = tuple(grid_shape)
-    decay, std = _ou_factors(dim, grid_shape, dt, steps, diffusion_order, noise_scale)
+    decay, std = _ou_factors(dim, grid_shape, dt, steps)
     batch = max(1, DRAW_BATCH_BYTES // (8 * math.prod(grid_shape)))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     coeffs = np.zeros((len(rngs), steps + 1) + decay.shape, dtype=np.complex128)

@@ -24,6 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 import mpmath as mp
 
 OVERFLOW_LIMIT = 1.0e300
+# decimal digits at which analytic_heat_residual_mp evaluates the residual
+ANALYTIC_DPS = 120
 
 
 class EvaluationOverflow(OverflowError):
@@ -226,9 +228,9 @@ def fd_heat_residual(series: TychonovSeries, K: int, t, x, delta: str = "1e-25",
         return du_dt - d2u_dx2
 
 
-def analytic_heat_residual_mp(series: TychonovSeries, K: int, t, x, dps: int = 120) -> mp.mpf:
-    """The telescoping residual g^(K+1)(t) x^(2K) / (2K)! in high precision."""
-    with mp.workdps(dps):
+def analytic_heat_residual_mp(series: TychonovSeries, K: int, t, x) -> mp.mpf:
+    """The telescoping residual g^(K+1)(t) x^(2K) / (2K)! at ANALYTIC_DPS digits."""
+    with mp.workdps(ANALYTIC_DPS):
         t = mp.mpf(t)
         x = mp.mpf(x)
         return series.g_derivative_mp(K + 1, t) * x ** (2 * K) / mp.factorial(2 * K)

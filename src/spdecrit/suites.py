@@ -177,11 +177,11 @@ def run_uniqueness(
     return _finish("uniqueness", checks)
 
 
-def run_steklov(seed: int = 0, series_count: int = 100, length: int = 64, grid: int = 16) -> Dict:
+def run_steklov(seed: int = 0, series_count: int = 100) -> Dict:
     """Window-average contraction and approximation quality."""
     _require_positive(samples=series_count)
     checks = []
-    dt = 0.01
+    length, grid, dt = 64, 16, 0.01
     qs = (1, 2, 3)
     contraction_ok = True
     worst_excess = 0.0
@@ -270,7 +270,9 @@ def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) 
         max_k10 = lt.tychonov_residual(series, terms + 10, t_grid, x_grid)
     except OverflowError:
         region_text = ",".join(map(repr, region))
-        raise ValueError(f"--terms {terms} --region {region_text}: the residual bound overflows a double") from None
+        raise ValueError(
+            f"--alpha {alpha} --terms {terms} --region {region_text}: the residual bound overflows a double"
+        ) from None
 
     points = [(t, x) for t in t_grid for x in x_grid]
     analytic = [lt.analytic_heat_residual_mp(series, terms, t, x) for t, x in points]
@@ -342,7 +344,7 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     probe_modes = (2, 3, 4)
     est = {m: [] for m in probe_modes}
     seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 1, 8)]
-    for traj in ln.solve_z1_mild_batch(1, (32,), dt, steps, seeds, diffusion_order=2.0):
+    for traj in ln.solve_z1_mild_batch(1, (32,), dt, steps, seeds):
         spec = traj.spectral_array()[burn:]
         for m in probe_modes:
             est[m].append(float(np.mean(np.abs(spec[:, m]) ** 2)))
@@ -364,7 +366,7 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 2, ensembles)]
     exponents = []
     for first in range(0, ensembles, _STACK):
-        trajs = ln.solve_z1_mild_batch(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK], diffusion_order=2.0)
+        trajs = ln.solve_z1_mild_batch(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK])
         exponents += [lf.estimate_holder_exponent(t.final()) for t in trajs]
     mean_exp = float(np.mean(exponents))
     checks.append(

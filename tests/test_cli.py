@@ -727,6 +727,9 @@ _REJECTED_UP_FRONT = [
     (("verify", "tychonov", "--region", "0,1,-1,1"), f"error: --region '0,1,-1,1': {_REGION_ERROR}"),
     (("verify", "tychonov", "--region", "0.5,1,1,1"), f"error: --region '0.5,1,1,1': {_REGION_ERROR}"),
     (("verify", "tychonov", "--region", "0.5,1,-inf,1"), f"error: --region '0.5,1,-inf,1': {_REGION_ERROR}"),
+    (("noise", "sample", "--dim", "3"), "error: --dim '3': expects 1 or 2"),
+    # a grid tuple of this length would not fit in memory
+    (("noise", "sample", "--dim", "1000000000000"), "error: --dim '1000000000000': expects 1 or 2"),
 ]
 
 
@@ -794,7 +797,11 @@ def test_checks_store_plain_python_values():
         (("--terms", "400"), "error: --terms 400: the series at --alpha 2 overflows a double"),
         (
             ("--region", "0.5,1,-1e300,1e300"),
-            "error: --terms 30 --region 0.5,1.0,-1e+300,1e+300: the residual bound overflows a double",
+            "error: --alpha 2 --terms 30 --region 0.5,1.0,-1e+300,1e+300: the residual bound overflows a double",
+        ),
+        (
+            ("--alpha", "20"),
+            "error: --alpha 20 --terms 30 --region 0.5,1.0,-1.0,1.0: the residual bound overflows a double",
         ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
@@ -826,7 +833,7 @@ def test_tychonov_float_overflow_is_one_error_line(capsys):
         code, out, err = run(capsys, "verify", "tychonov", "--terms", "155")
     assert [str(w.message) for w in caught] == []
     assert (code, out) == (2, "")
-    assert err == "error: --terms 155 --region 0.5,1.0,-1.0,1.0: the residual bound overflows a double\n"
+    assert err == "error: --alpha 2 --terms 155 --region 0.5,1.0,-1.0,1.0: the residual bound overflows a double\n"
 
 
 @pytest.mark.parametrize("n", ["307", "401"])
@@ -880,3 +887,20 @@ def test_noise_sample_names_the_flags_when_the_end_time_overflows(tmp_path, caps
     assert err == f"error: --dt {float(dt)!r} --steps {steps}: the end time dt * steps overflows a double\n"
     assert calls == []
     assert not out_dir.exists()
+
+
+def test_failed_allocation_exits_2_with_one_error_line(tmp_path):
+    # the dt/2 run alone asks for (2e13 + 1) x 256 doubles, 36.4 PiB, more
+    # than a process can map with 4-level page tables (128 TiB), so the
+    # allocation fails at once and touches no memory
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "verify", "uniqueness", "--tmax", "1e9", "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "F").exists()

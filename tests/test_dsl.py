@@ -46,7 +46,7 @@ def test_all_bundles_round_trip():
     for name in BUNDLED_SPECS:
         spec = load_bundled_spec(name)
         assert parse_spec(format_spec(spec)) == spec
-        assert validate_spec(spec, warn_time_white=False) == []
+        assert validate_spec(spec) == []
 
 
 def test_missing_nonlinearity_is_semantic_error():

@@ -77,3 +77,9 @@ def test_fresh_interpreter_resolves_exports_and_reports_bad_specs(tmp_path):
         "error: 3:3: unknown item 'bogus'",
         "error: E_DIM: dimension must be >= 1, got 0",
     ]
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert meta["project"]["version"] == spdecrit.__version__

@@ -158,8 +158,8 @@ def test_weak_residual_zero_test_function():
 def test_weak_residual_rejects_nonsolutions():
     psi = make_psi()
     u0 = smooth_field()
-    frozen = [u0] * 1001
-    stat = Trajectory(dt=1e-3, times=np.arange(1001) * 1e-3, fields=frozen)
+    frozen = np.stack([u0.values] * 1001)
+    stat = Trajectory(dt=1e-3, times=np.arange(1001) * 1e-3, values=frozen)
     assert weak_residual(stat, 3, psi) > 0.1
 
 
@@ -168,8 +168,7 @@ def test_weak_residual_rejects_nonsolutions():
 
 
 def constant_series(c=2.0, length=10, dt=0.1, n=8):
-    fields = [PeriodicField(np.full(n, c)) for _ in range(length)]
-    return Trajectory(dt=dt, times=np.arange(length) * dt, fields=fields)
+    return Trajectory(dt=dt, times=np.arange(length) * dt, values=np.full((length, n), c))
 
 
 def test_steklov_constant_ramp():
@@ -183,7 +182,7 @@ def test_steklov_contraction_random_series():
     dt = 0.05
     for _ in range(20):
         vals = rng.standard_normal((40, 16))
-        series = Trajectory(dt=dt, times=np.arange(40) * dt, fields=[PeriodicField(v) for v in vals])
+        series = Trajectory(dt=dt, times=np.arange(40) * dt, values=vals)
         for q in (1, 2, 3):
             for r in (1, 3, 7):
                 avg = steklov_average(series, r * dt)
@@ -196,9 +195,7 @@ def test_steklov_error_monotone_in_window():
     dt = 0.01
     times = np.arange(200) * dt
     x = grid(16)
-    series = Trajectory(
-        dt=dt, times=times, fields=[PeriodicField(np.sin(x) * math.cos(t)) for t in times]
-    )
+    series = Trajectory(dt=dt, times=times, values=np.stack([np.sin(x) * math.cos(t) for t in times]))
     errors = []
     for r in (1, 2, 4, 8):
         avg = steklov_average(series, r * dt)
@@ -217,7 +214,7 @@ def test_steklov_discrete_time_derivative():
     rng = np.random.default_rng(8)
     vals = rng.standard_normal((30, 8))
     dt = 0.1
-    series = Trajectory(dt=dt, times=np.arange(30) * dt, fields=[PeriodicField(v) for v in vals])
+    series = Trajectory(dt=dt, times=np.arange(30) * dt, values=vals)
     r = 4
     avg = steklov_average(series, r * dt)
     ext = lambda i: vals[i] if i >= 0 else np.zeros(8)
@@ -295,7 +292,7 @@ def test_l1_curve_against_zero_solution():
     zero = Trajectory(
         dt=1e-3,
         times=traj.times.copy(),
-        fields=[PeriodicField(np.zeros(128)) for _ in traj.fields],
+        values=np.zeros((len(traj.fields), 128)),
     )
     curve = l1_contraction_curve(traj, zero)
     assert np.all(np.diff(curve) <= 1e-12)

@@ -1,5 +1,7 @@
 """Snapshot format round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_trajectory_round_trip(tmp_path):
     traj = solve_z1_mild(1, (32,), 0.01, 5, seed=9)
-    write_trajectory(traj, tmp_path / "run", n=3, seed=9)
+    write_trajectory(traj, tmp_path / "run", seed=9)
     back = read_trajectory(tmp_path / "run")
     assert back.dt == traj.dt
     assert len(back.fields) == len(traj.fields)
@@ -52,7 +54,15 @@ def test_trajectory_round_trip(tmp_path):
 
 def test_writes_are_deterministic(tmp_path):
     traj = solve_z1_mild(1, (32,), 0.01, 5, seed=11)
-    write_trajectory(traj, tmp_path / "a", n=3, seed=11)
-    write_trajectory(traj, tmp_path / "b", n=3, seed=11)
+    write_trajectory(traj, tmp_path / "a", seed=11)
+    write_trajectory(traj, tmp_path / "b", seed=11)
     for name in ("manifest.json", "field_00000.spdf", "field_00005.spdf"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 8)])
+def test_manifest_n_is_the_trajectory_grid(tmp_path, shape):
+    traj = solve_z1_mild(len(shape), shape, 0.01, 2, seed=3)
+    write_trajectory(traj, tmp_path / "run", seed=3)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["n"] == shape[0]
