@@ -52,12 +52,16 @@ class DimExpr:
 
     def __add__(self, other) -> "DimExpr":
         other = _coerce(other)
+        if not other.cd:  # a constant leaves the slope as it is: one Fraction operation, not two
+            return DimExpr(self.c0 + other.c0, self.cd)
         return DimExpr(self.c0 + other.c0, self.cd + other.cd)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "DimExpr":
         other = _coerce(other)
+        if not other.cd:
+            return DimExpr(self.c0 - other.c0, self.cd)
         return DimExpr(self.c0 - other.c0, self.cd - other.cd)
 
     def __rsub__(self, other) -> "DimExpr":

@@ -282,6 +282,7 @@ def _minimum(entries: Sequence[_Entry]):
     Returns the entries attaining it, in order, that homogeneity, and
     the first entry whose comparison with the running minimum depends
     on d (None when every comparison was decided; the scan stops there).
+    Products that share their homogeneity object tie without arithmetic.
     """
     best: List[_Entry] = []
     best_h: Optional[DimExpr] = None
@@ -289,6 +290,9 @@ def _minimum(entries: Sequence[_Entry]):
         h = entry[1].homogeneity.sup
         if best_h is None:
             best, best_h = [entry], h
+            continue
+        if h is best_h:
+            best.append(entry)
             continue
         cmp = _compare(h, best_h)
         if cmp is None:
@@ -300,15 +304,17 @@ def _minimum(entries: Sequence[_Entry]):
     return best, best_h, None
 
 
-def _tuples_with_sum(degree: int, top: int, total: int, low: int = 1):
-    """Nondecreasing tuples over low..top of the given length and sum, in
-    lexicographic order; every branch taken yields at least one tuple."""
+def _tuples_with_sum(degree: int, top: int, total: int, low: int = 1, above: int = 0):
+    """Nondecreasing tuples over low..top of the given length and sum
+    whose last (largest) level exceeds `above`, in lexicographic order;
+    while above < top, every branch taken yields at least one tuple."""
     if degree == 1:
-        if low <= total <= top:
+        if max(low, above + 1) <= total <= top:
             yield (total,)
         return
-    for first in range(max(low, total - (degree - 1) * top), min(top, total // degree) + 1):
-        for rest in _tuples_with_sum(degree - 1, top, total - first, first):
+    last = degree - 1
+    for first in range(max(low, total - last * top), min(top, total // degree, (total - above - 1) // last) + 1):
+        for rest in _tuples_with_sum(last, top, total - first, first, above):
             yield (first,) + rest
 
 
@@ -334,6 +340,12 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     least total factor level; the least homogeneity among them forms
     the next object.  The work grows with the products offered, not
     with every product of z1..z_top.
+
+    While every object bound so far is r1 + (l - 1)*g, a product of a
+    term of degree n and total derivative order K whose factor levels
+    sum to S has homogeneity n*r1 + (S - n)*g - K, whichever levels they
+    are: one value per (term, level sum), shared by its products.  The
+    first row that leaves that line switches to per-product sums.
     """
     _require_valid(spec)
     if not 1 <= max_levels <= MAX_LEVELS_LIMIT:
@@ -344,18 +356,28 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     vector_rank = spec.unknown_rank == VECTOR
     terms = spec.nonlinear_terms
     regs: Dict[int, RegBound] = {}
+    labels = [_label(lv) for lv in range(max_levels + 1)]
     rows: List[ExpansionRow] = []
     # registered candidates, keyed by (term index, factor levels), in first-met order
     seen_candidates: Dict[Tuple[int, Tuple[int, ...]], ProductTerm] = {}
-    absorbed: List[set] = [set() for _ in terms]
+    # per (term, level sum), the top level at which the group was absorbed
+    # whole; off a constant gain a level can absorb part of a group, so
+    # from then on absorbed products are kept by their levels
+    absorbed_top: Dict[Tuple[int, int], int] = {}
+    absorbed_levels: Dict[Tuple[int, int], set] = {}
     # per term, a lower bound on the level sum of its unabsorbed products
     floors = [t.degree for t in terms]
-    # each factor bound once per (level, inner order), with its value at
-    # a concrete d; inner orders go by index, so keys hash as ints
+    # each factor bound once per (level, inner order); inner orders go by
+    # index, so keys hash as ints.  At a concrete d every bound here is a
+    # constant, so a bound is its own value at d.
     orders = list(dict.fromkeys(k for t in terms for k in t.inner_derivative_orders))
     term_orders = [tuple(orders.index(k) for k in t.inner_derivative_orders) for t in terms]
-    factors: Dict[Tuple[int, int], Tuple[RegBound, Optional[RegBound]]] = {}
+    factors: Dict[Tuple[int, int], RegBound] = {}
+    # homogeneity per (term, level sum) while the gain is constant, else per prefix of levels
+    by_sum: Dict[Tuple[int, int], RegBound] = {}
     partial_sums: Dict[Tuple[int, Tuple[int, ...]], RegBound] = {}
+    # at a concrete d, the analytic fold of each leading run of factors (descending levels)
+    folds: Dict[Tuple[int, Tuple[int, ...]], Optional[RegBound]] = {}
     symbolic_stop: Optional[str] = None
     stopped_early = False
 
@@ -370,16 +392,26 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         factor_bounds=(noise_bound,),
         homogeneity=noise_bound,
     )
-    rows.append(ExpansionRow(1, _label(1), (noise_term,), noise_bound, z1_bound))
+    rows.append(ExpansionRow(1, labels[1], (noise_term,), noise_bound, z1_bound))
+    # the gain g once z2 exists; constant_gain says every row so far is on the line
+    gain: Optional[DimExpr] = None
+    constant_gain = True
+    base = [z1_bound.sup * t.degree - DimExpr.const(t.total_derivative_order) for t in terms]
 
-    def factor(level: int, order: int) -> Tuple[RegBound, Optional[RegBound]]:
+    def factor(level: int, order: int) -> RegBound:
         key = (level, order)
-        known = factors.get(key)
-        if known is None:
-            bound = apply_derivative(regs[level], orders[order])
-            value = None if dim is None else RegBound(DimExpr.const(bound.evaluate(dim)))
-            known = factors[key] = (bound, value)
-        return known
+        bound = factors.get(key)
+        if bound is None:
+            bound = factors[key] = apply_derivative(regs[level], orders[order])
+        return bound
+
+    def sum_homogeneity(ti: int, total: int) -> RegBound:
+        key = (ti, total)
+        h = by_sum.get(key)
+        if h is None:
+            steps = total - terms[ti].degree
+            h = by_sum[key] = RegBound(base[ti] + gain * steps if steps else base[ti])
+        return h
 
     def partial_homogeneity(ti: int, low: Tuple[int, ...]) -> RegBound:
         # the len(low) lowest factors, which take the last inner orders,
@@ -388,7 +420,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         key = (ti, low)
         h = partial_sums.get(key)
         if h is None:
-            b = factor(low[-1], term_orders[ti][-len(low)])[0]
+            b = factor(low[-1], term_orders[ti][-len(low)])
             if len(low) == 1:
                 h = apply_derivative(b, terms[ti].outer_derivative_order)
             else:
@@ -396,7 +428,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             partial_sums[key] = h
         return h
 
-    def make_product(ti: int, levels: Tuple[int, ...]) -> ProductTerm:
+    def make_product(ti: int, levels: Tuple[int, ...], total: int) -> ProductTerm:
         # factors descending by level; inner orders applied positionally
         known = seen_candidates.get((ti, levels))
         if known is not None:
@@ -405,12 +437,12 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         ordered = levels[::-1]
         return ProductTerm(
             term_index=ti,
-            factors=tuple(_label(lv) for lv in ordered),
+            factors=tuple([labels[lv] for lv in ordered]),
             inner_orders=term.inner_derivative_orders,
             outer_order=term.outer_derivative_order,
             projector=term.projector,
-            factor_bounds=tuple(factor(lv, k)[0] for lv, k in zip(ordered, term_orders[ti])),
-            homogeneity=partial_homogeneity(ti, levels),
+            factor_bounds=tuple([factor(lv, k) for lv, k in zip(ordered, term_orders[ti])]),
+            homogeneity=sum_homogeneity(ti, total) if constant_gain else partial_homogeneity(ti, levels),
         )
 
     def candidate_pool(top_level: int) -> List[_Entry]:
@@ -421,12 +453,28 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             # absorbing products only raises the least sum of the others
             floor = min(floors[ti], top_level + term.degree - 1)
             for total in range(floor, term.degree * top_level + 1):
-                combos = [c for c in _tuples_with_sum(term.degree, top_level, total) if c not in absorbed[ti]]
+                key = (ti, total)
+                combos = _tuples_with_sum(term.degree, top_level, total, above=absorbed_top.get(key, 0))
+                taken = absorbed_levels.get(key)
+                combos = [c for c in combos if c not in taken] if taken else list(combos)
                 if combos:
                     floors[ti] = total
-                    pool.extend((c, make_product(ti, c)) for c in combos)
+                    pool.extend((c, make_product(ti, c, total)) for c in combos)
                     break
         return pool
+
+    def fold(ti: int, ordered: Tuple[int, ...]) -> Optional[RegBound]:
+        # the analytic product at d of the leading factors, left to right
+        if len(ordered) == 1:
+            return factor(ordered[0], term_orders[ti][0])
+        key = (ti, ordered[:-1])
+        if key in folds:
+            acc = folds[key]
+        else:
+            acc = folds[key] = fold(ti, key[1])
+        if acc is None:
+            return None
+        return product_analytic(acc, factor(ordered[-1], term_orders[ti][len(ordered) - 1]), dim)
 
     def register(entries: Sequence[_Entry]) -> List[str]:
         """Record candidates; at concrete dim, return newly flagged labels."""
@@ -436,10 +484,8 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             if key in seen_candidates:
                 continue
             seen_candidates[key] = prod
-            if dim is not None:
-                values = [factor(lv, k)[1] for lv, k in zip(levels[::-1], term_orders[prod.term_index])]
-                if _fold_analytic(values, dim) is None:
-                    flagged.extend(prod.summands(vector_rank))
+            if dim is not None and fold(prod.term_index, levels[::-1]) is None:
+                flagged.extend(prod.summands(vector_rank))
         return flagged
 
     level = 1
@@ -451,14 +497,25 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             break
 
         new_flags = register(pool)
+        for levels, prod in best:
+            # a term offers one level sum; while the gain is constant its
+            # products share one homogeneity, so all or none are absorbed
+            key = (prod.term_index, floors[prod.term_index])
+            if constant_gain:
+                absorbed_top[key] = level
+            else:
+                absorbed_levels.setdefault(key, set()).add(levels)
         level += 1
         best.sort(key=lambda entry: entry[0][::-1])
         forcing_bound = RegBound(best_h)
         reg = _solve(forcing_bound, gamma)
         regs[level] = reg
-        for levels, prod in best:
-            absorbed[prod.term_index].add(levels)
-        rows.append(ExpansionRow(level, _label(level), tuple(p for _, p in best), forcing_bound, reg, renorm=tuple(new_flags)))
+        step = reg.sup - regs[level - 1].sup
+        if gain is None:
+            gain = step
+        elif constant_gain and step != gain:
+            constant_gain = False
+        rows.append(ExpansionRow(level, labels[level], tuple(p for _, p in best), forcing_bound, reg, renorm=tuple(new_flags)))
 
         sup = reg.sup
         done = sup.evaluate(dim) >= 0 if dim is not None else sup.nonneg_for_all_dims()
@@ -484,7 +541,12 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         for r, rem in zip(rows, remainders)
     ]
 
-    gain, gain_error = _gain_of_rows(rows)
+    if gain is None:
+        gain_error = "E_TOO_FEW_ROWS"
+    elif constant_gain:
+        gain_error = None
+    else:
+        gain, gain_error = None, "E_NONCONSTANT_GAIN"
     exps = term_exponents(spec, z1_bound.sup)
     try:
         exponent = _common_exponent(exps)

@@ -237,11 +237,31 @@ def _lq_lq(series, q: int) -> float:
     return total ** (1.0 / q)
 
 
+# The largest tested form, --terms 400 at --alpha 2, needs 254,410
+# coefficients (~0.1 s and ~50 MB to build); four times that takes
+# ~0.6 s and ~180 MB at --alpha 2.
+_TYCHONOV_TABLE_BUDGET = 1_000_000
+
+
+def _tychonov_table_size(alpha: int, terms: int) -> int:
+    """Coefficients of P_0..P_{terms+11}, every polynomial run_tychonov
+    may build (the bound at K = terms + 10 reads P_{K+1}); P_k has
+    k*(alpha + 1) + 1."""
+    depth = terms + 11
+    return depth + 1 + (alpha + 1) * depth * (depth + 1) // 2
+
+
 def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) -> Dict:
     """Pointwise values, vanishing past, and the two-route residual check."""
+    _require_positive(terms=terms)
+    size = _tychonov_table_size(alpha, terms)
+    if size > _TYCHONOV_TABLE_BUDGET:
+        raise ValueError(
+            f"--alpha {alpha} --terms {terms}: the derivative table needs {size} coefficients,"
+            f" over the budget of {_TYCHONOV_TABLE_BUDGET}"
+        )
     from .lab import tychonov as lt  # the one suite that needs mpmath
 
-    _require_positive(terms=terms)
     checks = []
     series = lt.TychonovSeries.build(alpha, terms + 2)
 

@@ -11,6 +11,22 @@ rationals = st.fractions(max_denominator=12, min_value=-8, max_value=8)
 affines = st.builds(DimExpr, rationals, rationals)
 
 
+# coefficients as the program builds them (Fractions) and as a caller may
+# (ints), with zero slopes drawn often: a zero slope takes the fast path
+fields = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-8, 8), rationals)
+
+
+@given(fields, fields, fields, fields)
+def test_add_and_sub_equal_fraction_arithmetic(a0, ad, b0, bd):
+    a, b = DimExpr(a0, ad), DimExpr(b0, bd)
+    F = Fraction
+    assert (a + b).c0 == F(a0) + F(b0) and (a + b).cd == F(ad) + F(bd)
+    assert (a - b).c0 == F(a0) - F(b0) and (a - b).cd == F(ad) - F(bd)
+    assert a + b == b + a and a - b == -(b - a)
+    assert a + b0 == DimExpr(F(a0) + F(b0), F(ad)) and a - b0 == DimExpr(F(a0) - F(b0), F(ad))
+    assert b0 - a == DimExpr(F(b0) - F(a0), -F(ad))
+
+
 def test_evaluate_is_exact():
     e = DimExpr(Fraction(1), Fraction(-1, 2))
     assert e.evaluate(3) == Fraction(-1, 2)

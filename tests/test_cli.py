@@ -836,6 +836,19 @@ def test_tychonov_float_overflow_is_one_error_line(capsys):
     assert err == "error: --alpha 2 --terms 155 --region 0.5,1.0,-1.0,1.0: the residual bound overflows a double\n"
 
 
+def test_tychonov_refuses_an_oversized_derivative_table_up_front(capsys):
+    """--alpha 100000 once built 86 million coefficients (~14 s, ~460 MB)
+    before its residual bound overflowed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "tychonov", "--alpha", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --alpha 100000 --terms 30: the derivative table needs 86100903 coefficients,"
+        " over the budget of 1000000\n"
+    )
+
+
 @pytest.mark.parametrize("n", ["307", "401"])
 def test_inequality_rejects_n_past_a_double_before_drawing(capsys, n):
     import warnings

@@ -269,3 +269,52 @@ def test_tuples_by_sum_follow_combinations_order(degree, top):
     assert sorted(by_sum) == every
     for total in range(degree - 1, degree * top + 2):
         assert list(_tuples_with_sum(degree, top, total)) == [c for c in every if sum(c) == total]
+
+
+# Off a constant gain, one (term, level sum) group can hold two
+# homogeneities.  4,000 draws of `specs()` (1,861 of them with two terms)
+# gave no report with E_NONCONSTANT_GAIN, so this spec pins the
+# per-product path of `expand`.
+SPLIT_GROUP_SPEC = """
+equation split_group {
+  dimension 4;
+  unknown u: scalar;
+  diffusion order 6;
+  noise stwn lift 5;
+  nonlinear { degree 2; inner_deriv 0, 1; }
+  nonlinear { degree 2; inner_deriv 0, 1/2; }
+}
+"""
+
+
+def _level_sum(candidate):
+    return sum(int(label[1:]) for label in candidate.factors)
+
+
+def test_a_level_sum_group_with_two_homogeneities_matches_the_enumerator():
+    from spdecrit.dsl import parse_spec
+
+    spec = parse_spec(SPLIT_GROUP_SPEC)
+    for levels in (4, 6, 8, 12):
+        assert_same_report(spec, levels)
+    report = expand(spec, 12)
+    assert report.gain_error == "E_NONCONSTANT_GAIN"
+    group = {
+        c.render(False): c.homogeneity.sup for c in report.candidates if c.term_index == 0 and _level_sum(c) == 4
+    }
+    assert group == {"z3*D[z1]": DimExpr.const(F(-15, 2)), "z2*D[z2]": DimExpr.const(-7)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs(), st.integers(min_value=1, max_value=12))
+def test_a_constant_gain_gives_one_homogeneity_per_level_sum(spec, levels):
+    report = expand(spec, levels)
+    if report.gain_error is not None:
+        return
+    groups: Dict[Tuple[int, int], set] = {}
+    for c in report.candidates:
+        # summed from the factor bounds, not read from the shared value
+        h = sum((b.sup for b in c.factor_bounds), DimExpr.const(0)) - DimExpr.const(c.outer_order)
+        assert h == c.homogeneity.sup
+        groups.setdefault((c.term_index, _level_sum(c)), set()).add(h)
+    assert all(len(values) == 1 for values in groups.values())

@@ -144,3 +144,11 @@ def test_residual_two_routes_agree_past_35_terms():
     delta, dps = fd_step_and_precision(scale)
     fd = [fd_heat_residual(series, 40, t, x, delta=delta, dps=dps) for t, x in points]
     assert float(max(abs(a - b) for a, b in zip(analytic, fd)) / scale) < 1e-10
+
+
+@pytest.mark.parametrize("alpha,terms", [(2, 1), (2, 30), (3, 12), (20, 30), (2, 155), (2, 400)])
+def test_table_size_counts_every_polynomial_the_suite_builds(alpha, terms):
+    from spdecrit.suites import _TYCHONOV_TABLE_BUDGET, _tychonov_table_size
+
+    table = TychonovSeries.build(alpha, terms + 11).poly_table
+    assert _tychonov_table_size(alpha, terms) == sum(map(len, table)) <= _TYCHONOV_TABLE_BUDGET
