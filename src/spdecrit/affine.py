@@ -69,6 +69,8 @@ class DimExpr:
 
     def __mul__(self, scalar: RationalLike) -> "DimExpr":
         s = as_fraction(scalar)
+        if not self.cd:  # a constant stays constant: no slope product
+            return DimExpr(self.c0 * s, self.cd)
         return DimExpr(self.c0 * s, self.cd * s)
 
     __rmul__ = __mul__

@@ -67,7 +67,7 @@ class ProductTerm:
 
 
 def _factor_str(label: str, order: Fraction) -> str:
-    if order == 0:
+    if not order:
         return label
     if order == 1:
         return f"D[{label}]"
@@ -75,7 +75,7 @@ def _factor_str(label: str, order: Fraction) -> str:
 
 
 def _wrap_outer(body: str, order: Fraction, vector_rank: bool) -> str:
-    if order == 0:
+    if not order:
         return body
     if order == 1 and vector_rank:
         return f"div({body})"

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..report import atomic_write
+from ..report import atomic_write, serialize_envelope
 from .fields import PeriodicField, Trajectory
 
 MAGIC = b"SPDF"
@@ -58,7 +58,7 @@ def write_trajectory(traj: Trajectory, directory, seed: Optional[int] = None) ->
         "n": traj.grid_shape[0],
         "seed": seed,
     }
-    atomic_write(directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2).encode() + b"\n")
+    atomic_write(directory / "manifest.json", serialize_envelope(manifest).encode())
 
 
 def read_trajectory(directory) -> Trajectory:

@@ -8,12 +8,12 @@ timestamp is reproducible byte-for-byte for a fixed config.
 Nothing here imports numpy or mpmath: the symbolic commands render and
 write their output through this module alone.  The lab writes through
 it too, so the two renderers import the symbolic half when called.
+json and datetime are imported where the envelope is built and written,
+so the table form of `analyze` loads neither.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -26,6 +26,8 @@ if TYPE_CHECKING:
     from .expansion import CriticalityReport
 
 SUITE_NAMES = ("uniqueness", "inequality", "steklov", "tychonov", "noise", "bony")
+
+_INF = float("inf")
 
 
 def affine_to_json(e: Optional[DimExpr]) -> Optional[dict]:
@@ -117,6 +119,8 @@ def render_table(report: CriticalityReport) -> str:
 
 
 def build_envelope(command: str, config: dict, payload: dict, checks: Optional[list] = None) -> dict:
+    import datetime
+
     doc = {
         "version": __version__,
         "command": command,
@@ -131,11 +135,82 @@ def build_envelope(command: str, config: dict, payload: dict, checks: Optional[l
 
 
 def serialize_envelope(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The JSON text of `doc` with sorted keys and an indent of 2, and a newline.
+
+    The bytes are json's with `sort_keys=True, indent=2`.  json's indented
+    encoder is its pure-Python generator, which passes every chunk up
+    through every level of nesting; this writer appends each chunk once.
+    Strings still go through json's C escaper.  A value json cannot write,
+    or a key that is not a str, raises TypeError.
+    """
+    from json.encoder import encode_basestring_ascii
+
+    out: List[str] = []
+    _write_json(doc, out.append, "\n", encode_basestring_ascii)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, append, nl: str, quote) -> None:
+    """Append the indented JSON of `o`; `nl` is the newline and indent of its own level."""
+    if isinstance(o, str):
+        append(quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = o[key]
+            if isinstance(value, str):
+                append(sep + quote(key) + ": " + quote(value))
+            else:
+                append(sep + quote(key) + ": ")
+                _write_json(value, append, inner, quote)
+            sep = "," + inner
+        append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            if isinstance(item, str):
+                append(sep + quote(item))
+            else:
+                append(sep)
+                _write_json(item, append, inner, quote)
+            sep = "," + inner
+        append(nl + "]")
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o:
+            append("NaN")
+        elif o == _INF:
+            append("Infinity")
+        elif o == -_INF:
+            append("-Infinity")
+        else:
+            append(float.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def deterministic_bytes(doc: dict) -> bytes:
     """Serialization with the timestamp removed, for reproducibility checks."""
+    import json
+
     trimmed = {k: v for k, v in doc.items() if k != "timestamp"}
     return json.dumps(trimmed, sort_keys=True).encode()
 

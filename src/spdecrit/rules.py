@@ -61,10 +61,12 @@ def product_analytic(a: RegBound, b: RegBound, d: int) -> Optional[RegBound]:
 
 
 def apply_derivative(a: RegBound, k: RationalLike) -> RegBound:
-    """Differentiating k times costs k orders of regularity."""
+    """Differentiating k times costs k orders of regularity; k = 0 returns `a` itself."""
     k = as_fraction(k)
     if k < 0:
         raise ValueError(f"negative derivative order: {k}")
+    if not k:
+        return a
     return RegBound(a.sup - DimExpr.const(k))
 
 

@@ -27,6 +27,13 @@ def test_add_and_sub_equal_fraction_arithmetic(a0, ad, b0, bd):
     assert b0 - a == DimExpr(F(b0) - F(a0), -F(ad))
 
 
+@given(fields, fields, fields)
+def test_scalar_mul_equals_fraction_arithmetic(a0, ad, s):
+    a, F = DimExpr(a0, ad), Fraction
+    assert (a * s).c0 == F(a0) * F(s) and (a * s).cd == F(ad) * F(s)
+    assert s * a == a * s
+
+
 def test_evaluate_is_exact():
     e = DimExpr(Fraction(1), Fraction(-1, 2))
     assert e.evaluate(3) == Fraction(-1, 2)

@@ -12,6 +12,7 @@ import pytest
 
 import spdecrit
 from spdecrit import cli
+from spdecrit.dsl import BUNDLED_SPECS
 from spdecrit.report import deterministic_bytes
 
 
@@ -330,6 +331,66 @@ def test_lab_commands_leave_the_symbolic_half_unloaded(tmp_path, argv, loaded):
     last = proc.stdout.splitlines()[-1]
     assert last.startswith("loaded:")
     assert set(filter(None, last[len("loaded:"):].split(","))) == loaded
+
+
+_ENVELOPE_MODULES = ("json", "datetime")
+_ENVELOPE_PROBE = """\
+import sys
+start = set(sys.modules)
+from spdecrit.cli import main
+code = main(sys.argv[2:])
+assert code == 0, code
+names = sys.argv[1].split(",")
+print("start:" + ",".join(m for m in names if m in start))
+print("loaded:" + ",".join(m for m in names if m in sys.modules and m not in start))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,loads",
+    [
+        (("analyze", "navier_stokes"), False),
+        (("analyze", "sqg", "--param", "gamma=1", "--param", "alpha=1/2"), False),
+        (("analyze", "navier_stokes", "--format", "json"), True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_only_the_json_form_of_analyze_loads_json_and_datetime(tmp_path, argv, loads):
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENVELOPE_PROBE, ",".join(_ENVELOPE_MODULES), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    start, loaded = (set(filter(None, line.partition(":")[2].split(","))) for line in proc.stdout.splitlines()[-2:])
+    assert loaded == (set(_ENVELOPE_MODULES) - start if loads else set())
+
+
+_JSON_WRITERS = [
+    *((("analyze", spec, "--format", "json"), f"{spec}.json") for spec in sorted(BUNDLED_SPECS)),
+    *(
+        (("verify", suite, *flags, "--seed", "1", "--format", "json"), f"{suite}.json")
+        for suite, flags in [
+            ("inequality", ("--n", "3", "--samples", "1000")),
+            ("uniqueness", ("--grid", "16", "--tmax", "0.01", "--dt", "1e-3")),
+            ("steklov", ("--samples", "2")),
+            ("tychonov", ("--terms", "4")),
+            ("noise", ("--grid", "64", "--ensembles", "2")),
+            ("bony", ()),
+        ]
+    ),
+    (("noise", "sample", "--dim", "1", "--grid", "64", "--steps", "4", "--seed", "3"), "sample/manifest.json"),
+    (("noise", "sample", "--dim", "2", "--grid", "16", "--kind", "white", "--seed", "3"), "sample/manifest.json"),
+]
+
+
+@pytest.mark.parametrize("argv,written", _JSON_WRITERS, ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_cli_json_files_are_json_indented_bytes(tmp_path, argv, written):
+    out = tmp_path / written.split("/")[0]
+    assert cli.main([*argv, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    text = (tmp_path / written).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("grid", ["8", "16", "32"])

@@ -71,6 +71,21 @@ def test_apply_derivative_examples():
         apply_derivative(x, -1)
 
 
+orders = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.just("0"), st.integers(0, 4),
+    st.fractions(min_value=0, max_value=4, max_denominator=8),
+)
+
+
+@given(st.builds(lambda c0, cd: RegBound(DimExpr(c0, cd)), rationals, rationals), orders)
+def test_apply_derivative_costs_k_and_returns_its_operand_at_zero(a, k):
+    assert apply_derivative(a, k) == RegBound(a.sup - DimExpr.const(k))
+    if Fraction(k) == 0:
+        assert apply_derivative(a, k) is a
+    with pytest.raises(ValueError):
+        apply_derivative(a, -Fraction(k) - Fraction(1, 8))
+
+
 def test_sqg_style_composition():
     # double a bound, then one derivative; recomputed by hand
     base = RegBound(DimExpr(Fraction(-1)))  # -1 - alpha + gamma with alpha=gamma=0 placeholder
