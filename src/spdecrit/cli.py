@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 a verification check failed, 2 bad input
 (parse errors, invalid values, config keys a command does not read,
 work too large to allocate), 3 I/O failure.  Each command lists its
-one-value options once, in a table of option -> (converter, default).
+one-value options once, in a table of option -> (converter, default);
+`verify` has one table per suite, and a suite refuses the others' options.
 A flag overrides the config-file entry of the same name, which
 overrides the default; flag and config values go through the same
 converter.  SPDECRIT_SEED supplies the seed when neither gives one.
@@ -28,14 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ExpansionError, SpecError
-from .report import (
-    SUITE_NAMES,
-    atomic_write,
-    build_envelope,
-    render_table,
-    report_payload,
-    serialize_envelope,
-)
+from .report import atomic_write, build_envelope, render_table, report_payload, serialize_envelope
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,11 +41,11 @@ class CliInputError(Exception):
     pass
 
 
-def run_suite(name: str, **kwargs) -> dict:
-    """`spdecrit.suites.run_suite`, importing the lab on first use."""
-    from .suites import run_suite as run
+def run_suite(name: str, **options) -> dict:
+    """`spdecrit.suites.run_<name>`, looked up when called, importing the lab on first use."""
+    from . import suites
 
-    return run(name, **kwargs)
+    return getattr(suites, f"run_{name}")(**options)
 
 
 # The symbolic half's entry points, each importing it on first call as
@@ -127,14 +121,22 @@ def _region(text: str) -> tuple:
 # callable default is called only when neither source gives the option
 _RENDER = {"format": (_one_of("table", "json"), "table"), "out": (str, None)}
 _ANALYZE = {"levels": (int, 4), "dim": (_dim, "keep"), **_RENDER}
-# `suites._SUITES` says which suite reads which of these; None keeps the suite's own default
-_VERIFY = {
-    "n": (int, None), "samples": (int, None), "seed": (_seed, _env_seed), "grid": (int, None), "dim": (int, None),
-    "dt": (float, None), "tmax": (float, None), "alpha": (int, None), "terms": (int, None),
-    "ensembles": (int, None), "region": (_region, None), **_RENDER,
+_SEED = {"seed": (_seed, _env_seed)}
+# suite -> the options its runner reads, each passed to it
+_SUITES = {
+    "uniqueness": {"n": (int, 3), "dim": (int, 1), "grid": (int, 256), "tmax": (float, 1.0), "dt": (float, 1.0e-4)},
+    "inequality": {"n": (int, None), "samples": (int, 1_000_000), **_SEED},
+    "steklov": {**_SEED, "samples": (int, 100)},
+    "tychonov": {"alpha": (int, 2), "terms": (int, 30), "region": (_region, (0.5, 1.0, -1.0, 1.0))},
+    "noise": {**_SEED, "grid": (int, 4096), "ensembles": (int, 16)},
+    "bony": _SEED,
 }
+SUITE_NAMES = tuple(_SUITES)
+# the verify flags in the order help and errors list them: every suite's
+# options, and the seed, which every suite accepts and echoes
+_VERIFY = ("n", "samples", "seed", "grid", "dim", "dt", "tmax", "alpha", "terms", "ensembles", "region", *_RENDER)
 _NOISE_SAMPLE = {
-    "dim": (_one_of(1, 2, convert=int), 1), "grid": (int, 4096), "seed": (_seed, _env_seed),
+    "dim": (_one_of(1, 2, convert=int), 1), "grid": (int, 4096), **_SEED,
     "kind": (_one_of("white", "z1"), "z1"), "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
 }
 
@@ -155,15 +157,20 @@ def _read_config(path) -> dict:
     return out
 
 
-def _options(args, table: dict, command: str):
+def _options(args, table: dict, command: str, unread=()):
     """Every option of `table`, from its flag, else `--config`, else its default.
 
-    Returns the values and the set of options a flag or the config gave.
+    `unread` names the parser's other options, which `command` refuses from
+    a flag or the config alike.  Returns the values and the set of options
+    a flag or the config gave.
     """
     config = _read_config(args.config) if args.config else {}
-    stray = sorted(set(config) - set(table))
+    stray = sorted(set(config) - set(table) - set(unread))
     if stray:
         raise CliInputError(f"{command} does not read config key {', '.join(stray)}")
+    refused = [f"--{name}" for name in unread if getattr(args, name) is not None or name in config]
+    if refused:
+        raise CliInputError(f"{command} does not read {', '.join(refused)}")
     values, given = {}, set()
     for name, (convert, default) in table.items():
         raw = getattr(args, name)
@@ -233,15 +240,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in SUITE_NAMES:
+    if args.suite not in _SUITES:
         raise CliInputError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    opts, _ = _options(args, _VERIFY, f"verify {args.suite}")
-    kwargs = {name: value for name, value in opts.items() if name not in _RENDER}
-    result = run_suite(args.suite, **kwargs)
+    reads = _SUITES[args.suite]
+    table = {**_SEED, **reads, **_RENDER}
+    opts, given = _options(args, table, f"verify {args.suite}", [name for name in _VERIFY if name not in table])
+    result = run_suite(args.suite, **{name: opts[name] for name in reads})
 
     if opts["format"] == "json":
-        cfg_echo = {k: v for k, v in kwargs.items() if v is not None}
-        cfg_echo["suite"] = args.suite
+        # what a flag or the config gave, and the seed: echoing defaults would change every seeded digest
+        cfg_echo = {name: opts[name] for name in reads if name in given}
+        cfg_echo.update(seed=opts["seed"], suite=args.suite)
         text = serialize_envelope(build_envelope("verify", cfg_echo, {"suite": result["suite"]}, checks=result["checks"]))
     else:
         lines = []
@@ -314,8 +323,8 @@ def _cmd_noise_sample(args) -> int:
     return EXIT_OK
 
 
-def _add_options(parser, table: dict, func) -> None:
-    for name in table:
+def _add_options(parser, names, func) -> None:
+    for name in names:
         parser.add_argument(f"--{name}")
     parser.add_argument("--config", help="file of 'key value;' items, one key per option")
     parser.set_defaults(func=func)

@@ -25,8 +25,6 @@ if TYPE_CHECKING:
     from .affine import DimExpr
     from .expansion import CriticalityReport
 
-SUITE_NAMES = ("uniqueness", "inequality", "steklov", "tychonov", "noise", "bony")
-
 _INF = float("inf")
 
 

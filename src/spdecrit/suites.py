@@ -2,21 +2,21 @@
 
 Each suite runs a batch of checks with explicit tolerances and returns a
 serializable summary; nothing here depends on wall-clock or filesystem
-state, so a fixed seed reproduces every number exactly.
+state, so a fixed seed reproduces every number exactly.  The runners
+take keywords and no defaults: those are in the suite tables of `spdecrit.cli`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from .lab import fields as lf
 from .lab import heat as lh
 from .lab import noise as ln
-from .report import SUITE_NAMES
 
 
 def _plain(value):
@@ -58,8 +58,9 @@ def _spawn(seed: int, count: int):
 _INEQUALITY_BLOCK = 1 << 15
 
 
-def run_inequality(n: Optional[int] = None, samples: int = 1_000_000, seed: int = 0) -> Dict:
-    """Random sweep plus the exact closed form of the pairing inequality."""
+def run_inequality(*, n, samples: int, seed: int) -> Dict:
+    """Random sweep plus the exact closed form of the pairing inequality;
+    n None sweeps the powers 3, 5, 7 and 9."""
     _require_positive(samples=samples)
     if n is not None:
         lh._odd_check(n)
@@ -112,18 +113,14 @@ def _smooth_data(grid: int, kind: int = 0) -> lf.PeriodicField:
     return lf.PeriodicField(vals)
 
 
-def run_uniqueness(
-    n: int = 3,
-    dim: int = 1,
-    grid: int = 256,
-    tmax: float = 1.0,
-    dt: float = 1.0e-4,
-    seed: int = 0,
-) -> Dict:
+def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Dict:
     """Mesh convergence and integral-norm contraction for the damped flow."""
     if dim != 1:
         raise ValueError("the uniqueness experiment runs on dim 1")
+    lf._check_shape(1, (grid,))
     _require_positive(tmax=tmax, dt=dt)
+    if not math.isfinite(tmax / dt):
+        raise ValueError(f"--tmax {tmax!r} --dt {dt!r}: the step count tmax / dt overflows a double")
     steps = round(tmax / dt)
     # the contraction checks march at a coarser step of their own
     dt_b = max(dt, 1.0e-3)
@@ -177,15 +174,15 @@ def run_uniqueness(
     return _finish("uniqueness", checks)
 
 
-def run_steklov(seed: int = 0, series_count: int = 100) -> Dict:
+def run_steklov(*, seed: int, samples: int) -> Dict:
     """Window-average contraction and approximation quality."""
-    _require_positive(samples=series_count)
+    _require_positive(samples=samples)
     checks = []
     length, grid, dt = 64, 16, 0.01
     qs = (1, 2, 3)
     contraction_ok = True
     worst_excess = 0.0
-    for ss in _spawn(seed, series_count):
+    for ss in _spawn(seed, samples):
         rng = np.random.default_rng(ss)
         vals = rng.standard_normal((length, grid))
         series = lh.Trajectory(dt=dt, times=np.arange(length) * dt, values=vals)
@@ -199,7 +196,7 @@ def run_steklov(seed: int = 0, series_count: int = 100) -> Dict:
                     contraction_ok = False
     checks.append(
         _check(
-            f"contraction in q={qs} over {series_count} random series",
+            f"contraction in q={qs} over {samples} random series",
             contraction_ok,
             value=worst_excess,
             target="||v_h||_q <= ||v||_q",
@@ -251,7 +248,7 @@ def _tychonov_table_size(alpha: int, terms: int) -> int:
     return depth + 1 + (alpha + 1) * depth * (depth + 1) // 2
 
 
-def run_tychonov(alpha: int = 2, terms: int = 30, region=(0.5, 1.0, -1.0, 1.0)) -> Dict:
+def run_tychonov(*, alpha: int, terms: int, region) -> Dict:
     """Pointwise values, vanishing past, and the two-route residual check."""
     _require_positive(terms=terms)
     size = _tychonov_table_size(alpha, terms)
@@ -335,7 +332,7 @@ _STACK = 16
 _ROUGH_T = 1.0
 
 
-def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
+def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
     lf._check_shape(1, (grid,))
     _require_positive(ensembles=ensembles)
@@ -407,7 +404,7 @@ def run_noise(seed: int = 0, grid: int = 4096, ensembles: int = 16) -> Dict:
     return _finish("noise", checks)
 
 
-def run_bony(seed: int = 0) -> Dict:
+def run_bony(*, seed: int) -> Dict:
     """Paraproduct partition exactness and resonant blow-up."""
     checks = []
 
@@ -451,32 +448,3 @@ def run_bony(seed: int = 0) -> Dict:
         )
     )
     return _finish("bony", checks)
-
-
-# suite -> (runner, {verify flag: runner keyword}) for the flags it reads
-_SUITES = {
-    "inequality": (run_inequality, {"n": "n", "samples": "samples", "seed": "seed"}),
-    "uniqueness": (
-        run_uniqueness,
-        {"n": "n", "dim": "dim", "grid": "grid", "tmax": "tmax", "dt": "dt", "seed": "seed"},
-    ),
-    "steklov": (run_steklov, {"seed": "seed", "samples": "series_count"}),
-    "tychonov": (run_tychonov, {"alpha": "alpha", "terms": "terms", "region": "region"}),
-    "noise": (run_noise, {"seed": "seed", "grid": "grid", "ensembles": "ensembles"}),
-    "bony": (run_bony, {"seed": "seed"}),
-}
-
-
-def run_suite(name: str, **kwargs) -> Dict:
-    """Run a named suite; a flag that is None keeps the runner's default.
-
-    A flag the suite does not read is an error, except the seed, which
-    every suite accepts (tychonov is deterministic and ignores it).
-    """
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    runner, flags = _SUITES[name]
-    unread = [flag for flag, value in kwargs.items() if value is not None and flag not in flags and flag != "seed"]
-    if unread:
-        raise ValueError(f"verify {name} does not read {', '.join('--' + flag for flag in unread)}")
-    return runner(**{key: kwargs[flag] for flag, key in flags.items() if kwargs.get(flag) is not None})

@@ -106,7 +106,7 @@ def test_criterion_05_phi4_gain():
 
 def test_criterion_06_proof_algebra():
     budget = Budget(30.0)
-    result = run_inequality(samples=1_000_000, seed=7)
+    result = run_inequality(n=None, samples=1_000_000, seed=7)
     assert result["passed"], result
     assert len([c for c in result["checks"] if "gap nonnegative" in c["name"]]) == 4
     budget.done("06 proof-algebra")
@@ -114,21 +114,21 @@ def test_criterion_06_proof_algebra():
 
 def test_criterion_07_uniqueness_experiment():
     budget = Budget(60.0)
-    result = run_uniqueness(n=3, dim=1, grid=256, tmax=1.0, dt=1.0e-4, seed=0)
+    result = run_uniqueness(n=3, dim=1, grid=256, tmax=1.0, dt=1.0e-4)
     assert result["passed"], result
     budget.done("07 uniqueness")
 
 
 def test_criterion_08_steklov_lemma():
     budget = Budget(10.0)
-    result = run_steklov(seed=0, series_count=100)
+    result = run_steklov(seed=0, samples=100)
     assert result["passed"], result
     budget.done("08 steklov")
 
 
 def test_criterion_09_tychonov():
     budget = Budget(10.0)
-    result = run_tychonov(alpha=2, terms=30)
+    result = run_tychonov(alpha=2, terms=30, region=(0.5, 1.0, -1.0, 1.0))
     assert result["passed"], result
     budget.done("09 tychonov")
 

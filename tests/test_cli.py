@@ -235,14 +235,32 @@ def test_analyze_bad_dim_exits_2(capsys, dim):
         ("inequality", "--samples", "0"),
         ("noise", "--grid", "0"),
         ("steklov", "--samples", "0"),
+        ("uniqueness", "--grid", "0"),
+        ("uniqueness", "--grid", "-64"),
+        ("uniqueness", "--tmax", "1e308", "--dt", "1e-10"),
+        ("uniqueness", "--dt", "1e-320"),
     ],
     ids=" ".join,
 )
 def test_verify_zero_size_exits_2(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--grid", "-64"), "grid points per axis must be a power of two >= 4, got -64"),
+        (("--tmax", "1e308", "--dt", "1e-10"), "--tmax 1e+308 --dt 1e-10: the step count tmax / dt overflows a double"),
+        (("--dt", "1e-320"), "--tmax 1.0 --dt 1e-320: the step count tmax / dt overflows a double"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_verify_uniqueness_names_a_bad_grid_or_step_count(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "uniqueness", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_accepts_seed_zero(capsys):
@@ -256,22 +274,24 @@ def test_verify_accepts_seed_zero(capsys):
 _PROBE = """\
 import sys
 import spdecrit
+code = 0
 if sys.argv[1:]:
     from spdecrit.cli import main
     code = main(sys.argv[1:])
-    assert code == 0, code
+print(f"exit:{code}")
 print("loaded:" + ",".join(m for m in ("numpy", "mpmath") if m in sys.modules))
 """
 
 
-def _lab_modules_after(tmp_path, *argv):
-    """numpy/mpmath present once `main(argv)` returns in a fresh interpreter."""
+def _lab_modules_after(tmp_path, *argv, code=0):
+    """numpy/mpmath present once `main(argv)` returns `code` in a fresh interpreter."""
     src = str(Path(spdecrit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2] == f"exit:{code}", proc.stderr
     last = proc.stdout.splitlines()[-1]
     assert last.startswith("loaded:")
     return set(filter(None, last[len("loaded:"):].split(",")))
@@ -298,6 +318,10 @@ def test_symbolic_commands_leave_lab_unloaded(tmp_path, argv):
 
 def test_verify_loads_lab(tmp_path):
     assert "numpy" in _lab_modules_after(tmp_path, "verify", "bony")
+
+
+def test_verify_refuses_an_unread_option_before_the_lab_loads(tmp_path):
+    assert _lab_modules_after(tmp_path, "verify", "bony", "--samples", "10", code=2) == set()
 
 
 _HALVES = ("mpmath", "spdecrit.dsl", "spdecrit.expansion", "spdecrit.rules", "spdecrit.affine")
@@ -430,6 +454,61 @@ def test_verify_rejects_config_keys_the_suite_does_not_read(tmp_path, capsys, it
     assert code == 2
     assert out == ""
     assert "bony" in err and named in err
+
+
+_UNREAD = [
+    (("bony",), "samples 10;", "error: verify bony does not read --samples"),
+    (("tychonov",), "grid 64;\nsamples 3;", "error: verify tychonov does not read --samples, --grid"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv,items,message", _UNREAD, ids=[m for _, _, m in _UNREAD])
+def test_verify_unread_option_messages(tmp_path, capsys, source, argv, items, message):
+    given = []
+    if source == "flag":  # the flags in the order the config lists them
+        for item in items.split("\n"):
+            name, value = item.rstrip(";").split()
+            given += [f"--{name}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(items + "\n")
+        given = ["--config", str(cfg)]
+    code, out, err = run(capsys, "verify", *argv, *given)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_verify_echoes_the_options_the_config_gave(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPDECRIT_SEED", raising=False)
+    monkeypatch.setattr(cli, "run_suite", lambda name, **options: {"suite": name, "checks": [], "passed": True})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid 256;\n")
+    code, out, _ = run(capsys, "verify", "noise", "--config", str(cfg), "--ensembles", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"] == {"grid": 256, "ensembles": 4, "seed": 0, "suite": "noise"}
+
+
+@pytest.mark.parametrize("suite", cli.SUITE_NAMES)
+def test_verify_passes_each_runner_its_table(monkeypatch, suite):
+    monkeypatch.delenv("SPDECRIT_SEED", raising=False)
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **options: calls.append((name, options)) or {
+        "suite": name, "checks": [], "passed": True})
+    assert cli.main(["verify", suite]) == 0
+    want = {name: 0 if name == "seed" else default for name, (_, default) in cli._SUITES[suite].items()}
+    assert calls == [(suite, want)]
+
+
+def test_verify_looks_up_the_runner_when_called(monkeypatch, capsys):
+    """A rebinding of `suites.run_<suite>` after import, as a tracer makes, is what runs."""
+    from spdecrit import suites
+
+    calls = []
+    monkeypatch.setattr(suites, "run_bony", lambda **options: calls.append(options) or {
+        "suite": "bony", "checks": [], "passed": True})
+    code, out, _ = run(capsys, "verify", "bony", "--seed", "3")
+    assert (code, out) == (0, "suite passed\n")
+    assert calls == [{"seed": 3}]
 
 
 def test_verify_tychonov_accepts_seed(capsys):
@@ -638,10 +717,11 @@ def _noise_or_suite_calls(monkeypatch):
         (("analyze", "phi4"), "samples 5;", "error: analyze does not read config key samples"),
         (("noise", "sample"), "levels 3;", "error: noise sample does not read config key levels"),
         (("noise", "sample"), "format json;", "error: noise sample does not read config key format"),
+        (("verify", "bony"), "levels 3;", "error: verify bony does not read config key levels"),
         (("analyze", "phi4"), "format xml;", "error: --format 'xml': expects table or json"),
         (("verify", "bony"), "format xml;", "error: --format 'xml': expects table or json"),
     ],
-    ids=["analyze-samples", "noise-levels", "noise-format", "analyze-xml", "verify-xml"],
+    ids=["analyze-samples", "noise-levels", "noise-format", "verify-levels", "analyze-xml", "verify-xml"],
 )
 def test_every_command_checks_its_config_keys_and_values(tmp_path, capsys, monkeypatch, argv, item, message):
     calls = _noise_or_suite_calls(monkeypatch)
@@ -758,6 +838,50 @@ def test_readme_command_parses(line):
     assert callable(args.func)
     if args.command == "verify":
         assert args.suite in cli.SUITE_NAMES
+
+
+def _readme_options():
+    """The README's options table, as command -> (options cell, defaults cell),
+    and the paragraph on each suite's own options, on one line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Options and config files", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, options, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[command.strip("`")] = (options, defaults)
+    return rows, " ".join(section.split("Each suite reads", 1)[1].split())
+
+
+def _shown(default):
+    """A suite default as the README writes it."""
+    if default is None:
+        return "none"
+    if isinstance(default, tuple):
+        return "`" + ",".join(map(repr, default)) + "`"
+    return repr(default)
+
+
+def test_readme_options_follow_the_cli_tables():
+    rows, paragraph = _readme_options()
+    commands = {"analyze SPEC": cli._ANALYZE, "noise sample": cli._NOISE_SAMPLE, "verify SUITE": {**cli._SEED, **cli._RENDER}}
+    for command, table in commands.items():
+        assert all(f"`{name}`" in rows[command][0] for name in table), command
+    assert sorted(rows) == sorted([*commands, *(f"verify {suite}" for suite in cli.SUITE_NAMES)])
+    starts = sorted((paragraph.index(f"`{suite}`"), suite) for suite in cli.SUITE_NAMES)
+    for (start, suite), (end, _) in zip(starts, starts[1:] + [(len(paragraph), None)]):
+        own = {name: default for name, (_, default) in cli._SUITES[suite].items() if name != "seed"}
+        assert rows[f"verify {suite}"] == (
+            ", ".join(f"`{name}`" for name in own) or "nothing else", ", ".join(map(_shown, own.values()))
+        )
+        assert all(f"`{name}` ({_shown(default)}" in paragraph[start:end] for name, default in own.items()), suite
+
+
+def test_verify_flags_are_the_suite_tables():
+    """The parser's verify flags are every suite's options, the seed and the render options."""
+    union = {name for table in cli._SUITES.values() for name in table}
+    assert sorted(cli._VERIFY) == sorted(union | {"seed"} | set(cli._RENDER))
+    assert len(set(cli._VERIFY)) == len(cli._VERIFY)
 
 
 def test_tychonov_alias_prints_what_verify_tychonov_prints(capsys):

@@ -432,7 +432,7 @@ def test_inequality_blocks_match_whole_array(monkeypatch, samples):
         return gap(a, b, n)
 
     monkeypatch.setattr(lh, "proof_inequality_gap", counted)
-    result = suites.run_inequality(samples=samples, seed=samples)
+    result = suites.run_inequality(n=None, samples=samples, seed=samples)
     assert max(sizes) <= suites._INEQUALITY_BLOCK and sum(sizes) == 4 * samples
     got = [(c["value"], c["passed"]) for c in result["checks"][:-1]]
     want = inequality_sweep_oracle((3, 5, 7, 9), samples, seed=samples)
@@ -506,7 +506,7 @@ def test_tychonov_suite_evaluates_each_time_once(monkeypatch):
         return horner(coeffs, s)
 
     monkeypatch.setattr(lt, "_horner_mp", counted)
-    assert suites.run_tychonov()["passed"]
+    assert suites.run_tychonov(alpha=2, terms=30, region=(0.5, 1.0, -1.0, 1.0))["passed"]
     # 5 times x (K+1 terms at t - delta, t, t + delta, plus g^(K+1)(t)) at K = 30
     assert len(calls) <= 470
 
