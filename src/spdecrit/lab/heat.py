@@ -52,8 +52,29 @@ def solve_damped_heat_batch(u_ins: Sequence[PeriodicField], n: int, dt, steps) -
     alone: the step is elementwise per member, the transforms run over
     the trailing grid axes of the stack, members drop out of the stack
     once their steps are done, and the blow-up guard watches every
-    member still marching.
+    member still marching.  The stack marches in place, a block of
+    steps at a time, and each block is copied into the members' rows.
     """
+    dts, steps = _checked(u_ins, n, dt, steps)
+    # longest run first, so the members still marching are a leading slice
+    order = sorted(range(len(u_ins)), key=lambda i: -steps[i])
+    rows = [np.empty((steps[i] + 1,) + u_ins[0].grid_shape) for i in order]
+    values = np.stack([u_ins[i].values for i in order])
+    for first, block in _march(values, n, [dts[i] for i in order], [steps[i] for i in order]):
+        for member, out in enumerate(rows):
+            size = min(len(block), len(out) - first)
+            if size <= 0:  # this member and every later one have finished
+                break
+            out[first : first + size] = block[:size, member]
+    trajs = [None] * len(u_ins)
+    for i, out in zip(order, rows):
+        trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
+    return trajs
+
+
+def _checked(u_ins: Sequence[PeriodicField], n: int, dt, steps):
+    """Each member's step size and step count, after the checks of
+    solve_damped_heat_batch, which run in the members' order."""
     _odd_check(n)
     if not u_ins or any(u.grid_shape != u_ins[0].grid_shape for u in u_ins):
         raise ValueError("need at least one field, all on one grid")
@@ -66,36 +87,76 @@ def solve_damped_heat_batch(u_ins: Sequence[PeriodicField], n: int, dt, steps) -
         peak = float(np.max(np.abs(u.values)))
         if d * peak ** (n - 1) >= 0.5:
             raise ValueError(f"unstable step: dt * max|u|^(n-1) = {d * peak ** (n - 1):.3g} >= 0.5")
-    # longest run first, so the members still marching are a leading slice
-    order = sorted(range(count), key=lambda i: -steps[i])
-    shape = u_ins[0].grid_shape
+    return dts, steps
+
+
+# steps per block of the march: the guard runs once per block, and a
+# block of a few members on a 1D grid stays within a core's cache
+_BLOCK = 128
+
+
+def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int]):
+    """March a stack of fields in place; yield (first, rows) per block.
+
+    values is (members, *grid), its members ordered by nonincreasing
+    steps, and dts and steps are the members' checked step sizes and
+    counts.  rows[j, i] is member i at step first + j while that step
+    is at most steps[i]; later rows of a finished member hold nothing.
+    The first block starts at step 0 with the data.  rows is a view of
+    one buffer that the next block overwrites, so read it before asking
+    for the next.  The first step of a block at which a marching
+    member's values exceed BLOWUP_LIMIT raises BlowupError naming it,
+    before the block is yielded.  A block may step on past that step, so
+    overflow and invalid values do not warn while a block is computed.
+    """
+    count, shape = len(values), values.shape[1:]
     axes = tuple(range(-len(shape), 0))
+    grid_axes = tuple(range(2, 2 + len(shape)))  # of a block
     lead = (count,) + (1,) * len(shape)
-    dt_rows = np.array([dts[i] for i in order]).reshape(lead)
+    dt_rows = np.array(dts).reshape(lead)
     # complex already, as numpy would cast it for the product every step
     decay = np.exp(-(mode_magnitudes(shape) ** 2) * dt_rows).astype(np.complex128)
-    rows = [np.empty((steps[i] + 1,) + shape) for i in order]
-    values = np.stack([u_ins[i].values for i in order])
-    for out, v in zip(rows, values):
-        out[0] = v
+    total = steps[0] + 1  # rows, the data's included
+    block = np.empty((min(_BLOCK, total),) + values.shape)
+    work = np.empty_like(values)
+    spectrum = np.empty_like(decay)
+    last = np.array(steps)
+    block[0] = values
+    src = block[0]
     marching = count
-    for k in range(steps[order[0]]):
-        while steps[order[marching - 1]] <= k:
-            marching -= 1
-        values = values[:marching]
-        damped = values - dt_rows[:marching] * _power(values, n)
-        if len(shape) == 1:  # rfftn's own 1D step, without its per-call overhead
-            values = np.fft.irfft(decay[:marching] * np.fft.rfft(damped), n=shape[0])
-        else:
-            values = np.fft.irfftn(decay[:marching] * np.fft.rfftn(damped, axes=axes), s=shape, axes=axes)
-        if np.abs(values).max() > BLOWUP_LIMIT:
-            raise BlowupError(f"field exceeded {BLOWUP_LIMIT:g} at step {k + 1}")
-        for out, v in zip(rows, values):
-            out[k + 1] = v
-    trajs = [None] * count
-    for i, out in zip(order, rows):
-        trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
-    return trajs
+    for first in range(0, total, len(block)):
+        size = min(len(block), total - first)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1 if first == 0 else 0, size):
+                k = first + j - 1  # the step from k to k + 1
+                while steps[marching - 1] <= k:
+                    marching -= 1
+                v, w, s = src[:marching], work[:marching], spectrum[:marching]
+                np.multiply(v, v, out=w)
+                for _ in range(n - 2):
+                    np.multiply(w, v, out=w)
+                np.multiply(dt_rows[:marching], w, out=w)
+                np.subtract(v, w, out=w)
+                if len(shape) == 1:  # rfftn's own 1D step, without its per-call overhead
+                    np.fft.rfft(w, out=s)
+                    np.multiply(decay[:marching], s, out=s)
+                    np.fft.irfft(s, n=shape[0], out=block[j, :marching])
+                else:
+                    np.fft.rfftn(w, axes=axes, out=s)
+                    np.multiply(decay[:marching], s, out=s)
+                    np.fft.irfftn(s, s=shape, axes=axes, out=block[j, :marching])
+                src = block[j]
+        rows = block[:size]
+        # one guard per block: max|u| of each member at each step, over
+        # the members marching into that step (a NaN hides the step, as
+        # numpy's max of the whole stack would)
+        peaks = np.maximum(np.max(rows, axis=grid_axes), -np.min(rows, axis=grid_axes))
+        step = np.arange(first, first + size)[:, None]
+        live = (step >= 1) & (step <= last)
+        over = np.max(np.where(live, peaks, 0.0), axis=1) > BLOWUP_LIMIT
+        if over.any():
+            raise BlowupError(f"field exceeded {BLOWUP_LIMIT:g} at step {first + int(np.argmax(over))}")
+        yield first, rows
 
 
 def steklov_average(series: Trajectory, h: float) -> Trajectory:
@@ -154,8 +215,13 @@ def l1_contraction_curve(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:
         raise ValueError("trajectories live on different grids")
     if len(traj1.times) != len(traj2.times) or not np.allclose(traj1.times, traj2.times):
         raise ValueError("trajectories must share their time grid")
-    dv = traj1.final().volume_element()
-    diff = traj1.values_array() - traj2.values_array()
+    return _l1_rows(traj1.values_array() - traj2.values_array(), traj1.final().volume_element())
+
+
+def _l1_rows(diff: np.ndarray, dv: float) -> np.ndarray:
+    """Integral norm of each row of diff, (rows, *grid), which it
+    overwrites with its absolute value; the one summation order of every
+    L1 curve."""
     np.abs(diff, out=diff)
     return np.sum(diff, axis=tuple(range(1, diff.ndim))) * dv
 

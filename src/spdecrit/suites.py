@@ -127,17 +127,38 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     steps_b = round(tmax / dt_b)
     if steps_b < 1:  # dt_b >= dt, so steps >= steps_b
         raise ValueError(f"tmax={tmax!r} is shorter than one step of {dt_b!r}")
-    checks = []
-
     # five runs march as one stack: the same data at dt and at dt/2, and
     # three contraction runs at the coarser step
-    coarse, fine, t1, t2, traj = lh.solve_damped_heat_batch(
-        [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)],
-        n,
-        [dt, dt / 2.0, dt_b, dt_b, dt_b],
-        [steps, 2 * steps, steps_b, steps_b, steps_b],
-    )
-    diff = lh.l1_contraction_curve(coarse, lh.subsample(fine, 2))
+    data = [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)]
+    dts, counts = lh._checked(data, n, [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b])
+    if (steps + 1) * grid * 8 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"--tmax {tmax!r} --dt {dt!r}: the stored rows, (tmax / dt + 1) x {grid} doubles, exceed numpy's largest array"
+        )
+    # only the dt run is stored; each block reduces the dt/2 run's even
+    # steps against it and the contraction runs to their curves
+    coarse = np.empty((steps + 1, grid))
+    diff = np.empty(steps + 1)
+    curve = np.empty(steps_b + 1)
+    curve0 = np.empty(steps_b + 1)
+    dv = data[0].volume_element()
+    order = (1, 0, 2, 3, 4)  # the march takes the longest run first
+    stack = np.stack([data[i].values for i in order])
+    for first, rows in lh._march(stack, n, [dts[i] for i in order], [counts[i] for i in order]):
+        size = min(len(rows), steps + 1 - first)
+        if size > 0:
+            coarse[first : first + size] = rows[:size, 1]
+        # a block starts at an even step (_BLOCK is even), so its even
+        # rows are the dt/2 run at the dt run's steps k, k + 1, ...
+        k = first // 2
+        fine = rows[::2, 0]
+        diff[k : k + len(fine)] = lh._l1_rows(coarse[k : k + len(fine)] - fine, dv)
+        size = min(len(rows), steps_b + 1 - first)
+        if size > 0:
+            curve[first : first + size] = lh._l1_rows(rows[:size, 2] - rows[:size, 3], dv)
+            # the distance to the zero solution
+            curve0[first : first + size] = lh._l1_rows(rows[:size, 4].copy(), dv)
+    checks = []
     worst = float(np.max(diff))
     # the method is first order: above the reference step the bound scales
     tol = 1.0e-4 * max(1.0, dt / 1.0e-4)
@@ -150,7 +171,6 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
         )
     )
 
-    curve = lh.l1_contraction_curve(t1, t2)
     growth = float(np.max(np.diff(curve)))
     checks.append(
         _check(
@@ -161,8 +181,6 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
         )
     )
 
-    zero = lh.Trajectory(dt=dt_b, times=traj.times.copy(), values=np.zeros((len(traj.times),) + traj.grid_shape))
-    curve0 = lh.l1_contraction_curve(traj, zero)
     checks.append(
         _check(
             "zero is a solution: ||u(t)||_L1 decreases",

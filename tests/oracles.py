@@ -5,20 +5,30 @@ report data: a weak-form residual of a damped-heat trajectory, the
 telescoped power difference, block sup norms, a difference-quotient
 Hölder fit, the inverse of the report's JSON row encoding, the
 exact-rational recurrence of the Tychonov derivative polynomials, the
-whole-array form of the inequality sweep and the float residual bound
-as it divided by (2K)! before that could exceed a double.
+whole-array form of the inequality sweep, the float residual bound
+as it divided by (2K)! before that could exceed a double, the damped
+flow's stacked march one step at a time, and the uniqueness suite as
+it stored every trajectory before reducing it.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from spdecrit.affine import DimExpr, RegBound
-from spdecrit.lab import PeriodicField, ResolutionError, Trajectory, lp_fields
-from spdecrit.lab.heat import _odd_check, _power, proof_inequality_gap
+from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, Trajectory, lp_fields
+from spdecrit.lab.fields import mode_magnitudes
+from spdecrit.lab.heat import (
+    BLOWUP_LIMIT,
+    _odd_check,
+    _power,
+    l1_contraction_curve,
+    proof_inequality_gap,
+    subsample,
+)
 
 
 @dataclass
@@ -188,3 +198,86 @@ def tychonov_residual_float_oracle(series, K: int, t_values, x_values) -> float:
         for x in x_values:
             worst = max(worst, top * abs(float(x)) ** (2 * K) / fact)
     return worst
+
+
+def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[Trajectory]:
+    """solve_damped_heat_batch as a per-step march of the stacked members:
+    new arrays every step, each member's row copied out as it is made,
+    and the blow-up guard on the whole marching stack after every step."""
+    _odd_check(n)
+    count = len(u_ins)
+    dts = [float(d) for d in np.broadcast_to(dt, (count,))]
+    steps = np.broadcast_to(steps, (count,)).tolist()
+    order = sorted(range(count), key=lambda i: -steps[i])
+    shape = u_ins[0].grid_shape
+    axes = tuple(range(-len(shape), 0))
+    lead = (count,) + (1,) * len(shape)
+    dt_rows = np.array([dts[i] for i in order]).reshape(lead)
+    decay = np.exp(-(mode_magnitudes(shape) ** 2) * dt_rows).astype(np.complex128)
+    rows = [np.empty((steps[i] + 1,) + shape) for i in order]
+    values = np.stack([u_ins[i].values for i in order])
+    for out, v in zip(rows, values):
+        out[0] = v
+    marching = count
+    for k in range(steps[order[0]]):
+        while steps[order[marching - 1]] <= k:
+            marching -= 1
+        values = values[:marching]
+        damped = values - dt_rows[:marching] * _power(values, n)
+        if len(shape) == 1:
+            values = np.fft.irfft(decay[:marching] * np.fft.rfft(damped), n=shape[0])
+        else:
+            values = np.fft.irfftn(decay[:marching] * np.fft.rfftn(damped, axes=axes), s=shape, axes=axes)
+        if np.abs(values).max() > BLOWUP_LIMIT:
+            raise BlowupError(f"field exceeded {BLOWUP_LIMIT:g} at step {k + 1}")
+        for out, v in zip(rows, values):
+            out[k + 1] = v
+    trajs = [None] * count
+    for i, out in zip(order, rows):
+        trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
+    return trajs
+
+
+def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
+    """run_uniqueness's result from its five stored trajectories: the
+    stacked march, the dt/2 run subsampled to the dt run's times, and
+    l1_contraction_curve for each check."""
+    from spdecrit.suites import _check, _finish, _smooth_data
+
+    steps = round(tmax / dt)
+    dt_b = max(dt, 1.0e-3)
+    steps_b = round(tmax / dt_b)
+    coarse, fine, t1, t2, traj = damped_heat_batch_oracle(
+        [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)],
+        n,
+        [dt, dt / 2.0, dt_b, dt_b, dt_b],
+        [steps, 2 * steps, steps_b, steps_b, steps_b],
+    )
+    diff = l1_contraction_curve(coarse, subsample(fine, 2))
+    worst = float(np.max(diff))
+    tol = 1.0e-4 * max(1.0, dt / 1.0e-4)
+    curve = l1_contraction_curve(t1, t2)
+    growth = float(np.max(np.diff(curve)))
+    zero = Trajectory(dt=dt_b, times=traj.times.copy(), values=np.zeros((len(traj.times),) + traj.grid_shape))
+    curve0 = l1_contraction_curve(traj, zero)
+    checks = [
+        _check(
+            "identical data: dt vs dt/2 trajectories stay together",
+            worst < tol,
+            value=worst,
+            target=f"sup-over-time L1 < {tol:g}",
+        ),
+        _check(
+            "distinct data: L1 distance non-increasing",
+            growth <= 1.0e-8,
+            value=growth,
+            target="per-step increase <= 1e-8",
+        ),
+        _check(
+            "zero is a solution: ||u(t)||_L1 decreases",
+            bool(np.all(np.diff(curve0) <= 1.0e-12)),
+            value=float(curve0[-1] / curve0[0]),
+            target="monotone",
+        ),
+    ]
+    return _finish("uniqueness", checks)

@@ -263,6 +263,24 @@ def test_verify_uniqueness_names_a_bad_grid_or_step_count(capsys, argv, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--tmax", "1e20"), "--tmax 1e+20 --dt 0.0001"),
+        (("--tmax", "1e300", "--dt", "1e-4"), "--tmax 1e+300 --dt 0.0001"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_verify_uniqueness_refuses_rows_past_an_array_before_allocating(tmp_path, capsys, argv, message):
+    # numpy once refused these with "Maximum allowed dimension exceeded",
+    # which names no flag
+    code, out, err = run(capsys, "verify", "uniqueness", *argv, "--out", str(tmp_path / "F"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}: the stored rows, (tmax / dt + 1) x 256 doubles, exceed numpy's largest array\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "F").exists()
+
+
 def test_verify_accepts_seed_zero(capsys):
     code, out, _ = run(
         capsys, "verify", "inequality", "--n", "3", "--samples", "1000", "--seed", "0", "--format", "json"
@@ -1088,7 +1106,7 @@ def test_noise_sample_names_the_flags_when_the_end_time_overflows(tmp_path, caps
 
 
 def test_failed_allocation_exits_2_with_one_error_line(tmp_path):
-    # the dt/2 run alone asks for (2e13 + 1) x 256 doubles, 36.4 PiB, more
+    # the coarse rows alone ask for (1e13 + 1) x 256 doubles, 18.2 PiB, more
     # than a process can map with 4-level page tables (128 TiB), so the
     # allocation fails at once and touches no memory
     src = str(Path(spdecrit.__file__).resolve().parents[1])

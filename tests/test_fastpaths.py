@@ -14,10 +14,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import inequality_sweep_oracle, tychonov_poly_table_oracle, tychonov_residual_float_oracle
+from oracles import (
+    damped_heat_batch_oracle,
+    inequality_sweep_oracle,
+    tychonov_poly_table_oracle,
+    tychonov_residual_float_oracle,
+    uniqueness_oracle,
+)
 
 from spdecrit import suites
-from spdecrit.lab import PeriodicField, Trajectory
+from spdecrit.lab import BlowupError, PeriodicField, Trajectory
 from spdecrit.lab import heat as lh
 from spdecrit.lab import noise as ln
 from spdecrit.lab import tychonov as lt
@@ -347,6 +353,85 @@ def test_uniqueness_stack_matches_separate_runs():
     stacked = lh.solve_damped_heat_batch(data, 3, dts, steps)
     for traj, u, dt, count in zip(stacked, data, dts, steps):
         assert same_bits(traj.values_array(), lh.solve_damped_heat(u, 3, dt, count).values_array())
+
+
+# step counts up to about three blocks of the march, those next to a
+# block edge drawn often: a member's last row on, just before or just
+# after an edge (a block's rows start at a multiple of _BLOCK)
+_EDGES = sorted({1, 2} | {b * lh._BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)})
+block_steps = st.one_of(st.sampled_from(_EDGES), st.integers(1, 3 * lh._BLOCK + 1))
+
+
+@FAST
+@given(
+    st.sampled_from([(16,), (256,), (8, 8)]),
+    seeds,
+    st.sampled_from([3, 5]),
+    st.lists(st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3]), block_steps), min_size=1, max_size=4),
+)
+def test_blocked_march_matches_stacked_loop(shape, seed, n, runs):
+    data = [PeriodicField(smooth_values(shape, seed + i, peak=0.5 + 0.1 * i)) for i in range(len(runs))]
+    dts, steps = map(list, zip(*runs))
+    got = lh.solve_damped_heat_batch(data, n, dts, steps)
+    want = damped_heat_batch_oracle(data, n, dts, steps)
+    for g, w in zip(got, want):
+        assert same_bits(g.values_array(), w.values_array())
+        assert same_bits(g.times, w.times) and g.dt == w.dt
+
+
+@pytest.mark.parametrize("hidden", [1, lh._BLOCK - 2, lh._BLOCK - 1, lh._BLOCK, 2 * lh._BLOCK + 3])
+def test_blowup_inside_a_block_names_the_loops_step(hidden):
+    """While a NaN member marches, the stack's max is NaN and the guard
+    passes; the step after it finishes is the first to trip, wherever
+    that step falls in a block.  No warning and no error state leaks."""
+    import warnings
+
+    big = PeriodicField(np.full(16, 2.0e6))
+    args = ([big, PeriodicField(np.full(16, np.nan))], 3, 1.0e-20, [3 * lh._BLOCK, hidden])
+    with pytest.raises(BlowupError) as want:
+        damped_heat_batch_oracle(*args)
+    state = np.geterr()
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as got:
+        warnings.simplefilter("always")
+        lh.solve_damped_heat_batch(*args)
+    assert str(got.value) == str(want.value) == f"field exceeded 1e+06 at step {hidden + 1}"
+    assert [str(w.message) for w in caught] == []
+    assert np.geterr() == state
+
+
+@pytest.mark.parametrize(
+    "grid,steps,dt,n",
+    [
+        (16, 300, 1e-3, 3),  # at dt >= 1e-3 the contraction runs are as long as the dt run
+        (32, 3 * lh._BLOCK + 1, 1e-3, 5),
+        (64, lh._BLOCK // 2, 2e-3, 3),  # the dt/2 run's last row opens a block
+        (128, lh._BLOCK - 1, 1e-3, 3),
+        (256, 500, 1e-4, 3),  # contraction runs of 50 steps at 1e-3
+        (256, lh._BLOCK + 1, 1e-4, 5),
+    ],
+)
+def test_streamed_uniqueness_matches_stored_trajectories(grid, steps, dt, n):
+    tmax = steps * dt
+    assert round(tmax / dt) == steps
+    got = suites.run_uniqueness(n=n, dim=1, grid=grid, tmax=tmax, dt=dt)
+    assert repr(got) == repr(uniqueness_oracle(n=n, grid=grid, tmax=tmax, dt=dt))
+
+
+def test_streamed_uniqueness_stores_only_the_dt_run():
+    """The traced peak stays under twice the dt run's rows; storing all
+    five trajectories and a difference array took over four times."""
+    import tracemalloc
+
+    grid, tmax, dt = 256, 0.5, 1e-4
+    coarse_bytes = (round(tmax / dt) + 1) * grid * 8
+    suites.run_uniqueness(n=3, dim=1, grid=16, tmax=0.01, dt=1e-3)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        suites.run_uniqueness(n=3, dim=1, grid=grid, tmax=tmax, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * coarse_bytes
 
 
 @FAST

@@ -1,7 +1,7 @@
 """Golden digests of seeded outputs.
 
-Each digest is the SHA-256 of `deterministic_bytes` of one suite's JSON
-envelope (the timestamp left out, the version kept), or of the files one
+Each digest is the SHA-256 of `deterministic_bytes` of one verify run's
+JSON envelope (the timestamp left out, the version kept), or of the files one
 `noise sample` writes.  A change that claims byte-identical output must
 leave them as they are; a declared stream change records new ones with
 its new version.  The digests hold for the numpy and mpmath versions
@@ -28,12 +28,14 @@ from spdecrit.report import deterministic_bytes
 RECORDED_WITH = {"numpy": "2.4.6", "mpmath": "1.3.0"}
 
 SUITES = {
-    "inequality": ["--samples", "40000", "--seed", "1"],
-    "uniqueness": ["--grid", "64", "--tmax", "0.05", "--dt", "1e-3", "--seed", "1"],
-    "steklov": ["--samples", "5", "--seed", "4"],
-    "tychonov": [],
-    "noise": ["--grid", "256", "--ensembles", "4", "--seed", "0"],
-    "bony": ["--seed", "11"],
+    "inequality": ["inequality", "--samples", "40000", "--seed", "1"],
+    "uniqueness": ["uniqueness", "--grid", "64", "--tmax", "0.05", "--dt", "1e-3", "--seed", "1"],
+    # 2,000 and 4,000 steps: the march's blocks and the streamed checks
+    "uniqueness_blocks": ["uniqueness", "--grid", "64", "--tmax", "0.2", "--dt", "1e-4", "--seed", "1"],
+    "steklov": ["steklov", "--samples", "5", "--seed", "4"],
+    "tychonov": ["tychonov"],
+    "noise": ["noise", "--grid", "256", "--ensembles", "4", "--seed", "0"],
+    "bony": ["bony", "--seed", "11"],
 }
 SAMPLES = {
     "sample_1d": ["--dim", "1", "--grid", "256", "--seed", "4", "--steps", "32"],
@@ -42,6 +44,7 @@ SAMPLES = {
 GOLDEN = {
     "inequality": "0789983f9310dffdf6b10bac1891d02d402dfd871133cc1c4f2b15bf37bd2ab2",
     "uniqueness": "4599a8d158acb535ceac2d02d6ac0fe32921ef5dece071f1acfdd3d70aab5203",
+    "uniqueness_blocks": "33b8c9a0bac260c6c97ec856086f76c88ecb9508ac02267fb92a572fc7fc7176",
     "steklov": "e89a4bfbbd88667460b21a4888472f44bb65fe9b93bceb791d5ea0d3fc992e6b",
     "tychonov": "08eff4c5f899b53804e0d74d0ac9b5628d7648e65ee540cf707882e5e2396a17",
     "noise": "9476bd988ed786767d700405888cd5eeb611e901b95eb88c0c54c7cfe77645c5",
@@ -54,7 +57,7 @@ GOLDEN = {
 def suite_digest(name: str) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
-        cli.main(["verify", name, *SUITES[name], "--format", "json"])
+        cli.main(["verify", *SUITES[name], "--format", "json"])
     return hashlib.sha256(deterministic_bytes(json.loads(out.getvalue()))).hexdigest()
 
 
