@@ -7,7 +7,30 @@ runs only the lab never imports the symbolic half.
 
 __version__ = "0.3.0"
 
-_EXPORTS = {
+
+def _export_lazily(namespace: dict, exports: dict) -> dict:
+    """Export the names of `exports` (submodule -> names) from the package
+    whose globals are `namespace`: each imports its submodule on first
+    access (PEP 562) and is then kept.  Returns name -> module path."""
+    package = namespace["__name__"]
+    where = {name: f"{package}.{module}" for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        value = namespace[name] = getattr(import_module(where[name]), name)
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(where))
+
+    namespace.update(__all__=list(where), __getattr__=__getattr__, __dir__=__dir__)
+    return where
+
+
+_MODULE_OF = _export_lazily(globals(), {
     "affine": ("DimExpr", "RegBound", "ScalingInfo"),
     "rules": (
         "noise_regularity", "product_homogeneity", "product_analytic", "apply_derivative", "schauder_gain",
@@ -18,21 +41,4 @@ _EXPORTS = {
         "CriticalityReport", "ProductTerm", "expand", "gain_per_step", "classify", "scaling_exponent",
         "renormalization_flags",
     ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_MODULE_OF)
-
-
-def __getattr__(name):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+})

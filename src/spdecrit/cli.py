@@ -12,9 +12,10 @@ converter.  SPDECRIT_SEED supplies the seed when neither gives one.
 
 Each command imports only what it runs.  `analyze` loads the symbolic
 half (`dsl`, `expansion`, `rules`, `affine`) and never numpy.  `verify`
-and `noise sample` load numpy and the lab but not the symbolic half, and
-only `verify tychonov` loads mpmath.  The names below that reach either
-half import it on their first call.
+and `noise sample` (of the lab, only `fields`, `noise` and `io`) load
+numpy and the lab but not the symbolic half, and only `verify tychonov`
+loads mpmath.  The names below that reach either half look up what they
+call in its defining module at every call, importing it on the first.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import os
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
-from . import __version__
+from . import _MODULE_OF, __version__
 from .errors import ExpansionError, SpecError
 from .report import atomic_write, build_envelope, render_table, report_payload, serialize_envelope
 
@@ -48,30 +50,21 @@ def run_suite(name: str, **options) -> dict:
     return getattr(suites, f"run_{name}")(**options)
 
 
-# The symbolic half's entry points, each importing it on first call as
-# run_suite does the lab, so that `verify` and `noise sample` never load it.
-def load_bundled_spec(*args, **kwargs):
-    from .dsl import load_bundled_spec as load
+def _symbolic(name: str):
+    """`spdecrit.<name>`, looked up in the module the package's export table
+    gives for it when called, as run_suite looks up the lab's runners."""
+    module = _MODULE_OF[name]
 
-    return load(*args, **kwargs)
+    def call(*args, **kwargs):
+        return getattr(import_module(module), name)(*args, **kwargs)
 
-
-def parse_spec(*args, **kwargs):
-    from .dsl import parse_spec as parse
-
-    return parse(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def validate_spec(*args, **kwargs):
-    from .dsl import validate_spec as validate
-
-    return validate(*args, **kwargs)
-
-
-def expand(*args, **kwargs):
-    from .expansion import expand as run
-
-    return run(*args, **kwargs)
+load_bundled_spec, parse_spec, validate_spec, expand = map(
+    _symbolic, ("load_bundled_spec", "parse_spec", "validate_spec", "expand")
+)
 
 
 def _seed(text: str) -> int:

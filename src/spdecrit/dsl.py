@@ -169,6 +169,9 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+_ITEMS = ("dimension", "unknown", "diffusion", "aux_z1", "noise", "nonlinear")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -244,10 +247,15 @@ class _Parser:
         if tok.kind != "ident":
             self.fail(f"expected an item keyword, found {tok.text!r}")
         key = tok.text
-        if key != "nonlinear" and key in seen:
+        if key not in _ITEMS:
+            self.fail(f"unknown item {key!r}")
+        if key in seen:
             raise SpecSemanticError("E_DUPLICATE_ITEM", f"duplicate item {key!r}")
+        self.next()
+        if key == "nonlinear":
+            fields["nonlinear_terms"].append(self.nonlinear_block())
+            return  # blocks are not tracked in `seen` and take no ';'
         if key == "dimension":
-            self.next()
             t = self.peek()
             if t.kind == "int":
                 fields["dim"] = self.integer()
@@ -257,41 +265,24 @@ class _Parser:
                 fields["dim_symbol"] = self.next().text
             else:
                 self.fail("dimension takes an integer or a symbol")
-            self.expect("punct", ";")
         elif key == "unknown":
-            self.next()
             fields["unknown"] = self.expect("ident").text
             self.expect("punct", ":")
             rank = self.expect("ident").text
             if rank not in (SCALAR, VECTOR):
                 raise SpecSemanticError("E_BAD_RANK", f"unknown rank {rank!r}")
             fields["unknown_rank"] = rank
-            self.expect("punct", ";")
-        elif key == "diffusion":
-            self.next()
-            self.expect_keyword("order")
-            fields["diffusion_order"] = self.rational()
-            self.expect("punct", ";")
-        elif key == "aux_z1":
-            self.next()
-            self.expect_keyword("order")
-            fields["z1_diffusion_order"] = self.rational()
-            self.expect("punct", ";")
         elif key == "noise":
-            self.next()
             kind = self.expect("ident").text
             if kind not in NOISE_KINDS:
                 raise SpecSemanticError("E_NOISE_KIND", f"unknown noise kind {kind!r}")
             fields["noise_kind"] = kind
             if self.accept_keyword("lift"):
                 fields["noise_lift"] = self.rational()
-            self.expect("punct", ";")
-        elif key == "nonlinear":
-            self.next()
-            fields["nonlinear_terms"].append(self.nonlinear_block())
-            return  # blocks are not tracked in `seen`
         else:
-            self.fail(f"unknown item {key!r}")
+            self.expect_keyword("order")
+            fields["diffusion_order" if key == "diffusion" else "z1_diffusion_order"] = self.rational()
+        self.expect("punct", ";")
         seen.add(key)
 
     def nonlinear_block(self) -> NonlinearTerm:
@@ -306,25 +297,21 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "ident":
                 self.fail(f"expected a nonlinear item, found {tok.text!r}")
+            if tok.text not in ("inner_deriv", "outer_deriv", "projector"):
+                self.fail(f"unknown nonlinear item {tok.text!r}")
+            self.next()
             if tok.text == "inner_deriv":
-                self.next()
                 inner = [self.rational()]
                 while self.peek().kind == "punct" and self.peek().text == ",":
                     self.next()
                     inner.append(self.rational())
-                self.expect("punct", ";")
             elif tok.text == "outer_deriv":
-                self.next()
                 outer = self.rational()
-                self.expect("punct", ";")
-            elif tok.text == "projector":
-                self.next()
+            else:
                 projector = self.expect("ident").text
                 if projector not in ("leray", "riesz"):
                     raise SpecSemanticError("E_PROJECTOR", f"unknown projector {projector!r}")
-                self.expect("punct", ";")
-            else:
-                self.fail(f"unknown nonlinear item {tok.text!r}")
+            self.expect("punct", ";")
         self.expect("punct", "}")
         if inner is None:
             inner = [Fraction(0)] * max(degree, 0)

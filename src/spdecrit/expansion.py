@@ -574,21 +574,11 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     )
 
 
-def _gain_of_rows(rows: Sequence[ExpansionRow]):
-    if len(rows) < 2:
-        return None, "E_TOO_FEW_ROWS"
-    diffs = [rows[i + 1].object_bound.sup - rows[i].object_bound.sup for i in range(len(rows) - 1)]
-    if any(d != diffs[0] for d in diffs[1:]):
-        return None, "E_NONCONSTANT_GAIN"
-    return diffs[0], None
-
-
 def gain_per_step(report: CriticalityReport) -> DimExpr:
-    """Common difference of consecutive object bounds."""
-    gain, err = _gain_of_rows(report.rows)
-    if gain is None:
-        raise ExpansionError(err, "object regularities do not advance by a constant step")
-    return gain
+    """Common difference of consecutive object bounds, as expand found it."""
+    if report.gain is None:
+        raise ExpansionError(report.gain_error, "object regularities do not advance by a constant step")
+    return report.gain
 
 
 def renormalization_flags(report: CriticalityReport, d: int) -> List[ProductTerm]:

@@ -1,66 +1,21 @@
 """Desk-scale numerical experiments backing the symbolic analyzer.
 
-The Tychonov names load `tychonov`, and with it mpmath, on first access.
+The names below load their module on first access, so `import
+spdecrit.lab` loads neither numpy nor mpmath; the Tychonov names bring
+in mpmath, the others numpy.
 """
 
-from .fields import (
-    PeriodicField,
-    Trajectory,
-    ResolutionError,
-    synthetic_field,
-    white_half_spectrum,
-    lp_fields,
-    fit_window,
-    estimate_holder_exponent,
-    bony_decompose,
-)
-from .noise import sample_spatial_white, solve_z1_mild, solve_z1_mild_batch
-from .heat import (
-    BlowupError,
-    solve_damped_heat,
-    solve_damped_heat_batch,
-    steklov_average,
-    proof_inequality_gap,
-    proof_inequality_gap_exact,
-    l1_contraction_curve,
-)
+from .. import _export_lazily
 
-_TYCHONOV = ("TychonovSeries", "tychonov_eval", "tychonov_residual", "fd_heat_residual")
-
-__all__ = [
-    "PeriodicField",
-    "Trajectory",
-    "ResolutionError",
-    "BlowupError",
-    "TychonovSeries",
-    "synthetic_field",
-    "white_half_spectrum",
-    "lp_fields",
-    "fit_window",
-    "estimate_holder_exponent",
-    "bony_decompose",
-    "sample_spatial_white",
-    "solve_z1_mild",
-    "solve_z1_mild_batch",
-    "solve_damped_heat",
-    "solve_damped_heat_batch",
-    "steklov_average",
-    "proof_inequality_gap",
-    "proof_inequality_gap_exact",
-    "l1_contraction_curve",
-    "tychonov_eval",
-    "tychonov_residual",
-    "fd_heat_residual",
-]
-
-
-def __getattr__(name):
-    if name not in _TYCHONOV:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import tychonov
-
-    return getattr(tychonov, name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+_export_lazily(globals(), {
+    "fields": (
+        "PeriodicField", "Trajectory", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
+        "fit_window", "estimate_holder_exponent", "bony_decompose",
+    ),
+    "noise": ("sample_spatial_white", "solve_z1_mild", "solve_z1_mild_batch"),
+    "heat": (
+        "BlowupError", "solve_damped_heat", "solve_damped_heat_batch", "steklov_average", "proof_inequality_gap",
+        "proof_inequality_gap_exact", "l1_contraction_curve",
+    ),
+    "tychonov": ("TychonovSeries", "tychonov_eval", "tychonov_residual", "fd_heat_residual"),
+})

@@ -85,6 +85,10 @@ def _checked(u_ins: Sequence[PeriodicField], n: int, dt, steps):
         raise ValueError("need 0 < dt < inf and whole steps >= 1")
     for u, d in zip(u_ins, dts):
         peak = float(np.max(np.abs(u.values)))
+        try:  # the step forms u^n, which must fit a double (NaN data pass)
+            peak**n
+        except OverflowError:
+            raise ValueError(f"max|u|^n overflows a double: max|u| = {peak:.3g}, n = {n}") from None
         if d * peak ** (n - 1) >= 0.5:
             raise ValueError(f"unstable step: dt * max|u|^(n-1) = {d * peak ** (n - 1):.3g} >= 0.5")
     return dts, steps

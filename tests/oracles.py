@@ -4,11 +4,12 @@ None of these is called by a command.  They read only public lab and
 report data: a weak-form residual of a damped-heat trajectory, the
 telescoped power difference, block sup norms, a difference-quotient
 Hölder fit, the inverse of the report's JSON row encoding, the
-exact-rational recurrence of the Tychonov derivative polynomials, the
-whole-array form of the inequality sweep, the float residual bound
-as it divided by (2K)! before that could exceed a double, the damped
-flow's stacked march one step at a time, and the uniqueness suite as
-it stored every trajectory before reducing it.
+expansion's gain recomputed from its rows, the exact-rational
+recurrence of the Tychonov derivative polynomials, the whole-array form
+of the inequality sweep, the float residual bound as it divided by
+(2K)! before that could exceed a double, the damped flow's stacked
+march one step at a time, and the uniqueness suite as it stored every
+trajectory before reducing it.
 """
 
 import math
@@ -149,6 +150,16 @@ def rows_from_payload(payload: dict) -> List[Tuple[int, RegBound, RegBound, Opti
     return out
 
 
+def gain_of_rows(rows) -> Tuple[Optional[DimExpr], Optional[str]]:
+    """The gain and gain error of a report with these expansion rows: the
+    common difference of consecutive object bounds, found from the rows
+    alone rather than while the expansion builds them."""
+    if len(rows) < 2:
+        return None, "E_TOO_FEW_ROWS"
+    diffs = [rows[i + 1].object_bound.sup - rows[i].object_bound.sup for i in range(len(rows) - 1)]
+    if any(d != diffs[0] for d in diffs[1:]):
+        return None, "E_NONCONSTANT_GAIN"
+    return diffs[0], None
 
 
 def tychonov_poly_table_oracle(alpha: int, depth: int) -> List[Tuple[Fraction, ...]]:

@@ -1,5 +1,6 @@
 """Command surface: exit codes, formats, overrides, reproducibility."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -373,6 +374,50 @@ def test_lab_commands_leave_the_symbolic_half_unloaded(tmp_path, argv, loaded):
     last = proc.stdout.splitlines()[-1]
     assert last.startswith("loaded:")
     assert set(filter(None, last[len("loaded:"):].split(","))) == loaded
+
+
+_LAB_MODULES = ("spdecrit.suites", "spdecrit.lab.fields", "spdecrit.lab.noise", "spdecrit.lab.io", "spdecrit.lab.heat",
+                "spdecrit.lab.tychonov")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("noise", "sample", "--dim", "1", "--grid", "64", "--steps", "4", "--out", "out"),
+        ("noise", "sample", "--dim", "2", "--grid", "64", "--kind", "white", "--estimate", "--out", "out"),
+    ],
+    ids=lambda v: " ".join(v),
+)
+def test_noise_sample_loads_only_fields_noise_and_io(tmp_path, argv):
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HALVES_PROBE, ",".join(_LAB_MODULES), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert set(filter(None, last[len("loaded:"):].split(","))) == {
+        "spdecrit.lab.fields", "spdecrit.lab.noise", "spdecrit.lab.io"}
+
+
+@pytest.mark.parametrize(
+    "name,module",
+    [
+        ("load_bundled_spec", "spdecrit.dsl"),
+        ("parse_spec", "spdecrit.dsl"),
+        ("validate_spec", "spdecrit.dsl"),
+        ("expand", "spdecrit.expansion"),
+    ],
+)
+def test_symbolic_entry_points_look_up_their_module_when_called(monkeypatch, name, module):
+    """A rebinding in the defining module after import, as a tracer makes, is what runs."""
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda *a, **k: calls.append((a, k)) or "patched")
+    forward = getattr(cli, name)
+    assert forward.__name__ == name and forward.__module__ == "spdecrit.cli"
+    assert forward("x", key=1) == "patched"
+    assert calls == [(("x",), {"key": 1})]
 
 
 _ENVELOPE_MODULES = ("json", "datetime")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gain_of_rows
 from spdecrit.affine import DimExpr, RegBound
 from spdecrit.dsl import VECTOR, NonlinearTerm, SpdeSpec, load_bundled_spec
 from spdecrit.expansion import (
@@ -24,7 +25,6 @@ from spdecrit.expansion import (
     ExpansionRow,
     ProductTerm,
     _compare,
-    _gain_of_rows,
     _label,
     _require_valid,
     _scaling_info,
@@ -180,7 +180,7 @@ def oracle_expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         for r, rem in zip(rows, remainders)
     ]
 
-    gain, gain_error = _gain_of_rows(rows)
+    gain, gain_error = gain_of_rows(rows)
     try:
         exponent, exponent_error = scaling_exponent(spec), None
     except ExpansionError as exc:

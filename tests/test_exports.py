@@ -55,6 +55,7 @@ import spdecrit
 assert [m for m in sys.modules if m.startswith("spdecrit.")] == [], sys.modules
 import spdecrit.lab
 assert "mpmath" not in sys.modules and "spdecrit.dsl" not in sys.modules
+assert "numpy" not in sys.modules and [m for m in sys.modules if m.startswith("spdecrit.lab.")] == [], sys.modules
 from spdecrit import *
 from spdecrit.lab import *
 assert "mpmath" in sys.modules and expand is sys.modules["spdecrit.expansion"].expand

@@ -83,6 +83,22 @@ def test_unstable_step_rejected():
         solve_damped_heat(big, 3, 1e-3, 10)
 
 
+@pytest.mark.parametrize(
+    "peak,n,dt,steps",
+    [
+        (1e100, 5, 1e-3, 1),  # max|u|^(n-1) itself overflows
+        (1e62, 5, 1e-250, 3),  # a stable-looking step whose u^n overflows to NaN rows
+    ],
+)
+def test_data_whose_power_overflows_are_refused(peak, n, dt, steps):
+    message = f"max|u|^n overflows a double: max|u| = {peak:.3g}, n = {n}"
+    with pytest.raises(ValueError) as info:
+        solve_damped_heat(PeriodicField(np.full(16, peak)), n, dt, steps)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"max\|u\|\^n overflows"):
+        solve_damped_heat_batch([smooth_field(16), PeriodicField(np.full(16, -peak))], n, dt, steps)
+
+
 def test_negation_is_a_symmetry_of_the_odd_flow():
     """With an odd power, u -> -u maps solutions to solutions, so the
     discrete flow must commute with negation exactly.  What negation can
