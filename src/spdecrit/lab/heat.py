@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .fields import PeriodicField, Trajectory, mode_magnitudes
+from .fields import PeriodicField, Trajectory, mode_magnitudes, real_fft_pair
 
 BLOWUP_LIMIT = 1.0e6
 
@@ -125,31 +125,42 @@ def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int
     work = np.empty_like(values)
     spectrum = np.empty_like(decay)
     last = np.array(steps)
+    if len(shape) == 1:
+        # rfftn's and irfftn's bits on one axis, without numpy's per-call
+        # wrappers: at a few rows of a 1D grid a step costs what its calls
+        # into numpy cost
+        forward, inverse = real_fft_pair(shape[0])
+    else:
+        forward = lambda x, out: np.fft.rfftn(x, axes=axes, out=out)
+        inverse = lambda x, out: np.fft.irfftn(x, s=shape, axes=axes, out=out)
+    # dt as whole rows: the same products, without a broadcast, which
+    # doubles the cost of the call
+    dt_values = np.broadcast_to(dt_rows, values.shape).copy()
     block[0] = values
-    src = block[0]
+    # the views of the members still marching, bound again only when one
+    # finishes; at first every member marches
     marching = count
+    w, s, dt_m, decay_m, row = work, spectrum, dt_values, decay, list(block)
     for first in range(0, total, len(block)):
         size = min(len(block), total - first)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1 if first == 0 else 0, size):
                 k = first + j - 1  # the step from k to k + 1
-                while steps[marching - 1] <= k:
-                    marching -= 1
-                v, w, s = src[:marching], work[:marching], spectrum[:marching]
-                np.multiply(v, v, out=w)
+                if steps[marching - 1] <= k:
+                    marching = sum(last_step > k for last_step in steps)
+                    w, s, dt_m, decay_m = work[:marching], spectrum[:marching], dt_values[:marching], decay[:marching]
+                    row = [r[:marching] for r in block]
+                # at j = 0 the step before is the last row of the block
+                # before, which was full
+                v = row[j - 1]
+                np.multiply(v, v, w)
                 for _ in range(n - 2):
-                    np.multiply(w, v, out=w)
-                np.multiply(dt_rows[:marching], w, out=w)
-                np.subtract(v, w, out=w)
-                if len(shape) == 1:  # rfftn's own 1D step, without its per-call overhead
-                    np.fft.rfft(w, out=s)
-                    np.multiply(decay[:marching], s, out=s)
-                    np.fft.irfft(s, n=shape[0], out=block[j, :marching])
-                else:
-                    np.fft.rfftn(w, axes=axes, out=s)
-                    np.multiply(decay[:marching], s, out=s)
-                    np.fft.irfftn(s, s=shape, axes=axes, out=block[j, :marching])
-                src = block[j]
+                    np.multiply(w, v, w)
+                np.multiply(dt_m, w, w)
+                np.subtract(v, w, w)
+                forward(w, s)
+                np.multiply(decay_m, s, s)
+                inverse(s, row[j])
         rows = block[:size]
         # one guard per block: max|u| of each member at each step, over
         # the members marching into that step (a NaN hides the step, as
@@ -228,10 +239,3 @@ def _l1_rows(diff: np.ndarray, dv: float) -> np.ndarray:
     L1 curve."""
     np.abs(diff, out=diff)
     return np.sum(diff, axis=tuple(range(1, diff.ndim))) * dv
-
-
-def subsample(traj: Trajectory, stride: int) -> Trajectory:
-    """Every stride-th sample, keeping the endpoints aligned."""
-    if stride < 1 or traj.steps % stride != 0:
-        raise ValueError(f"stride {stride} does not divide {traj.steps} steps")
-    return traj._every(stride)

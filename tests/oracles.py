@@ -8,8 +8,8 @@ expansion's gain recomputed from its rows, the exact-rational
 recurrence of the Tychonov derivative polynomials, the whole-array form
 of the inequality sweep, the float residual bound as it divided by
 (2K)! before that could exceed a double, the damped flow's stacked
-march one step at a time, and the uniqueness suite as it stored every
-trajectory before reducing it.
+march one step at a time, the uniqueness suite as it stored every
+trajectory before reducing it, and the subsampling that suite used.
 """
 
 import math
@@ -28,7 +28,6 @@ from spdecrit.lab.heat import (
     _power,
     l1_contraction_curve,
     proof_inequality_gap,
-    subsample,
 )
 
 
@@ -247,6 +246,14 @@ def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) 
     for i, out in zip(order, rows):
         trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
     return trajs
+
+
+def subsample(traj: Trajectory, stride: int) -> Trajectory:
+    """Every stride-th sample of a trajectory of values, keeping the
+    endpoints aligned."""
+    if stride < 1 or traj.steps % stride != 0:
+        raise ValueError(f"stride {stride} does not divide {traj.steps} steps")
+    return Trajectory(traj.dt * stride, traj.times[::stride], values=traj.values_array()[::stride])
 
 
 def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:

@@ -204,30 +204,41 @@ def test_warning_on_riesz_with_time_white():
 # ---------------------------------------------------------------------------
 # properties
 
+# Every strategy is built once, here: a strategy built inside a composite
+# is built and validated again at every draw.
 ranks = st.sampled_from(["scalar", "vector"])
 small_rationals = st.fractions(min_value=0, max_value=4, max_denominator=6)
 pos_rationals = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=6)
+degrees = st.integers(min_value=2, max_value=4)
+projectors = st.sampled_from([None, "leray", "riesz"])
+has_z1_order = st.one_of(st.none(), st.just(True))
+names = st.sampled_from(["eq_a", "eq_b", "model1"])
+dims = st.one_of(st.none(), st.integers(min_value=1, max_value=6))
+unknowns = st.sampled_from(["u", "h", "theta"])
+noise_kinds = st.sampled_from(["stwn", "spatial_white"])
 
 
 @st.composite
 def specs(draw):
-    degree = draw(st.integers(min_value=2, max_value=4))
+    degree = draw(degrees)
     inner = tuple(draw(small_rationals) for _ in range(degree))
     term = NonlinearTerm(
         degree=degree,
         inner_derivative_orders=inner,
         outer_derivative_order=draw(small_rationals),
-        projector=draw(st.sampled_from([None, "leray", "riesz"])),
+        projector=draw(projectors),
     )
     gamma = draw(pos_rationals)
-    gamma1 = draw(st.one_of(st.none(), st.just(gamma + draw(small_rationals))))
+    gamma1 = gamma + draw(small_rationals)  # drawn whether or not it is kept
+    if draw(has_z1_order) is None:
+        gamma1 = None
     return SpdeSpec(
-        name=draw(st.sampled_from(["eq_a", "eq_b", "model1"])),
-        dim=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=6))),
-        unknown=draw(st.sampled_from(["u", "h", "theta"])),
+        name=draw(names),
+        dim=draw(dims),
+        unknown=draw(unknowns),
         unknown_rank=draw(ranks),
         diffusion_order=gamma,
-        noise_kind=draw(st.sampled_from(["stwn", "spatial_white"])),
+        noise_kind=draw(noise_kinds),
         noise_lift=draw(small_rationals),
         z1_diffusion_order=gamma1,
         nonlinear_terms=(term,),

@@ -215,33 +215,45 @@ def assert_same_report(spec, levels):
     assert render_table(new) == render_table(old)
 
 
+# Every strategy is built once, here: a strategy built inside a composite
+# is built and validated again at every draw.
 orders = st.fractions(min_value=0, max_value=2, max_denominator=4)
+term_degrees = st.integers(min_value=2, max_value=6)
+projectors = st.sampled_from([None, "leray", "riesz"])
+gammas = st.fractions(min_value=0, max_value=3, max_denominator=4)
+dims = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
+ranks = st.sampled_from(["scalar", "vector"])
+noise_kinds = st.sampled_from(["stwn", "spatial_white"])
+z1_extras = st.one_of(st.none(), orders)  # the z1 order is gamma plus the extra
 
 
 @st.composite
 def terms(draw):
-    degree = draw(st.integers(min_value=2, max_value=6))
+    degree = draw(term_degrees)
     return NonlinearTerm(
         degree=degree,
         inner_derivative_orders=tuple(draw(orders) for _ in range(degree)),
         outer_derivative_order=draw(orders),
-        projector=draw(st.sampled_from([None, "leray", "riesz"])),
+        projector=draw(projectors),
     )
+
+
+term_lists = st.lists(terms(), min_size=1, max_size=2)
 
 
 @st.composite
 def specs(draw):
-    gamma = draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+    gamma = draw(gammas)
     return SpdeSpec(
         name="random",
-        dim=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=5))),
+        dim=draw(dims),
         unknown="u",
-        unknown_rank=draw(st.sampled_from(["scalar", "vector"])),
+        unknown_rank=draw(ranks),
         diffusion_order=gamma,
-        noise_kind=draw(st.sampled_from(["stwn", "spatial_white"])),
+        noise_kind=draw(noise_kinds),
         noise_lift=draw(orders),
-        z1_diffusion_order=draw(st.one_of(st.none(), st.builds(lambda extra: gamma + extra, orders))),
-        nonlinear_terms=tuple(draw(st.lists(terms(), min_size=1, max_size=2))),
+        z1_diffusion_order=None if (extra := draw(z1_extras)) is None else gamma + extra,
+        nonlinear_terms=tuple(draw(term_lists)),
     )
 
 

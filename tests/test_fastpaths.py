@@ -8,6 +8,7 @@ formula stays as an oracle at a stated relative bound.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,6 +25,7 @@ from oracles import (
 
 from spdecrit import suites
 from spdecrit.lab import BlowupError, PeriodicField, Trajectory
+from spdecrit.lab import fields as lf
 from spdecrit.lab import heat as lh
 from spdecrit.lab import noise as ln
 from spdecrit.lab import tychonov as lt
@@ -304,6 +306,51 @@ def test_white_half_spectrum_second_moments():
 
 # ---------------------------------------------------------------------------
 # the heat layer
+
+
+@pytest.fixture(params=["ufuncs", "public"])
+def fft_pair_source(request, monkeypatch):
+    """real_fft_pair as it binds numpy's real-FFT ufuncs, and as it falls
+    back to the public functions where numpy lacks their private module."""
+    lf._pocketfft_ufuncs.cache_clear()
+    if request.param == "public":
+        monkeypatch.delattr(np.fft, "_pocketfft_umath")
+        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        assert lf._pocketfft_ufuncs() is None
+    else:
+        assert lf._pocketfft_ufuncs() is not None
+    yield request.param
+    lf._pocketfft_ufuncs.cache_clear()
+
+
+# the stacks the suites march (five, two and one rows of 256 points), a
+# single row, and even and odd lengths
+@pytest.mark.parametrize(
+    "shape", [(5, 256), (2, 256), (1, 256), (256,), (3, 16), (16,), (2, 15), (15,), (4, 255), (255,)]
+)
+def test_real_fft_pair_matches_numpys_public_transforms(fft_pair_source, shape):
+    n = shape[-1]
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(shape)
+    forward, inverse = lf.real_fft_pair(n)
+    spectrum = np.empty(shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    forward(x, spectrum)
+    assert same_bits(spectrum, np.fft.rfft(x))
+    back = np.empty(shape)
+    inverse(spectrum, back)
+    assert same_bits(back, np.fft.irfft(spectrum, n=n))
+    # any half spectrum, not only a real field's
+    c = rng.standard_normal(spectrum.shape) + 1j * rng.standard_normal(spectrum.shape)
+    inverse(c, back)
+    assert same_bits(back, np.fft.irfft(c, n=n))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_damped_heat_march_is_the_same_on_either_fft_pair(fft_pair_source, n):
+    data = [smooth_values((256,), seed, peak=0.5 + 0.2 * seed) for seed in range(3)]
+    trajs = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], n, 1e-3, [40, 25, 7])
+    for traj, u, steps in zip(trajs, data, [40, 25, 7]):
+        assert same_bits(traj.values_array(), np.stack(heat_oracle(u, n, 1e-3, steps)))
 
 
 @FAST

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import SmoothTestFunction, power_difference_residual, weak_residual
+from oracles import SmoothTestFunction, power_difference_residual, subsample, weak_residual
 from spdecrit.lab import (
     BlowupError,
     PeriodicField,
@@ -19,7 +19,6 @@ from spdecrit.lab import (
     solve_damped_heat_batch,
     steklov_average,
 )
-from spdecrit.lab.heat import subsample
 
 
 def grid(n=256):
