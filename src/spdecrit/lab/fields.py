@@ -310,10 +310,12 @@ def estimate_holder_exponent(f: PeriodicField) -> float:
     sqrt(j ln 2) above its mean-square size; fitting the raw norms
     would shave roughly 0.15 off the exponent over this window, so
     that factor is divided out before the fit.  Only the blocks in the
-    window are transformed back.
+    window are built and transformed back, one at a time.
     """
     js_fit = fit_window(f.grid_shape)
-    sups = [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f) if j in js_fit]
+    idx = _block_index(mode_magnitudes(f.grid_shape))
+    coeffs = f.spectral
+    sups = [(j, PeriodicField.from_spectral(np.where(idx == j, coeffs, 0.0)).lq_norm(math.inf)) for j in js_fit]
     window = [(j, s) for j, s in sups if s > 0]
     if len(window) < 2:
         raise ResolutionError("exponent-fit window is empty at this resolution")

@@ -18,9 +18,10 @@ import numpy as np
 
 from .fields import PeriodicField, Trajectory, _check_shape, mode_magnitudes, white_half_spectrum
 
-# Bytes of Gaussians one solve draws at once.  Each step needs one float
-# per grid point, so short grids draw many steps per call; drawing all
-# steps of a long grid at once measured slower (memory traffic).
+# Bytes of Gaussians one solve draws at once, over all its members.  Each
+# step needs one float per grid point, so short grids draw many steps per
+# call; drawing all steps of a long grid at once measured slower (memory
+# traffic).
 DRAW_BATCH_BYTES = 1 << 18
 
 
@@ -71,7 +72,7 @@ def solve_z1_mild_batch(
         raise ValueError("need at least one seed")
     grid_shape = tuple(grid_shape)
     decay, std = _ou_factors(dim, grid_shape, dt, steps)
-    batch = max(1, DRAW_BATCH_BYTES // (8 * math.prod(grid_shape)))
+    batch = max(1, DRAW_BATCH_BYTES // (8 * math.prod(grid_shape) * len(seeds)))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     coeffs = np.zeros((len(rngs), steps + 1) + decay.shape, dtype=np.complex128)
     for first in range(0, steps, batch):

@@ -56,6 +56,9 @@ def _spawn(seed: int, count: int):
 
 # samples per block of the inequality sweep
 _INEQUALITY_BLOCK = 1 << 15
+# sample pairs over all powers: 25 times the default sweep of 4 powers x
+# 1,000,000 samples, which takes ~0.2 s of draws and gaps
+_INEQUALITY_BUDGET = 100_000_000
 
 
 def run_inequality(*, n, samples: int, seed: int) -> Dict:
@@ -66,19 +69,27 @@ def run_inequality(*, n, samples: int, seed: int) -> Dict:
         lh._odd_check(n)
         if math.log10(n) + n - 1 > math.log10(np.finfo(float).max):
             raise ValueError(f"--n {n}: samples in [-10, 10] take the gap to n * 10^(n-1), past a double; use n <= 305")
-    checks = []
     powers = (n,) if n is not None else (3, 5, 7, 9)
-    rng = np.random.default_rng(seed)
-    for p in powers:
-        a = rng.uniform(-10.0, 10.0, size=samples)
-        b = rng.uniform(-10.0, 10.0, size=samples)
-        # block by block, so the temporaries stay in cache; a min is exact,
-        # so the min over blocks is the min over the whole array
+    if len(powers) * samples > _INEQUALITY_BUDGET:
+        raise ValueError(
+            f"--samples {samples}: the sweep draws {len(powers) * samples} sample pairs,"
+            f" {len(powers)} x {samples}, over the budget of {_INEQUALITY_BUDGET}"
+        )
+    checks = []
+    for i, p in enumerate(powers):
+        # a and b go on with default_rng(seed)'s stream from outputs
+        # 2i * samples and (2i + 1) * samples; uniform takes one output per
+        # double, so drawing them block by block keeps every value
+        a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        a_rng.bit_generator.advance(2 * i * samples)
+        b_rng.bit_generator.advance((2 * i + 1) * samples)
+        # a min is exact, so the min over blocks is the min over the whole array
         least, worst = math.inf, math.inf
         for first in range(0, samples, _INEQUALITY_BLOCK):
-            part = slice(first, first + _INEQUALITY_BLOCK)
-            gap = lh.proof_inequality_gap(a[part], b[part], p)
-            scale = lh._power(np.maximum(np.abs(a[part]), np.abs(b[part])), p - 1)
+            size = min(_INEQUALITY_BLOCK, samples - first)
+            a, b = a_rng.uniform(-10.0, 10.0, size=size), b_rng.uniform(-10.0, 10.0, size=size)
+            gap = lh.proof_inequality_gap(a, b, p)
+            scale = lh._power(np.maximum(np.abs(a), np.abs(b)), p - 1)
             least = min(least, float(np.min(gap)))
             worst = min(worst, float(np.min(gap + 1.0e-9 * scale)))
         checks.append(
@@ -135,9 +146,12 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
         raise ValueError(
             f"--tmax {tmax!r} --dt {dt!r}: the stored rows, (tmax / dt + 1) x {grid} doubles, exceed numpy's largest array"
         )
-    # only the dt run is stored; each block reduces the dt/2 run's even
-    # steps against it and the contraction runs to their curves
-    coarse = np.empty((steps + 1, grid))
+    # only the dt run's rows that the dt/2 run has not reached are kept,
+    # those from step first // 2 on: at most half of them and a block, in
+    # a ring of whole blocks, so no block's rows wrap; each block reduces
+    # the dt/2 run's even steps against them and the contraction runs to
+    # their curves
+    ring = np.empty((lh._BLOCK * (steps // (2 * lh._BLOCK) + 2), grid))
     diff = np.empty(steps + 1)
     curve = np.empty(steps_b + 1)
     curve0 = np.empty(steps_b + 1)
@@ -147,12 +161,14 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     for first, rows in lh._march(stack, n, [dts[i] for i in order], [counts[i] for i in order]):
         size = min(len(rows), steps + 1 - first)
         if size > 0:
-            coarse[first : first + size] = rows[:size, 1]
+            at = first % len(ring)
+            ring[at : at + size] = rows[:size, 1]
         # a block starts at an even step (_BLOCK is even), so its even
         # rows are the dt/2 run at the dt run's steps k, k + 1, ...
         k = first // 2
         fine = rows[::2, 0]
-        diff[k : k + len(fine)] = lh._l1_rows(coarse[k : k + len(fine)] - fine, dv)
+        at = k % len(ring)
+        diff[k : k + len(fine)] = lh._l1_rows(ring[at : at + len(fine)] - fine, dv)
         size = min(len(rows), steps_b + 1 - first)
         if size > 0:
             curve[first : first + size] = lh._l1_rows(rows[:size, 2] - rows[:size, 3], dv)
@@ -350,6 +366,22 @@ _STACK = 16
 _ROUGH_T = 1.0
 
 
+# rows of normals the flat-spectrum check draws and packs at a time
+_WHITE_ROWS = 1000
+
+
+def _white_modes(seed: int, draws: int, points: int, modes) -> np.ndarray:
+    """The columns modes of white_half_spectrum over default_rng(seed)'s
+    (draws, points) normals, one row per mode; drawn and packed a chunk of
+    draws at a time, so only the columns read are kept."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((len(modes), draws), dtype=np.complex128)
+    for first in range(0, draws, _WHITE_ROWS):
+        x = rng.standard_normal((min(_WHITE_ROWS, draws - first), points))
+        out[:, first : first + len(x)] = lf.white_half_spectrum(x, 1)[:, modes].T
+    return out
+
+
 def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
     lf._check_shape(1, (grid,))
@@ -358,12 +390,10 @@ def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     checks = []
 
     # flat spectrum: per-mode variance 1, distinct modes uncorrelated
-    draws = 10_000
-    small = 64
-    coeffs = lf.white_half_spectrum(np.random.default_rng(seed).standard_normal((draws, small)), 1)
-    var_mode = float(np.mean(np.abs(coeffs[:, 5]) ** 2))
-    var_zero = float(np.var(coeffs[:, 0].real))
-    cross = float(np.abs(np.mean(coeffs[:, 5] * np.conj(coeffs[:, 9]))))
+    zero, five, nine = _white_modes(seed, 10_000, 64, (0, 5, 9))
+    var_mode = float(np.mean(np.abs(five) ** 2))
+    var_zero = float(np.var(zero.real))
+    cross = float(np.abs(np.mean(five * np.conj(nine))))
     checks.append(
         _check("per-mode variance is 1", abs(var_mode - 1.0) < 0.05, value=var_mode, target="1 +- 5%")
     )

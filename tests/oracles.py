@@ -9,7 +9,9 @@ recurrence of the Tychonov derivative polynomials, the whole-array form
 of the inequality sweep, the float residual bound as it divided by
 (2K)! before that could exceed a double, the damped flow's stacked
 march one step at a time, the uniqueness suite as it stored every
-trajectory before reducing it, and the subsampling that suite used.
+trajectory before reducing it, the subsampling that suite used, the
+exponent fit over every dyadic block at once, and the noise solve's
+batch as it drew a batch of steps per member.
 """
 
 import math
@@ -21,7 +23,8 @@ import numpy as np
 
 from spdecrit.affine import DimExpr, RegBound
 from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, Trajectory, lp_fields
-from spdecrit.lab.fields import mode_magnitudes
+from spdecrit.lab import noise as ln
+from spdecrit.lab.fields import fit_window, mode_magnitudes, white_half_spectrum
 from spdecrit.lab.heat import (
     BLOWUP_LIMIT,
     _odd_check,
@@ -299,3 +302,32 @@ def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
         ),
     ]
     return _finish("uniqueness", checks)
+
+
+def holder_exponent_oracle(f: PeriodicField) -> float:
+    """estimate_holder_exponent from every lp_fields block, built at once."""
+    js_fit = fit_window(f.grid_shape)
+    sups = [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f) if j in js_fit]
+    window = [(j, s) for j, s in sups if s > 0]
+    if len(window) < 2:
+        raise ResolutionError("exponent-fit window is empty at this resolution")
+    js = np.array([j for j, _ in window], dtype=np.float64)
+    ys = np.array([-math.log2(s) + 0.5 * math.log2(j * math.log(2)) for j, s in window])
+    return float(np.polyfit(js, ys, 1)[0])
+
+
+def z1_batch_per_member_oracle(dim: int, grid_shape, dt: float, steps: int, seeds) -> np.ndarray:
+    """solve_z1_mild_batch's coefficients, (members, steps + 1, *half), with
+    DRAW_BATCH_BYTES counted per member rather than over all of them."""
+    grid_shape = tuple(grid_shape)
+    decay, std = ln._ou_factors(dim, grid_shape, dt, steps)
+    batch = max(1, ln.DRAW_BATCH_BYTES // (8 * math.prod(grid_shape)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    coeffs = np.zeros((len(rngs), steps + 1) + decay.shape, dtype=np.complex128)
+    for first in range(0, steps, batch):
+        draws = (min(batch, steps - first),) + grid_shape
+        x = np.stack([rng.standard_normal(draws) for rng in rngs], axis=1)
+        for k, eta in enumerate(std * white_half_spectrum(x, len(grid_shape)), start=first):
+            np.multiply(decay, coeffs[:, k], out=coeffs[:, k + 1])
+            coeffs[:, k + 1] += eta
+    return coeffs

@@ -1165,3 +1165,22 @@ def test_failed_allocation_exits_2_with_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "F").exists()
+
+
+def test_verify_inequality_refuses_oversized_samples_before_drawing(tmp_path):
+    # the blocked sweep draws nothing whole, so no allocation fails: 4 x 1e12
+    # sample pairs would run for over two days
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "verify", "inequality", "--samples", "1000000000000", "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: --samples 1000000000000: the sweep draws 4000000000000 sample pairs,"
+        " 4 x 1000000000000, over the budget of 100000000\n"
+    )
+    assert not (tmp_path / "F").exists()

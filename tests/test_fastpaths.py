@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     damped_heat_batch_oracle,
+    holder_exponent_oracle,
     inequality_sweep_oracle,
     tychonov_poly_table_oracle,
     tychonov_residual_float_oracle,
     uniqueness_oracle,
+    z1_batch_per_member_oracle,
 )
 
 from spdecrit import suites
@@ -38,6 +40,18 @@ FAST = settings(max_examples=25, deadline=None)
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def traced_peak(run) -> int:
+    """The largest traced allocation total while run() runs, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +248,8 @@ def test_z1_batch_matches_separate_solves(shape, steps, member_seeds, batch_byte
             assert same_bits(field.values, row.values)
 
 
-# 32 points draw 1024 steps per batch and 16 x 8 points 256, so both span
-# three batches
+# three members of 32 points draw 341 steps per batch and of 16 x 8
+# points 85, so both span several batches
 @pytest.mark.parametrize("shape,steps", [((32,), 2300), ((16, 8), 600)])
 def test_z1_batch_spans_several_draw_batches(shape, steps):
     member_seeds = [5, 11, 2**31 - 1]
@@ -244,6 +258,49 @@ def test_z1_batch_spans_several_draw_batches(shape, steps):
         assert _same_trajectory(got, ln.solve_z1_mild(len(shape), shape, 0.05, steps, s))
         coeffs, _ = z1_oracle(len(shape), shape, 0.05, steps, s)
         assert same_bits(got.spectral_array(), np.stack(coeffs))
+
+
+@pytest.mark.parametrize(
+    "shape,steps,members",
+    [((32,), 2300, 3), ((16, 8), 600, 3), ((4096,), 1, 16), ((32,), 2400, 8), ((64,), 700, 1)],
+)
+def test_z1_batch_draws_match_per_member_batches(shape, steps, members):
+    # the draw batch counts every member's bytes; the old one counted one member's
+    member_seeds = [int(s) for s in np.random.default_rng(steps).integers(0, 2**31, size=members)]
+    trajs = ln.solve_z1_mild_batch(len(shape), shape, 0.05, steps, member_seeds)
+    want = z1_batch_per_member_oracle(len(shape), shape, 0.05, steps, member_seeds)
+    assert same_bits(np.stack([t.spectral_array() for t in trajs]), want)
+
+
+@pytest.mark.parametrize("draws", [1, suites._WHITE_ROWS - 1, suites._WHITE_ROWS, suites._WHITE_ROWS + 1, 10_000])
+@pytest.mark.parametrize("points,modes", [(64, (0, 5, 9)), (16, (8, 0, 3))])
+def test_white_modes_match_the_full_half_spectrum(draws, points, modes):
+    full = white_half_spectrum(np.random.default_rng(draws).standard_normal((draws, points)), 1)
+    assert same_bits(suites._white_modes(draws, draws, points, modes), full[:, modes].T)
+
+
+def test_noise_suite_stays_under_a_fixed_bound():
+    """At its default size; drawing the flat-spectrum normals whole and
+    a draw batch per member took 19.4 MB."""
+    suites.run_noise(seed=0, grid=64, ensembles=1)  # caches filled outside the trace
+    assert traced_peak(lambda: suites.run_noise(seed=0, grid=4096, ensembles=16)) < 12 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(64,), (256,), (4096,), (64, 64), (128, 64), (256, 256)])
+@pytest.mark.parametrize("seed,exponent", [(0, -0.25), (7, 0.5), (2**31 - 1, 1.5)])
+def test_exponent_fit_block_by_block_matches_lp_fields(shape, seed, exponent):
+    f = lf.synthetic_field(len(shape), shape, exponent, seed)
+    assert same_bits(lf.estimate_holder_exponent(f), holder_exponent_oracle(f))
+    white = ln.sample_spatial_white(len(shape), shape, seed)
+    assert same_bits(lf.estimate_holder_exponent(white), holder_exponent_oracle(white))
+
+
+def test_exponent_fit_holds_one_block_at_a_time():
+    """On 256 x 256, under five arrays of the field's half spectrum;
+    building every lp_fields block first took 14."""
+    f = lf.synthetic_field(2, (256, 256), 0.5, 3)
+    lf.estimate_holder_exponent(lf.synthetic_field(2, (64, 64), 0.5, 3))  # caches filled outside the trace
+    assert traced_peak(lambda: lf.estimate_holder_exponent(f)) < 5 * f.spectral.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +522,13 @@ def test_streamed_uniqueness_matches_stored_trajectories(grid, steps, dt, n):
 
 
 def test_streamed_uniqueness_stores_only_the_dt_run():
-    """The traced peak stays under twice the dt run's rows; storing all
-    five trajectories and a difference array took over four times."""
-    import tracemalloc
-
+    """The traced peak stays under the dt run's rows; storing all of them
+    took 1.2 times that, and storing all five trajectories and a
+    difference array over four times."""
     grid, tmax, dt = 256, 0.5, 1e-4
     coarse_bytes = (round(tmax / dt) + 1) * grid * 8
     suites.run_uniqueness(n=3, dim=1, grid=16, tmax=0.01, dt=1e-3)  # caches filled outside the trace
-    tracemalloc.start()
-    try:
-        suites.run_uniqueness(n=3, dim=1, grid=grid, tmax=tmax, dt=dt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * coarse_bytes
+    assert traced_peak(lambda: suites.run_uniqueness(n=3, dim=1, grid=grid, tmax=tmax, dt=dt)) < coarse_bytes
 
 
 @FAST
@@ -570,6 +620,31 @@ def test_inequality_blocks_match_whole_array(monkeypatch, samples):
     want = inequality_sweep_oracle((3, 5, 7, 9), samples, seed=samples)
     signed = lambda pairs: [(v, math.copysign(1.0, v), ok) for v, ok in pairs]  # -0.0 != 0.0 in JSON
     assert signed(got) == signed(want)
+
+
+@pytest.mark.parametrize("n", [None, 3, 5])
+@pytest.mark.parametrize(
+    "samples",
+    [1, suites._INEQUALITY_BLOCK - 1, suites._INEQUALITY_BLOCK, suites._INEQUALITY_BLOCK + 1,
+     3 * suites._INEQUALITY_BLOCK + 7],
+)
+def test_inequality_advanced_draws_match_whole_array(n, samples):
+    result = suites.run_inequality(n=n, samples=samples, seed=samples + 3)
+    got = [(c["value"], c["passed"]) for c in result["checks"][:-1]]
+    want = inequality_sweep_oracle((3, 5, 7, 9) if n is None else (n,), samples, seed=samples + 3)
+    signed = lambda pairs: [(v, math.copysign(1.0, v), ok) for v, ok in pairs]  # -0.0 != 0.0 in JSON
+    assert signed(got) == signed(want)
+
+
+def test_inequality_sweep_memory_does_not_grow_with_samples():
+    """Drawing whole sample arrays took 18.6 MB at 2^20 samples, 15.7 MB
+    more than at 2^16."""
+    block_bytes = 8 * suites._INEQUALITY_BLOCK
+    suites.run_inequality(n=3, samples=10, seed=0)  # caches filled outside the trace
+    small = traced_peak(lambda: suites.run_inequality(n=3, samples=1 << 16, seed=1))
+    big = traced_peak(lambda: suites.run_inequality(n=3, samples=1 << 20, seed=1))
+    assert big < small + 2 * block_bytes
+    assert big < 12 * block_bytes
 
 
 def test_power_by_products_tracks_float_power():
