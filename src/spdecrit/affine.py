@@ -8,9 +8,9 @@ arithmetic.  No floating point enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import NamedTuple, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -26,12 +26,43 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class DimExpr:
-    """Affine value c0 + cd*d with Fraction coefficients; `const` takes any rational."""
+# DimExpr refuses attribute assignment, so its constructors set the slots through object's
+_set = object.__setattr__
 
-    c0: Fraction
-    cd: Fraction = Fraction(0)
+
+class DimExpr:
+    """Affine value c0 + cd*d, immutable; `const` takes any rational.
+
+    It is kept as integers, (p0 + pd*d)/q with q > 0 and no factor common
+    to all three, so equal values have equal fields and the arithmetic
+    makes no Fraction; `.c0` and `.cd` read the coefficients back as
+    Fractions.  The constructor takes ints or Fractions.
+    """
+
+    __slots__ = ("p0", "pd", "q")
+
+    def __init__(self, c0, cd=0):
+        # both are in lowest terms, so over the lcm of their denominators
+        # the three integers share no factor
+        n0, q0, nd, qd = c0.numerator, c0.denominator, cd.numerator, cd.denominator
+        q = q0 if q0 == qd else q0 * qd // gcd(q0, qd)
+        _set(self, "p0", n0 * (q // q0))
+        _set(self, "pd", nd * (q // qd))
+        _set(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self.p0, self.q)
+
+    @property
+    def cd(self) -> Fraction:
+        return Fraction(self.pd, self.q)
 
     @staticmethod
     def const(x: RationalLike) -> "DimExpr":
@@ -40,43 +71,46 @@ class DimExpr:
     @staticmethod
     def dim() -> "DimExpr":
         """The bare symbol d."""
-        return DimExpr(Fraction(0), Fraction(1))
+        return from_ints(0, 1, 1)
 
     @property
     def is_constant(self) -> bool:
-        return self.cd == 0
+        return not self.pd
 
     def evaluate(self, d: RationalLike) -> Fraction:
         d = as_fraction(d)
-        return self.c0 + self.cd * d if self.cd else self.c0
+        return Fraction(self.p0 * d.denominator + self.pd * d.numerator, self.q * d.denominator)
 
     def __add__(self, other) -> "DimExpr":
-        other = _coerce(other)
-        if not other.cd:  # a constant leaves the slope as it is: one Fraction operation, not two
-            return DimExpr(self.c0 + other.c0, self.cd)
-        return DimExpr(self.c0 + other.c0, self.cd + other.cd)
+        if other.__class__ is not DimExpr:
+            other = _coerce(other)
+        q, oq = self.q, other.q
+        if q == oq:
+            return from_ints(self.p0 + other.p0, self.pd + other.pd, q)
+        return from_ints(self.p0 * oq + other.p0 * q, self.pd * oq + other.pd * q, q * oq)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "DimExpr":
-        other = _coerce(other)
-        if not other.cd:
-            return DimExpr(self.c0 - other.c0, self.cd)
-        return DimExpr(self.c0 - other.c0, self.cd - other.cd)
+        if other.__class__ is not DimExpr:
+            other = _coerce(other)
+        q, oq = self.q, other.q
+        if q == oq:
+            return from_ints(self.p0 - other.p0, self.pd - other.pd, q)
+        return from_ints(self.p0 * oq - other.p0 * q, self.pd * oq - other.pd * q, q * oq)
 
     def __rsub__(self, other) -> "DimExpr":
         return _coerce(other) - self
 
     def __mul__(self, scalar: RationalLike) -> "DimExpr":
         s = as_fraction(scalar)
-        if not self.cd:  # a constant stays constant: no slope product
-            return DimExpr(self.c0 * s, self.cd)
-        return DimExpr(self.c0 * s, self.cd * s)
+        n = s.numerator
+        return from_ints(self.p0 * n, self.pd * n, self.q * s.denominator)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "DimExpr":
-        return DimExpr(-self.c0, -self.cd)
+        return from_ints(-self.p0, -self.pd, self.q)
 
     def nonneg_for_all_dims(self) -> bool:
         """True when c0 + cd*d >= 0 for every integer dimension d >= 1.
@@ -84,10 +118,38 @@ class DimExpr:
         Dimensions are unbounded above, so a negative slope can never be
         provably nonnegative.
         """
-        return self.cd >= 0 and self.c0 + self.cd >= 0
+        return self.pd >= 0 and self.p0 + self.pd >= 0
+
+    def coefficient_strs(self) -> Tuple[str, str]:
+        """str(self.c0) and str(self.cd), from the integers."""
+        return _ratio_str(self.p0, self.q), _ratio_str(self.pd, self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is not DimExpr:
+            return NotImplemented
+        return self.p0 == other.p0 and self.pd == other.pd and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.c0, self.cd))
+
+    def __repr__(self) -> str:
+        return f"DimExpr(c0={self.c0!r}, cd={self.cd!r})"
 
     def __str__(self) -> str:
         return format_affine(self)
+
+
+_alloc = object.__new__
+
+
+def from_ints(p0: int, pd: int, q: int) -> DimExpr:
+    """The DimExpr (p0 + pd*d)/q, for q > 0, in lowest joint terms."""
+    g = gcd(p0, pd, q)
+    e = _alloc(DimExpr)
+    _set(e, "p0", p0 // g)
+    _set(e, "pd", pd // g)
+    _set(e, "q", q // g)
+    return e
 
 
 def _coerce(x) -> DimExpr:
@@ -96,62 +158,29 @@ def _coerce(x) -> DimExpr:
     return DimExpr(as_fraction(x))
 
 
+def _ratio_str(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0."""
+    g = gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
 def format_affine(e: DimExpr) -> str:
     """Canonical ASCII rendering, e.g. '1 - d/2', '5 - 2d', '-3/2'."""
-    if e.cd == 0:
-        return str(e.c0)
-    p, q = abs(e.cd.numerator), e.cd.denominator
-    if p == 1 and q == 1:
-        mag = "d"
-    elif q == 1:
-        mag = f"{p}d"
-    elif p == 1:
-        mag = f"d/{q}"
+    p0, pd, q = e.p0, e.pd, e.q
+    if not pd:
+        return _ratio_str(p0, q)
+    g = gcd(pd, q)
+    p, qd = abs(pd) // g, q // g
+    if qd == 1:
+        mag = "d" if p == 1 else f"{p}d"
     else:
-        mag = f"{p}d/{q}"
-    sign = "-" if e.cd < 0 else "+"
-    if e.c0 == 0:
-        return mag if sign == "+" else f"-{mag}"
-    return f"{e.c0} {sign} {mag}"
+        mag = f"d/{qd}" if p == 1 else f"{p}d/{qd}"
+    if not p0:
+        return mag if pd > 0 else f"-{mag}"
+    return f"{_ratio_str(p0, q)} {'-' if pd < 0 else '+'} {mag}"
 
 
-def parse_affine(text: str) -> DimExpr:
-    """Inverse of format_affine (whitespace-insensitive)."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty affine expression")
-    # split into signed terms
-    terms = []
-    i = 0
-    start = 0
-    for i in range(1, len(s)):
-        if s[i] in "+-" and s[i - 1] not in "+-/":
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
-    c0 = Fraction(0)
-    cd = Fraction(0)
-    for term in terms:
-        sign = Fraction(1)
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if "d" in term:
-            head, _, tail = term.partition("d")
-            coeff = Fraction(head) if head else Fraction(1)
-            if tail:
-                if not tail.startswith("/"):
-                    raise ValueError(f"bad affine term in {text!r}")
-                coeff /= Fraction(tail[1:])
-            cd += sign * coeff
-        else:
-            c0 += sign * Fraction(term)
-    return DimExpr(c0, cd)
-
-
-@dataclass(frozen=True)
-class RegBound:
+class RegBound(NamedTuple):
     """Open regularity bound: membership for every exponent beta < sup.
 
     The bound never asserts membership at beta = sup itself.
@@ -170,8 +199,7 @@ class RegBound:
         return format_affine(self.sup)
 
 
-@dataclass(frozen=True)
-class ScalingInfo:
+class ScalingInfo(NamedTuple):
     """Parabolic-type scaling: time order s0, all spatial orders 1.
 
     The scaling dimension (time counts s0-fold) is time_order + d.
@@ -180,9 +208,6 @@ class ScalingInfo:
     time_order: Fraction
     dim: DimExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "time_order", as_fraction(self.time_order))
-
     @property
     def weight(self) -> DimExpr:
-        return DimExpr(self.time_order) + self.dim
+        return DimExpr.const(self.time_order) + self.dim

@@ -10,11 +10,10 @@ SpecSemanticError, never anything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
 from importlib import resources
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import SpecError
 from .rules import NOISE_KINDS, SPACE_TIME_WHITE, SPATIAL_WHITE
@@ -42,15 +41,13 @@ class SpecSemanticError(SpecError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     severity: str = "error"
 
 
-@dataclass(frozen=True)
-class NonlinearTerm:
+class NonlinearTerm(NamedTuple):
     """One nonlinearity, reduced to what regularity counting needs.
 
     degree unknown factors, a derivative order per factor, one outer
@@ -67,8 +64,7 @@ class NonlinearTerm:
         return sum(self.inner_derivative_orders, Fraction(0)) + self.outer_derivative_order
 
 
-@dataclass(frozen=True)
-class SpdeSpec:
+class SpdeSpec(NamedTuple):
     name: str
     dim: Optional[int]  # None means symbolic
     unknown: str
@@ -98,17 +94,17 @@ class SpdeSpec:
         first-level order; n: degree of the (single) nonlinear term;
         dim: concrete int or None for symbolic.
         """
-        spec = self
+        changes = {}
         if gamma is not None:
-            spec = replace(spec, diffusion_order=Fraction(gamma))
+            changes["diffusion_order"] = Fraction(gamma)
         if alpha is not None:
-            spec = replace(spec, noise_lift=Fraction(alpha))
+            changes["noise_lift"] = Fraction(alpha)
         if gamma1 is not None:
-            spec = replace(spec, z1_diffusion_order=Fraction(gamma1))
+            changes["z1_diffusion_order"] = Fraction(gamma1)
         if n is not None:
-            if len(spec.nonlinear_terms) != 1:
+            if len(self.nonlinear_terms) != 1:
                 raise SpecSemanticError("E_MULTI_TERM", "degree override needs a single nonlinear term")
-            term = spec.nonlinear_terms[0]
+            term = self.nonlinear_terms[0]
             n = int(n)
             if n > MAX_DEGREE:
                 raise SpecSemanticError("E_BAD_DEGREE", f"degree must be <= {MAX_DEGREE}, got {n}")
@@ -116,10 +112,10 @@ class SpdeSpec:
             if len(set(inner)) > 1:
                 raise SpecSemanticError("E_DERIV_COUNT", "cannot retarget degree with mixed inner derivatives")
             new_inner = tuple([inner[0]] * n) if inner else (Fraction(0),) * n
-            spec = replace(spec, nonlinear_terms=(replace(term, degree=n, inner_derivative_orders=new_inner),))
+            changes["nonlinear_terms"] = (term._replace(degree=n, inner_derivative_orders=new_inner),)
         if dim != "keep":
-            spec = replace(spec, dim=dim if dim is None else int(dim))
-        return spec
+            changes["dim"] = dim if dim is None else int(dim)
+        return self._replace(**changes) if changes else self
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +134,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

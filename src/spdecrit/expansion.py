@@ -12,15 +12,13 @@ agree on either side of criticality).  Ties keep every attaining term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .affine import DimExpr, RegBound, ScalingInfo
+from .affine import DimExpr, RegBound, ScalingInfo, from_ints
 from .dsl import SpdeSpec, VECTOR, validate_spec
 from .errors import ExpansionError
 from .rules import (
-    apply_derivative,
     noise_regularity,
     product_analytic,
     product_homogeneity,
@@ -29,6 +27,7 @@ from .rules import (
 )
 
 MAX_LEVELS_LIMIT = 32
+_ZERO = Fraction(0)
 
 SUBCRITICAL = "Subcritical"
 CRITICAL = "Critical"
@@ -36,8 +35,7 @@ SUPERCRITICAL = "Supercritical"
 CONDITION_ON_DIM = "ConditionOnDim"
 
 
-@dataclass(frozen=True)
-class ProductTerm:
+class ProductTerm(NamedTuple):
     """A formal product of objects, with derivative bookkeeping.
 
     factors are object labels in descending level order; inner
@@ -56,7 +54,7 @@ class ProductTerm:
     def summands(self, vector_rank: bool) -> Tuple[str, ...]:
         """Display strings; a degree-2 pair of distinct vector factors
         is symmetrized into both orders."""
-        parts = [_factor_str(f, k) for f, k in zip(self.factors, self.inner_orders)]
+        parts = [_factor_str(f, k) if k else f for f, k in zip(self.factors, self.inner_orders)]
         if vector_rank and len(parts) == 2 and parts[0] != parts[1]:
             return ("*".join(parts), "*".join(reversed(parts)))
         return ("*".join(parts),)
@@ -67,8 +65,6 @@ class ProductTerm:
 
 
 def _factor_str(label: str, order: Fraction) -> str:
-    if not order:
-        return label
     if order == 1:
         return f"D[{label}]"
     return f"D^{order}[{label}]"
@@ -97,8 +93,7 @@ def render_forcing(terms: Sequence[ProductTerm], vector_rank: bool) -> str:
     return " + ".join(t.render(vector_rank) for t in terms)
 
 
-@dataclass(frozen=True)
-class ExpansionRow:
+class ExpansionRow(NamedTuple):
     level: int
     label: str
     forcing: Tuple[ProductTerm, ...]
@@ -108,8 +103,7 @@ class ExpansionRow:
     renorm: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str
     condition: Optional[str] = None
 
@@ -119,8 +113,7 @@ class Classification:
         return self.kind
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     spec: SpdeSpec
     dim: Optional[int]
     max_levels: int
@@ -144,7 +137,7 @@ class CriticalityReport:
 
 
 def _scaling_info(spec: SpdeSpec) -> ScalingInfo:
-    dim = DimExpr.dim() if spec.dim is None else DimExpr.const(spec.dim)
+    dim = DimExpr.dim() if spec.dim is None else DimExpr(spec.dim)
     return ScalingInfo(spec.scaling_time_order, dim)
 
 
@@ -234,7 +227,9 @@ def classify(spec: SpdeSpec, dim: Optional[int] = "from_spec") -> Classification
 
 def _classify(exps: Sequence[DimExpr], dim: Optional[int]) -> Classification:
     if dim is not None or all(e.is_constant for e in exps):
-        worst = min(e.c0 if dim is None else e.evaluate(dim) for e in exps)
+        # the sign of the least value at d is the least sign of the
+        # numerators; with dim None every slope is zero
+        worst = min(_sign(e.p0 + e.pd * (dim or 0)) for e in exps)
         if worst > 0:
             return Classification(SUBCRITICAL)
         if worst == 0:
@@ -260,16 +255,20 @@ def _label(level: int) -> str:
     return f"z{level}"
 
 
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _times(e: DimExpr, n: int) -> DimExpr:
+    """e * n for an int n, from the integers."""
+    return from_ints(e.p0 * n, e.pd * n, e.q)
+
+
 def _compare(a: DimExpr, b: DimExpr) -> Optional[int]:
     """-1/0/+1 when decidable for every dimension, else None."""
-    diff = a - b
-    if diff.is_constant:
-        if diff.c0 < 0:
-            return -1
-        if diff.c0 > 0:
-            return 1
-        return 0
-    return None
+    if a.pd * b.q != b.pd * a.q:
+        return None
+    return _sign(a.p0 * b.q - b.p0 * a.q)
 
 
 # A candidate: its factor levels (nondecreasing) and the product they make.
@@ -352,7 +351,8 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         raise ValueError(f"max_levels must be in [1, {MAX_LEVELS_LIMIT}], got {max_levels}")
 
     dim = spec.dim
-    gamma = spec.diffusion_order
+    # the spec is valid, so orders need no checks: each is made a constant once
+    gamma = DimExpr.const(spec.diffusion_order)
     vector_rank = spec.unknown_rank == VECTOR
     terms = spec.nonlinear_terms
     regs: Dict[int, RegBound] = {}
@@ -370,8 +370,10 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     # each factor bound once per (level, inner order); inner orders go by
     # index, so keys hash as ints.  At a concrete d every bound here is a
     # constant, so a bound is its own value at d.
-    orders = list(dict.fromkeys(k for t in terms for k in t.inner_derivative_orders))
-    term_orders = [tuple(orders.index(k) for k in t.inner_derivative_orders) for t in terms]
+    inner = list(dict.fromkeys(k for t in terms for k in t.inner_derivative_orders))
+    term_orders = [tuple(inner.index(k) for k in t.inner_derivative_orders) for t in terms]
+    orders = [DimExpr.const(k) for k in inner]
+    outer = [DimExpr.const(t.outer_derivative_order) for t in terms]
     factors: Dict[Tuple[int, int], RegBound] = {}
     # homogeneity per (term, level sum) while the gain is constant, else per prefix of levels
     by_sum: Dict[Tuple[int, int], RegBound] = {}
@@ -383,26 +385,24 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
 
     noise_bound, z1_bound = _first_object(spec)
     regs[1] = z1_bound
-    noise_term = ProductTerm(
-        term_index=-1,
-        factors=("xi",),
-        inner_orders=(Fraction(0),),
-        outer_order=Fraction(0),
-        projector=None,
-        factor_bounds=(noise_bound,),
-        homogeneity=noise_bound,
-    )
+    noise_term = ProductTerm(-1, ("xi",), (_ZERO,), _ZERO, None, (noise_bound,), noise_bound)
     rows.append(ExpansionRow(1, labels[1], (noise_term,), noise_bound, z1_bound))
     # the gain g once z2 exists; constant_gain says every row so far is on the line
     gain: Optional[DimExpr] = None
     constant_gain = True
-    base = [z1_bound.sup * t.degree - DimExpr.const(t.total_derivative_order) for t in terms]
+    # per term n*r1 - K, with K its total derivative order
+    r1 = z1_bound.sup
+    base = [
+        _times(r1, t.degree) - sum((orders[k] for k in ks), outer[ti])
+        for ti, (t, ks) in enumerate(zip(terms, term_orders))
+    ]
 
     def factor(level: int, order: int) -> RegBound:
         key = (level, order)
         bound = factors.get(key)
         if bound is None:
-            bound = factors[key] = apply_derivative(regs[level], orders[order])
+            k = orders[order]
+            bound = factors[key] = RegBound(regs[level].sup - k) if k.p0 else regs[level]
         return bound
 
     def sum_homogeneity(ti: int, total: int) -> RegBound:
@@ -410,7 +410,10 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         h = by_sum.get(key)
         if h is None:
             steps = total - terms[ti].degree
-            h = by_sum[key] = RegBound(base[ti] + gain * steps if steps else base[ti])
+            h = base[ti]
+            if steps:
+                h += _times(gain, steps)
+            h = by_sum[key] = RegBound(h)
         return h
 
     def partial_homogeneity(ti: int, low: Tuple[int, ...]) -> RegBound:
@@ -422,7 +425,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         if h is None:
             b = factor(low[-1], term_orders[ti][-len(low)])
             if len(low) == 1:
-                h = apply_derivative(b, terms[ti].outer_derivative_order)
+                h = RegBound(b.sup - outer[ti]) if outer[ti].p0 else b
             else:
                 h = product_homogeneity(partial_homogeneity(ti, low[:-1]), b)
             partial_sums[key] = h
@@ -436,13 +439,13 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         term = terms[ti]
         ordered = levels[::-1]
         return ProductTerm(
-            term_index=ti,
-            factors=tuple([labels[lv] for lv in ordered]),
-            inner_orders=term.inner_derivative_orders,
-            outer_order=term.outer_derivative_order,
-            projector=term.projector,
-            factor_bounds=tuple([factor(lv, k) for lv, k in zip(ordered, term_orders[ti])]),
-            homogeneity=sum_homogeneity(ti, total) if constant_gain else partial_homogeneity(ti, levels),
+            ti,
+            tuple([labels[lv] for lv in ordered]),
+            term.inner_derivative_orders,
+            term.outer_derivative_order,
+            term.projector,
+            tuple([factor(lv, k) for lv, k in zip(ordered, term_orders[ti])]),
+            sum_homogeneity(ti, total) if constant_gain else partial_homogeneity(ti, levels),
         )
 
     def candidate_pool(top_level: int) -> List[_Entry]:
@@ -508,7 +511,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         level += 1
         best.sort(key=lambda entry: entry[0][::-1])
         forcing_bound = RegBound(best_h)
-        reg = _solve(forcing_bound, gamma)
+        reg = RegBound(best_h + gamma)
         regs[level] = reg
         step = reg.sup - regs[level - 1].sup
         if gain is None:
@@ -518,7 +521,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         rows.append(ExpansionRow(level, labels[level], tuple(p for _, p in best), forcing_bound, reg, renorm=tuple(new_flags)))
 
         sup = reg.sup
-        done = sup.evaluate(dim) >= 0 if dim is not None else sup.nonneg_for_all_dims()
+        done = sup.p0 + sup.pd * dim >= 0 if dim is not None else sup.nonneg_for_all_dims()
         if done:
             stopped_early = True
             break
@@ -532,7 +535,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         _, tail_h, undecided = _minimum(pool)
         if undecided is None:
             register(pool)
-            tail_remainder = _solve(RegBound(tail_h), gamma)
+            tail_remainder = RegBound(tail_h + gamma)
         else:
             register([entry for entry in pool if entry[1].term_index <= undecided[1].term_index])
     remainders = [r.object_bound for r in rows[1:]] + [tail_remainder]
@@ -547,7 +550,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         gain_error = None
     else:
         gain, gain_error = None, "E_NONCONSTANT_GAIN"
-    exps = term_exponents(spec, z1_bound.sup)
+    exps = [b - r1 + gamma for b in base]  # term_exponents(spec), from the bases
     try:
         exponent = _common_exponent(exps)
         exponent_error = None

@@ -31,7 +31,8 @@ _INF = float("inf")
 def affine_to_json(e: Optional[DimExpr]) -> Optional[dict]:
     if e is None:
         return None
-    return {"c0": str(e.c0), "cd": str(e.cd)}
+    c0, cd = e.coefficient_strs()
+    return {"c0": c0, "cd": cd}
 
 
 def report_payload(report: CriticalityReport) -> dict:
@@ -39,10 +40,11 @@ def report_payload(report: CriticalityReport) -> dict:
     from .affine import format_affine
 
     rows = []
+    vector_rank = report.vector_rank
     for row in report.rows:
         terms: List[str] = []
         for t in row.forcing:
-            terms.extend(t.summands(report.vector_rank))
+            terms.extend(t.summands(vector_rank))
         rows.append(
             {
                 "level": row.level,
@@ -80,22 +82,20 @@ def render_table(report: CriticalityReport) -> str:
 
     headers = ("k", "most singular term", "forcing beta <", "object beta <", "remainder beta <")
     body = []
+    vector_rank = report.vector_rank
     for row in report.rows:
         body.append(
             (
                 str(row.level),
-                render_forcing(row.forcing, report.vector_rank),
+                render_forcing(row.forcing, vector_rank),
                 format_affine(row.forcing_bound.sup),
                 format_affine(row.object_bound.sup),
                 format_affine(row.remainder_bound.sup) if row.remainder_bound else "-",
             )
         )
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body else len(headers[i]) for i in range(5)]
-    lines = []
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("-+-".join("-" * w for w in widths))
-    for r in body:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
+    lines = [" | ".join(map(str.ljust, headers, widths)), "-+-".join("-" * w for w in widths)]
+    lines.extend(" | ".join(map(str.ljust, r, widths)) for r in body)
     lines.append("")
     gain = format_affine(report.gain) if report.gain is not None else f"({report.gain_error})"
     exponent = (
@@ -151,13 +151,12 @@ def serialize_envelope(doc: dict) -> str:
 
 def _write_json(o, append, nl: str, quote) -> None:
     """Append the indented JSON of `o`; `nl` is the newline and indent of its own level."""
-    if isinstance(o, str):
-        append(quote(o))
-    elif isinstance(o, dict):
+    if isinstance(o, dict):
         if not o:
             append("{}")
             return
         inner = nl + "  "
+        comma = "," + inner
         sep = "{" + inner
         for key in sorted(o):
             if not isinstance(key, str):
@@ -168,13 +167,14 @@ def _write_json(o, append, nl: str, quote) -> None:
             else:
                 append(sep + quote(key) + ": ")
                 _write_json(value, append, inner, quote)
-            sep = "," + inner
+            sep = comma
         append(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
             append("[]")
             return
         inner = nl + "  "
+        comma = "," + inner
         sep = "[" + inner
         for item in o:
             if isinstance(item, str):
@@ -182,8 +182,10 @@ def _write_json(o, append, nl: str, quote) -> None:
             else:
                 append(sep)
                 _write_json(item, append, inner, quote)
-            sep = "," + inner
+            sep = comma
         append(nl + "]")
+    elif isinstance(o, str):
+        append(quote(o))
     elif o is None:
         append("null")
     elif o is True:

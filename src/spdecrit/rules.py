@@ -13,12 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .affine import DimExpr, RegBound, ScalingInfo, RationalLike, as_fraction
+from .affine import DimExpr, RegBound, ScalingInfo, RationalLike, as_fraction, from_ints
 
 SPACE_TIME_WHITE = "stwn"
 SPATIAL_WHITE = "spatial_white"
 
 NOISE_KINDS = (SPACE_TIME_WHITE, SPATIAL_WHITE)
+_MINUS_HALF = Fraction(-1, 2)
 
 
 def noise_regularity(kind: str, scaling: ScalingInfo, lift_alpha: RationalLike = 0) -> RegBound:
@@ -31,12 +32,12 @@ def noise_regularity(kind: str, scaling: ScalingInfo, lift_alpha: RationalLike =
     if alpha < 0:
         raise ValueError(f"negative noise lift: {alpha}")
     if kind == SPACE_TIME_WHITE:
-        sup = scaling.weight * Fraction(-1, 2) - DimExpr.const(alpha)
+        sup = scaling.weight * _MINUS_HALF
     elif kind == SPATIAL_WHITE:
-        sup = scaling.dim * Fraction(-1, 2) - DimExpr.const(alpha)
+        sup = scaling.dim * _MINUS_HALF
     else:
         raise ValueError(f"unknown noise kind: {kind!r}")
-    return RegBound(sup)
+    return RegBound(sup - DimExpr.const(alpha) if alpha else sup)
 
 
 def product_homogeneity(a: RegBound, b: RegBound) -> RegBound:
@@ -52,12 +53,14 @@ def product_analytic(a: RegBound, b: RegBound, d: int) -> Optional[RegBound]:
     The None outcome is a value, not an error: it marks a product
     needing renormalization.
     """
-    asup = a.evaluate(d)
-    bsup = b.evaluate(d)
+    x, y = a.sup, b.sup
+    # both values at d over the common denominator x.q * y.q
+    asup = (x.p0 + x.pd * d) * y.q
+    bsup = (y.p0 + y.pd * d) * x.q
     total = asup + bsup
     if total <= 0:
         return None
-    return RegBound(DimExpr.const(min(asup, bsup, total)))
+    return RegBound(from_ints(min(asup, bsup, total), 0, x.q * y.q))
 
 
 def apply_derivative(a: RegBound, k: RationalLike) -> RegBound:

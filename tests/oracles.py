@@ -10,8 +10,10 @@ of the inequality sweep, the float residual bound as it divided by
 (2K)! before that could exceed a double, the damped flow's stacked
 march one step at a time, the uniqueness suite as it stored every
 trajectory before reducing it, the subsampling that suite used, the
-exponent fit over every dyadic block at once, and the noise solve's
-batch as it drew a batch of steps per member.
+exponent fit over every dyadic block at once, the noise solve's
+batch as it drew a batch of steps per member, the affine arithmetic and
+its rendering on Fractions, as `spdecrit.affine` kept them before it
+held integers, and the parser of that rendering.
 """
 
 import math
@@ -21,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from spdecrit.affine import DimExpr, RegBound
+from spdecrit.affine import DimExpr, RegBound, as_fraction
 from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, Trajectory, lp_fields
 from spdecrit.lab import noise as ln
 from spdecrit.lab.fields import fit_window, mode_magnitudes, white_half_spectrum
@@ -128,6 +130,106 @@ def holder_quotient_exponent(f: PeriodicField, max_octaves: int = 6) -> float:
         raise ResolutionError("not enough usable lags for a quotient fit")
     slope = np.polyfit(np.array(ks), np.array(ds), 1)[0]
     return float(slope)
+
+
+@dataclass(frozen=True)
+class FractionDimExpr:
+    """Affine value c0 + cd*d with Fraction coefficients: `affine.DimExpr`
+    as it was before it held integers."""
+
+    c0: Fraction
+    cd: Fraction = Fraction(0)
+
+    @property
+    def is_constant(self) -> bool:
+        return self.cd == 0
+
+    def evaluate(self, d) -> Fraction:
+        d = as_fraction(d)
+        return self.c0 + self.cd * d if self.cd else self.c0
+
+    def __add__(self, other) -> "FractionDimExpr":
+        other = _coerce_oracle(other)
+        return FractionDimExpr(self.c0 + other.c0, self.cd + other.cd)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "FractionDimExpr":
+        other = _coerce_oracle(other)
+        return FractionDimExpr(self.c0 - other.c0, self.cd - other.cd)
+
+    def __rsub__(self, other) -> "FractionDimExpr":
+        return _coerce_oracle(other) - self
+
+    def __mul__(self, scalar) -> "FractionDimExpr":
+        s = as_fraction(scalar)
+        return FractionDimExpr(self.c0 * s, self.cd * s)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "FractionDimExpr":
+        return FractionDimExpr(-self.c0, -self.cd)
+
+    def nonneg_for_all_dims(self) -> bool:
+        return self.cd >= 0 and self.c0 + self.cd >= 0
+
+
+def _coerce_oracle(x) -> FractionDimExpr:
+    return x if isinstance(x, FractionDimExpr) else FractionDimExpr(as_fraction(x))
+
+
+def format_affine_oracle(e) -> str:
+    """`affine.format_affine` as it rendered from Fractions."""
+    if e.cd == 0:
+        return str(e.c0)
+    p, q = abs(e.cd.numerator), e.cd.denominator
+    if p == 1 and q == 1:
+        mag = "d"
+    elif q == 1:
+        mag = f"{p}d"
+    elif p == 1:
+        mag = f"d/{q}"
+    else:
+        mag = f"{p}d/{q}"
+    sign = "-" if e.cd < 0 else "+"
+    if e.c0 == 0:
+        return mag if sign == "+" else f"-{mag}"
+    return f"{e.c0} {sign} {mag}"
+
+
+def parse_affine(text: str) -> DimExpr:
+    """Inverse of format_affine (whitespace-insensitive)."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty affine expression")
+    # split into signed terms
+    terms = []
+    i = 0
+    start = 0
+    for i in range(1, len(s)):
+        if s[i] in "+-" and s[i - 1] not in "+-/":
+            terms.append(s[start:i])
+            start = i
+    terms.append(s[start:])
+    c0 = Fraction(0)
+    cd = Fraction(0)
+    for term in terms:
+        sign = Fraction(1)
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        if "d" in term:
+            head, _, tail = term.partition("d")
+            coeff = Fraction(head) if head else Fraction(1)
+            if tail:
+                if not tail.startswith("/"):
+                    raise ValueError(f"bad affine term in {text!r}")
+                coeff /= Fraction(tail[1:])
+            cd += sign * coeff
+        else:
+            c0 += sign * Fraction(term)
+    return DimExpr(c0, cd)
 
 
 def affine_from_json(obj: Optional[dict]) -> Optional[DimExpr]:

