@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad input
 (parse errors, invalid values, config keys a command does not read,
-work too large to allocate), 3 I/O failure.  Each command lists its
+work over its budget or too large to allocate), 3 I/O failure.  Each command lists its
 one-value options once, in a table of option -> (converter, default);
 `verify` has one table per suite, and a suite refuses the others' options.
 A flag overrides the config-file entry of the same name, which
@@ -128,6 +128,10 @@ SUITE_NAMES = tuple(_SUITES)
 # the verify flags in the order help and errors list them: every suite's
 # options, and the seed, which every suite accepts and echoes
 _VERIFY = ("n", "samples", "seed", "grid", "dim", "dt", "tmax", "alpha", "terms", "ensembles", "region", *_RENDER)
+# bytes of the rows `noise sample` keeps: 25 times those of the largest
+# benchmarked form, --dim 2 --grid 256 --steps 100 (11 rows of 256 x 129
+# complex modes, 5.8 MB)
+_SAMPLE_BUDGET = 25 * 11 * 256 * 129 * 16
 _NOISE_SAMPLE = {
     "dim": (_one_of(1, 2, convert=int), 1), "grid": (int, 4096), **_SEED,
     "kind": (_one_of("white", "z1"), "z1"), "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
@@ -277,15 +281,26 @@ def _stride(steps: int) -> int:
 
 def _cmd_noise_sample(args) -> int:
     opts, given = _options(args, _NOISE_SAMPLE, "noise sample")
-    dim, grid, seed, kind, out_dir = (opts[k] for k in ("dim", "grid", "seed", "kind", "out"))
-    unread = [f"--{name}" for name in ("steps", "dt") if name in given]
-    if kind == "white" and unread:
-        raise CliInputError(f"noise sample --kind white does not read {', '.join(unread)}")
-    for name in ("steps", "dt"):
-        if kind == "z1" and not 0 < opts[name] < math.inf:
-            raise CliInputError(f"--{name} '{opts[name]!r}': expects a positive finite value")
-    if kind == "z1" and opts["steps"] * Fraction(opts["dt"]) > sys.float_info.max:  # exact: steps may pass a float
-        raise CliInputError(f"--dt {opts['dt']!r} --steps {opts['steps']}: the end time dt * steps overflows a double")
+    dim, grid, seed, kind, steps, dt, out_dir = (opts[k] for k in ("dim", "grid", "seed", "kind", "steps", "dt", "out"))
+    if kind == "white":
+        unread = [f"--{name}" for name in ("steps", "dt") if name in given]
+        if unread:
+            raise CliInputError(f"noise sample --kind white does not read {', '.join(unread)}")
+        rows, flags = 1, f"--grid {grid}"
+    else:
+        for name in ("steps", "dt"):
+            if not 0 < opts[name] < math.inf:
+                raise CliInputError(f"--{name} '{opts[name]!r}': expects a positive finite value")
+        if steps * Fraction(dt) > sys.float_info.max:  # exact: steps may pass a float
+            raise CliInputError(f"--dt {dt!r} --steps {steps}: the end time dt * steps overflows a double")
+        stride = _stride(steps)
+        rows, flags = steps // stride + 1, f"--steps {steps} --grid {grid}"
+    modes = grid ** (dim - 1) * (grid // 2 + 1)  # of the half spectrum
+    if rows * modes * 16 > _SAMPLE_BUDGET:
+        raise CliInputError(
+            f"{flags}: the sample keeps {rows} x {modes} complex modes, {rows * modes * 16} bytes,"
+            f" over the budget of {_SAMPLE_BUDGET}"
+        )
 
     from .lab import fields as lf
     from .lab import io as lio
@@ -298,8 +313,6 @@ def _cmd_noise_sample(args) -> int:
         field = ln.sample_spatial_white(dim, shape, seed)
         traj = lf.Trajectory(dt=1.0, times=[0.0], spectral=field.spectral[None])
     else:
-        steps, dt = opts["steps"], opts["dt"]
-        stride = _stride(steps)
         # exact OU steps compose: one step of dt * stride between written
         # rows gives them the law of the march at dt, without its other rows
         solved = ln.solve_z1_mild(dim, shape, dt * stride, steps // stride, seed)

@@ -133,7 +133,7 @@ class CriticalityReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# closed-form exponents and classification
+# the first object, the rescaling exponent and the classification
 
 
 def _scaling_info(spec: SpdeSpec) -> ScalingInfo:
@@ -150,44 +150,6 @@ def _first_object(spec: SpdeSpec) -> Tuple[RegBound, RegBound]:
     """The noise bound and the bound of the first object solved against it."""
     noise = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
     return noise, _solve(noise, spec.z1_effective_order)
-
-
-def noise_solved_bound(spec: SpdeSpec) -> RegBound:
-    """Bound of the first object: noise bound plus the first solve order."""
-    return _first_object(spec)[1]
-
-
-def term_exponents(spec: SpdeSpec, r1: Optional[DimExpr] = None) -> Tuple[DimExpr, ...]:
-    """Per-step regularity gain contributed by each nonlinear term.
-
-    (degree - 1) copies of the first object, whose bound is `r1` (by
-    default `noise_solved_bound(spec).sup`), minus every derivative the
-    term carries, plus the dissipative order regained per level.
-    """
-    if r1 is None:
-        r1 = noise_solved_bound(spec).sup
-    gamma = DimExpr.const(spec.diffusion_order)
-    return tuple(
-        r1 * (t.degree - 1) - DimExpr.const(t.total_derivative_order) + gamma for t in spec.nonlinear_terms
-    )
-
-
-def scaling_exponent(spec: SpdeSpec) -> DimExpr:
-    """The single rescaling exponent; positive means subcritical.
-
-    Raises E_MULTI_TERM when nonlinear terms disagree (classification
-    then falls back to the per-term minimum).
-    """
-    _require_valid(spec)
-    return _common_exponent(term_exponents(spec))
-
-
-def _common_exponent(exps: Sequence[DimExpr]) -> DimExpr:
-    if not exps:
-        raise ExpansionError("E_NO_NONLINEAR", "spec has no nonlinear terms")
-    if any(e != exps[0] for e in exps[1:]):
-        raise ExpansionError("E_MULTI_TERM", "nonlinear terms have different homogeneities")
-    return exps[0]
 
 
 def _subcritical_condition(exps: Sequence[DimExpr]) -> Optional[str]:
@@ -213,16 +175,6 @@ def _subcritical_condition(exps: Sequence[DimExpr]) -> Optional[str]:
     if lower is not None:
         return f"d > {lower}"
     return "all d"
-
-
-def classify(spec: SpdeSpec, dim: Optional[int] = "from_spec") -> Classification:
-    """Subcritical / Critical / Supercritical, or a condition on d.
-
-    The binding constraint across several nonlinear terms is the
-    smallest exponent.
-    """
-    _require_valid(spec)
-    return _classify(term_exponents(spec), spec.dim if dim == "from_spec" else dim)
 
 
 def _classify(exps: Sequence[DimExpr], dim: Optional[int]) -> Classification:
@@ -550,12 +502,13 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         gain_error = None
     else:
         gain, gain_error = None, "E_NONCONSTANT_GAIN"
-    exps = [b - r1 + gamma for b in base]  # term_exponents(spec), from the bases
-    try:
-        exponent = _common_exponent(exps)
-        exponent_error = None
-    except ExpansionError as exc:
-        exponent, exponent_error = None, exc.code
+    # per term, (degree - 1)*r1 - K + gamma: the gain it would give per
+    # level; the rescaling exponent when the terms agree (a valid spec has one)
+    exps = [b - r1 + gamma for b in base]
+    if all(e == exps[0] for e in exps):
+        exponent, exponent_error = exps[0], None
+    else:
+        exponent, exponent_error = None, "E_MULTI_TERM"
     if symbolic_stop and gain is None:
         classification = Classification(CONDITION_ON_DIM, _subcritical_condition(exps) or "never subcritical")
     else:
@@ -575,13 +528,6 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         stopped_early=stopped_early,
         symbolic_stop=symbolic_stop,
     )
-
-
-def gain_per_step(report: CriticalityReport) -> DimExpr:
-    """Common difference of consecutive object bounds, as expand found it."""
-    if report.gain is None:
-        raise ExpansionError(report.gain_error, "object regularities do not advance by a constant step")
-    return report.gain
 
 
 def renormalization_flags(report: CriticalityReport, d: int) -> List[ProductTerm]:

@@ -224,15 +224,6 @@ def proof_inequality_gap_exact(a: Fraction, b: Fraction, n: int) -> Fraction:
     return total - Fraction(1, 2) * (a ** (n - 1) + b ** (n - 1))
 
 
-def l1_contraction_curve(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:
-    """Integral norm of the difference at each shared time."""
-    if traj1.grid_shape != traj2.grid_shape:
-        raise ValueError("trajectories live on different grids")
-    if len(traj1.times) != len(traj2.times) or not np.allclose(traj1.times, traj2.times):
-        raise ValueError("trajectories must share their time grid")
-    return _l1_rows(traj1.values_array() - traj2.values_array(), traj1.final().volume_element())
-
-
 def _l1_rows(diff: np.ndarray, dv: float) -> np.ndarray:
     """Integral norm of each row of diff, (rows, *grid), which it
     overwrites with its absolute value; the one summation order of every

@@ -207,14 +207,6 @@ def _write_json(o, append, nl: str, quote) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def deterministic_bytes(doc: dict) -> bytes:
-    """Serialization with the timestamp removed, for reproducibility checks."""
-    import json
-
-    trimmed = {k: v for k, v in doc.items() if k != "timestamp"}
-    return json.dumps(trimmed, sort_keys=True).encode()
-
-
 def atomic_write(path: Path, data: bytes):
     """Write through a temp file and a rename, so no partial file appears."""
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Calculus of open regularity bounds: noise, products, derivatives, lifts.
+"""Calculus of open regularity bounds: noise, products, solves, lifts.
 
 The product rule comes in two flavours.  Homogeneity counting simply adds
 suprema and is what the tree expansion uses at symbolic dimension.  The
@@ -61,16 +61,6 @@ def product_analytic(a: RegBound, b: RegBound, d: int) -> Optional[RegBound]:
     if total <= 0:
         return None
     return RegBound(from_ints(min(asup, bsup, total), 0, x.q * y.q))
-
-
-def apply_derivative(a: RegBound, k: RationalLike) -> RegBound:
-    """Differentiating k times costs k orders of regularity; k = 0 returns `a` itself."""
-    k = as_fraction(k)
-    if k < 0:
-        raise ValueError(f"negative derivative order: {k}")
-    if not k:
-        return a
-    return RegBound(a.sup - DimExpr.const(k))
 
 
 def schauder_gain(a: RegBound, order: RationalLike) -> RegBound:

@@ -208,9 +208,19 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     return _finish("uniqueness", checks)
 
 
+# random series of the contraction check: 25 times the default 100, which
+# take ~0.08 s
+_STEKLOV_BUDGET = 2_500
+
+
 def run_steklov(*, seed: int, samples: int) -> Dict:
     """Window-average contraction and approximation quality."""
     _require_positive(samples=samples)
+    if samples > _STEKLOV_BUDGET:
+        raise ValueError(
+            f"--samples {samples}: the contraction check draws {samples} random series,"
+            f" over the budget of {_STEKLOV_BUDGET}"
+        )
     checks = []
     length, grid, dt = 64, 16, 0.01
     qs = (1, 2, 3)
@@ -364,6 +374,9 @@ def run_tychonov(*, alpha: int, terms: int, region) -> Dict:
 _STACK = 16
 # the time at which the roughness section reads z1
 _ROUGH_T = 1.0
+# member-points of the roughness fit, --ensembles x --grid: 25 times the
+# default 16 x 4096, which take ~0.03 s
+_NOISE_BUDGET = 25 * 16 * 4096
 
 
 # rows of normals the flat-spectrum check draws and packs at a time
@@ -386,6 +399,11 @@ def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
     lf._check_shape(1, (grid,))
     _require_positive(ensembles=ensembles)
+    if ensembles * grid > _NOISE_BUDGET:
+        raise ValueError(
+            f"--ensembles {ensembles} --grid {grid}: the roughness fit solves {ensembles * grid} member-points,"
+            f" {ensembles} x {grid}, over the budget of {_NOISE_BUDGET}"
+        )
     lf.fit_window((grid,))  # the roughness fit needs enough blocks; check before sampling
     checks = []
 

@@ -13,9 +13,13 @@ trajectory before reducing it, the subsampling that suite used, the
 exponent fit over every dyadic block at once, the noise solve's
 batch as it drew a batch of steps per member, the affine arithmetic and
 its rendering on Fractions, as `spdecrit.affine` kept them before it
-held integers, and the parser of that rendering.
+held integers, the parser of that rendering, the L1 contraction curve
+of two stored trajectories, the rescaling exponents and verdict in
+closed form from the spec alone, and a document's JSON bytes without
+its timestamp.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,16 +28,23 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from spdecrit.affine import DimExpr, RegBound, as_fraction
+from spdecrit.dsl import SpdeSpec
+from spdecrit.errors import ExpansionError
+from spdecrit.expansion import (
+    CONDITION_ON_DIM,
+    CRITICAL,
+    SUBCRITICAL,
+    SUPERCRITICAL,
+    Classification,
+    _require_valid,
+    _scaling_info,
+    _subcritical_condition,
+)
 from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, Trajectory, lp_fields
 from spdecrit.lab import noise as ln
 from spdecrit.lab.fields import fit_window, mode_magnitudes, white_half_spectrum
-from spdecrit.lab.heat import (
-    BLOWUP_LIMIT,
-    _odd_check,
-    _power,
-    l1_contraction_curve,
-    proof_inequality_gap,
-)
+from spdecrit.lab.heat import BLOWUP_LIMIT, _l1_rows, _odd_check, _power, proof_inequality_gap
+from spdecrit.rules import noise_regularity
 
 
 @dataclass
@@ -266,6 +277,46 @@ def gain_of_rows(rows) -> Tuple[Optional[DimExpr], Optional[str]]:
     return diffs[0], None
 
 
+def closed_form_exponents(spec: SpdeSpec) -> Tuple[DimExpr, ...]:
+    """Per nonlinear term, the rescaling exponent from the spec alone:
+    (degree - 1) copies of the first object's bound r1, less every
+    derivative the term carries, plus the diffusion order regained per
+    level.  r1 is the noise bound plus the first solve's order."""
+    noise = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
+    r1 = noise.sup + DimExpr.const(spec.z1_effective_order)
+    gamma = DimExpr.const(spec.diffusion_order)
+    return tuple(r1 * (t.degree - 1) - DimExpr.const(t.total_derivative_order) + gamma for t in spec.nonlinear_terms)
+
+
+def closed_form_exponent(spec: SpdeSpec) -> DimExpr:
+    """The single rescaling exponent of a valid spec; ExpansionError
+    E_MULTI_TERM when the terms disagree."""
+    _require_valid(spec)
+    exps = closed_form_exponents(spec)
+    if any(e != exps[0] for e in exps[1:]):
+        raise ExpansionError("E_MULTI_TERM", "nonlinear terms have different homogeneities")
+    return exps[0]
+
+
+def closed_form_classification(spec: SpdeSpec, dim: Optional[int]) -> Classification:
+    """The verdict at dim from the least closed-form exponent's value; at
+    symbolic d with a slope, the condition on d under which every
+    exponent is positive."""
+    _require_valid(spec)
+    exps = closed_form_exponents(spec)
+    if dim is not None or all(e.is_constant for e in exps):
+        worst = min(e.evaluate(dim or 0) for e in exps)
+        return Classification(SUBCRITICAL if worst > 0 else CRITICAL if worst == 0 else SUPERCRITICAL)
+    return Classification(CONDITION_ON_DIM, _subcritical_condition(exps) or "never subcritical")
+
+
+def deterministic_bytes(doc: dict) -> bytes:
+    """A JSON document without its timestamp, as compact sorted JSON: the
+    bytes the reproducibility checks and golden digests compare."""
+    trimmed = {k: v for k, v in doc.items() if k != "timestamp"}
+    return json.dumps(trimmed, sort_keys=True).encode()
+
+
 def tychonov_poly_table_oracle(alpha: int, depth: int) -> List[Tuple[Fraction, ...]]:
     """P_0..P_depth from P_{k+1} = -s^2 P_k' + alpha s^(alpha+1) P_k in Fractions,
     coefficient of s^i at index i, as the lab built them before its table
@@ -351,6 +402,17 @@ def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) 
     for i, out in zip(order, rows):
         trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
     return trajs
+
+
+def l1_contraction_curve(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:
+    """Integral norm of the difference at each shared time, over the
+    stored arrays; the suites reduce block by block through the same
+    `_l1_rows`."""
+    if traj1.grid_shape != traj2.grid_shape:
+        raise ValueError("trajectories live on different grids")
+    if len(traj1.times) != len(traj2.times) or not np.allclose(traj1.times, traj2.times):
+        raise ValueError("trajectories must share their time grid")
+    return _l1_rows(traj1.values_array() - traj2.values_array(), traj1.final().volume_element())
 
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:

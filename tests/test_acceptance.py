@@ -10,11 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import closed_form_exponent, deterministic_bytes
 from spdecrit import cli
 from spdecrit.affine import DimExpr
 from spdecrit.dsl import load_bundled_spec
-from spdecrit.expansion import classify, expand, gain_per_step, scaling_exponent
-from spdecrit.report import deterministic_bytes
+from spdecrit.expansion import expand
 from spdecrit.suites import (
     run_bony,
     run_inequality,
@@ -63,12 +63,16 @@ def test_criterion_01_golden_table(capsys):
 
 def test_criterion_02_criticality_classification():
     budget = Budget(1.0)
+
+    def kind(spec, dim):
+        return expand(spec.with_overrides(dim=dim), 1).classification.kind
+
     nse = load_bundled_spec("navier_stokes")
-    assert classify(nse, 3).kind == "Subcritical"
-    assert classify(nse, 4).kind == "Critical"
-    assert classify(nse, 5).kind == "Supercritical"
+    assert kind(nse, 3) == "Subcritical"
+    assert kind(nse, 4) == "Critical"
+    assert kind(nse, 5) == "Supercritical"
     ym = load_bundled_spec("yang_mills")
-    assert classify(ym, 4).kind == "Critical"
+    assert kind(ym, 4) == "Critical"
     budget.done("02 criticality")
 
 
@@ -79,9 +83,11 @@ def test_criterion_03_sqg_condition_grid():
         for num_g in range(0, 7):  # gamma in {0, 1/4, ..., 3/2}
             alpha, gamma = F(num_a, 4), F(num_g, 4)
             s = spec.with_overrides(gamma=gamma, alpha=alpha)
-            exponent = scaling_exponent(s)
+            exponent = closed_form_exponent(s)
             assert exponent == DimExpr(2 * gamma - 2 - alpha)
-            assert gain_per_step(expand(s, 4)) == exponent
+            report = expand(s, 4)
+            assert report.scaling_exponent == exponent
+            assert report.gain == exponent
     budget.done("03 sqg-condition")
 
 
@@ -90,17 +96,20 @@ def test_criterion_04_kpz_deduction():
     report = expand(load_bundled_spec("kpz"), 4)
     (slope_term,) = report.rows[1].forcing
     assert all(b.sup == DimExpr(F(-1, 2)) for b in slope_term.factor_bounds)
-    assert gain_per_step(report) == DimExpr(F(1, 2))
+    assert report.gain == DimExpr(F(1, 2))
+    assert report.gain == closed_form_exponent(report.spec)
     budget.done("04 kpz-deduction")
 
 
 def test_criterion_05_phi4_gain():
     budget = Budget(1.0)
     spec = load_bundled_spec("phi4")
-    assert gain_per_step(expand(spec, 3)) == DimExpr(F(4), F(-1))
-    assert scaling_exponent(spec) == DimExpr(F(4), F(-1))
+    report = expand(spec, 3)
+    assert report.gain == DimExpr(F(4), F(-1))
+    assert report.scaling_exponent == DimExpr(F(4), F(-1))
+    assert closed_form_exponent(spec) == report.gain
     for d, kind in ((2, "Subcritical"), (3, "Subcritical"), (4, "Critical"), (5, "Supercritical")):
-        assert classify(spec, d).kind == kind
+        assert expand(spec.with_overrides(dim=d), 3).classification.kind == kind
     budget.done("05 phi4-gain")
 
 

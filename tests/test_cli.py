@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import deterministic_bytes
 import spdecrit
 from spdecrit import cli
 from spdecrit.dsl import BUNDLED_SPECS
-from spdecrit.report import deterministic_bytes
 
 
 def run(capsys, *argv):
@@ -1205,3 +1205,101 @@ def test_verify_inequality_refuses_oversized_samples_before_drawing(tmp_path):
         " 4 x 1000000000000, over the budget of 100000000\n"
     )
     assert not (tmp_path / "F").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("noise", "--ensembles", "401"),
+            "--ensembles 401 --grid 4096: the roughness fit solves 1642496 member-points, 401 x 4096,"
+            " over the budget of 1638400",
+        ),
+        (
+            ("noise", "--grid", "131072", "--ensembles", "13"),
+            "--ensembles 13 --grid 131072: the roughness fit solves 1703936 member-points, 13 x 131072,"
+            " over the budget of 1638400",
+        ),
+        (
+            ("steklov", "--samples", "2501"),
+            "--samples 2501: the contraction check draws 2501 random series, over the budget of 2500",
+        ),
+    ],
+    ids=["noise-ensembles", "noise-grid", "steklov-samples"],
+)
+def test_verify_refuses_work_over_its_budget_before_spawning_seeds(tmp_path, capsys, monkeypatch, argv, message):
+    # just over each budget; under it these would run for a second or two
+    from spdecrit import suites
+
+    spawned = []
+    spawn = suites._spawn
+    monkeypatch.setattr(suites, "_spawn", lambda seed, count: spawned.append(count) or spawn(seed, count))
+    code, out, err = run(capsys, "verify", *argv, "--out", str(tmp_path / "F"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert spawned == []
+    assert not (tmp_path / "F").exists()
+
+
+def test_verify_budgets_are_25_times_the_default_work():
+    from spdecrit import suites
+
+    noise, steklov = cli._SUITES["noise"], cli._SUITES["steklov"]
+    assert suites._NOISE_BUDGET == 25 * noise["ensembles"][1] * noise["grid"][1]
+    assert suites._STEKLOV_BUDGET == 25 * steklov["samples"][1]
+
+
+def test_noise_sample_refuses_rows_over_its_budget_before_allocating(tmp_path):
+    # 100000007 is prime, so every row is kept: 100000008 x 2049 complex
+    # modes, 2.98 TiB.  Under the address-space cap an attempt to allocate
+    # them fails at once instead of touching memory.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "noise", "sample", "--steps", "100000007", "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: --steps 100000007 --grid 4096: the sample keeps 100000008 x 2049 complex modes,"
+        " 3278400262272 bytes, over the budget of 145305600\n"
+    )
+    assert not (tmp_path / "F").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("--kind", "white", "--grid", "134217728"),
+            "--grid 134217728: the sample keeps 1 x 67108865 complex modes, 1073741840 bytes,",
+        ),
+        (
+            ("--dim", "2", "--grid", "2048"),
+            "--steps 400 --grid 2048: the sample keeps 9 x 2099200 complex modes, 302284800 bytes,",
+        ),
+    ],
+    ids=["white", "2d"],
+)
+def test_noise_sample_sizes_its_rows_before_the_lab_runs(tmp_path, capsys, monkeypatch, argv, message):
+    calls = _noise_or_suite_calls(monkeypatch)
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, "noise", "sample", *argv, "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} over the budget of 145305600\n"
+    assert calls == []
+    assert not out_dir.exists()
+
+
+def test_the_sample_budget_admits_the_largest_benchmarked_form(tmp_path, capsys):
+    # 11 x 256 x 129 complex modes; the budget is 25 times that
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, "noise", "sample", "--dim", "2", "--grid", "256", "--steps", "100", "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert len(list(out_dir.glob("*.spdf"))) == 11
+    assert cli._SAMPLE_BUDGET == 25 * 11 * 256 * 129 * 16

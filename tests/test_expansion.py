@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import closed_form_exponent, closed_form_exponents
 from spdecrit.affine import DimExpr
 from spdecrit.dsl import load_bundled_spec
 from spdecrit.expansion import (
@@ -11,14 +12,9 @@ from spdecrit.expansion import (
     CRITICAL,
     SUBCRITICAL,
     SUPERCRITICAL,
-    ExpansionError,
-    classify,
     expand,
-    gain_per_step,
     render_forcing,
     renormalization_flags,
-    scaling_exponent,
-    term_exponents,
 )
 
 F = Fraction
@@ -72,19 +68,24 @@ def test_level4_tie_keeps_three_summands():
     assert {s for s in summands} == {"z2*z2", "z3*z1", "z1*z3"}
 
 
+def verdict(spec, dim):
+    """The report's classification of spec at dim (None: symbolic)."""
+    return expand(spec.with_overrides(dim=dim), 1).classification
+
+
 def test_nse_gain_and_exponent_agree():
     spec = load_bundled_spec("navier_stokes")
     report = expand(spec, 4)
-    assert gain_per_step(report) == aff(2, F(-1, 2))
-    assert scaling_exponent(spec) == aff(2, F(-1, 2))
+    assert report.gain == aff(2, F(-1, 2))
+    assert report.scaling_exponent == aff(2, F(-1, 2))
 
 
 def test_nse_classification_by_dimension():
     spec = load_bundled_spec("navier_stokes")
-    assert classify(spec, 3).kind == SUBCRITICAL
-    assert classify(spec, 4).kind == CRITICAL
-    assert classify(spec, 5).kind == SUPERCRITICAL
-    sym = classify(spec, None)
+    assert verdict(spec, 3).kind == SUBCRITICAL
+    assert verdict(spec, 4).kind == CRITICAL
+    assert verdict(spec, 5).kind == SUPERCRITICAL
+    sym = verdict(spec, None)
     assert sym.kind == CONDITION_ON_DIM and sym.condition == "d < 4"
 
 
@@ -94,11 +95,11 @@ def test_phi4_gain_and_rows():
     assert report.rows[0].object_bound.sup == aff(1, F(-1, 2))
     assert report.rows[1].forcing_bound.sup == aff(3, F(-3, 2))
     assert report.rows[1].object_bound.sup == aff(5, F(-3, 2))
-    assert gain_per_step(report) == aff(4, -1)
-    assert scaling_exponent(spec) == aff(4, -1)
-    assert classify(spec, 3).kind == SUBCRITICAL
-    assert classify(spec, 4).kind == CRITICAL
-    assert classify(spec, 5).kind == SUPERCRITICAL
+    assert report.gain == aff(4, -1)
+    assert report.scaling_exponent == aff(4, -1)
+    assert verdict(spec, 3).kind == SUBCRITICAL
+    assert verdict(spec, 4).kind == CRITICAL
+    assert verdict(spec, 5).kind == SUPERCRITICAL
 
 
 def test_phi4_level2_forcing_is_cube():
@@ -117,19 +118,20 @@ def test_kpz_slope_bound_and_gain():
     assert all(b.sup == aff(F(-1, 2)) for b in forcing.factor_bounds)
     assert report.rows[1].forcing_bound.sup == aff(-1)
     assert report.rows[1].object_bound.sup == aff(1)
-    assert gain_per_step(report) == aff(F(1, 2))
+    assert report.gain == aff(F(1, 2))
     assert report.stopped_early  # second object is already nonnegative
 
 
 def test_yang_mills_critical_at_four():
     spec = load_bundled_spec("yang_mills")
-    assert classify(spec, 4).kind == CRITICAL
-    assert classify(spec, 3).kind == SUBCRITICAL
-    exps = term_exponents(spec)
+    assert verdict(spec, 4).kind == CRITICAL
+    assert verdict(spec, 3).kind == SUBCRITICAL
+    # the report's verdict is that of the least per-term exponent
+    exps = closed_form_exponents(spec)
     assert set(exps) == {aff(4, -1), aff(2, F(-1, 2))}
-    with pytest.raises(ExpansionError) as err:
-        scaling_exponent(spec)
-    assert err.value.code == "E_MULTI_TERM"
+    report = expand(spec, 4)
+    assert report.scaling_exponent is None
+    assert report.scaling_exponent_error == "E_MULTI_TERM"
 
 
 def test_sqg_exponent_formula():
@@ -138,7 +140,7 @@ def test_sqg_exponent_formula():
         for num_a in range(0, 5):
             gamma, alpha = F(num_g, 4), F(num_a, 4)
             s = spec.with_overrides(gamma=gamma, alpha=alpha)
-            assert scaling_exponent(s) == aff(2 * gamma - 2 - alpha)
+            assert expand(s, 1).scaling_exponent == aff(2 * gamma - 2 - alpha)
 
 
 def test_sqg_grid_exponent_matches_expansion_gain():
@@ -147,7 +149,7 @@ def test_sqg_grid_exponent_matches_expansion_gain():
         for num_a in range(0, 5):
             s = spec.with_overrides(gamma=F(num_g, 4), alpha=F(num_a, 4))
             report = expand(s, 4)
-            assert gain_per_step(report) == scaling_exponent(s)
+            assert report.gain == closed_form_exponent(s)
 
 
 def test_modified_first_level_order():
@@ -155,7 +157,7 @@ def test_modified_first_level_order():
     report = expand(spec, 2)
     # first object gains gamma1, later levels gain gamma
     assert report.rows[0].object_bound.sup == aff(F(-1) - F(1, 4) + F(3, 4))
-    assert gain_per_step(report) == scaling_exponent(spec)
+    assert report.gain == closed_form_exponent(spec)
 
 
 def test_max_levels_one_gives_single_row():
@@ -223,8 +225,8 @@ def test_early_stop_at_concrete_dim():
 def test_supercritical_grid_point_keeps_constant_gain():
     spec = load_bundled_spec("sqg").with_overrides(gamma=F(0), alpha=F(1))
     report = expand(spec, 5)
-    assert gain_per_step(report) == aff(-3)
-    assert classify(spec.with_overrides(gamma=F(0), alpha=F(1))).kind == SUPERCRITICAL
+    assert report.gain == aff(-3)
+    assert report.classification.kind == SUPERCRITICAL
 
 
 def test_multi_term_symbolic_stops_with_condition():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gain_of_rows
+from oracles import closed_form_classification, closed_form_exponent, closed_form_exponents, gain_of_rows
 from spdecrit.affine import DimExpr, RegBound
 from spdecrit.dsl import VECTOR, NonlinearTerm, SpdeSpec, load_bundled_spec
 from spdecrit.expansion import (
@@ -31,10 +31,7 @@ from spdecrit.expansion import (
     _subcritical_condition,
     _tuples_with_sum,
     analytic_status,
-    classify,
     expand,
-    scaling_exponent,
-    term_exponents,
 )
 from spdecrit.report import render_table, report_payload
 from spdecrit.rules import noise_regularity
@@ -182,14 +179,14 @@ def oracle_expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
 
     gain, gain_error = gain_of_rows(rows)
     try:
-        exponent, exponent_error = scaling_exponent(spec), None
+        exponent, exponent_error = closed_form_exponent(spec), None
     except ExpansionError as exc:
         exponent, exponent_error = None, exc.code
     if symbolic_stop and gain is None:
-        condition = _subcritical_condition(term_exponents(spec)) or "never subcritical"
+        condition = _subcritical_condition(closed_form_exponents(spec)) or "never subcritical"
         classification = Classification(CONDITION_ON_DIM, condition)
     else:
-        classification = classify(spec, dim)
+        classification = closed_form_classification(spec, dim)
 
     return CriticalityReport(
         spec=spec,

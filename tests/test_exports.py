@@ -16,6 +16,32 @@ def _defining_module(obj):
     return importlib.import_module(obj.__module__)
 
 
+# The public API, in export-table order: a name joins or leaves only by an
+# edit here.
+API = {
+    "spdecrit": (
+        "DimExpr", "RegBound", "ScalingInfo",
+        "noise_regularity", "product_homogeneity", "product_analytic", "schauder_gain", "zero_order_operator",
+        "SpdeSpec", "NonlinearTerm", "parse_spec", "validate_spec", "format_spec", "load_bundled_spec",
+        "CriticalityReport", "ProductTerm", "expand", "renormalization_flags",
+    ),
+    "spdecrit.lab": (
+        "PeriodicField", "Trajectory", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
+        "fit_window", "estimate_holder_exponent", "bony_decompose",
+        "sample_spatial_white", "solve_z1_mild", "solve_z1_mild_batch",
+        "BlowupError", "solve_damped_heat", "solve_damped_heat_batch", "steklov_average", "proof_inequality_gap",
+        "proof_inequality_gap_exact",
+        "TychonovSeries", "tychonov_eval", "tychonov_residual", "fd_heat_residual",
+    ),
+}
+
+
+@pytest.mark.parametrize("package", [spdecrit, spdecrit.lab], ids=lambda p: p.__name__)
+def test_public_api_is_pinned(package):
+    assert tuple(package.__all__) == API[package.__name__]
+    assert len(API["spdecrit"]) == 18 and len(API["spdecrit.lab"]) == 22
+
+
 @pytest.mark.parametrize("package", [spdecrit, spdecrit.lab], ids=lambda p: p.__name__)
 def test_every_export_resolves_to_its_defining_object(package):
     namespace = {}

@@ -22,8 +22,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import deterministic_bytes
 from spdecrit import cli
-from spdecrit.report import deterministic_bytes
 
 RECORDED_WITH = {"numpy": "2.4.6", "mpmath": "1.3.0"}
 

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import SmoothTestFunction, power_difference_residual, subsample, weak_residual
+from oracles import SmoothTestFunction, l1_contraction_curve, power_difference_residual, subsample, weak_residual
 from spdecrit.lab import (
     BlowupError,
     PeriodicField,
     Trajectory,
-    l1_contraction_curve,
     proof_inequality_gap,
     proof_inequality_gap_exact,
     solve_damped_heat,

@@ -9,7 +9,6 @@ from spdecrit.affine import DimExpr, RegBound, ScalingInfo
 from spdecrit.rules import (
     SPACE_TIME_WHITE,
     SPATIAL_WHITE,
-    apply_derivative,
     noise_regularity,
     product_analytic,
     product_homogeneity,
@@ -63,36 +62,13 @@ def test_product_analytic_min_rule():
     assert r.sup == DimExpr(Fraction(-1, 4))
 
 
-def test_apply_derivative_examples():
-    assert apply_derivative(RegBound.of(2, -1), 1).sup == DimExpr(Fraction(1), Fraction(-1))
-    x = RegBound.of(Fraction(3, 5), Fraction(1, 3))
-    assert apply_derivative(x, 0) == x
-    with pytest.raises(ValueError):
-        apply_derivative(x, -1)
-
-
-orders = st.one_of(
-    st.just(0), st.just(Fraction(0)), st.just("0"), st.integers(0, 4),
-    st.fractions(min_value=0, max_value=4, max_denominator=8),
-)
-
-
-@given(st.builds(lambda c0, cd: RegBound(DimExpr(c0, cd)), rationals, rationals), orders)
-def test_apply_derivative_costs_k_and_returns_its_operand_at_zero(a, k):
-    assert apply_derivative(a, k) == RegBound(a.sup - DimExpr.const(k))
-    if Fraction(k) == 0:
-        assert apply_derivative(a, k) is a
-    with pytest.raises(ValueError):
-        apply_derivative(a, -Fraction(k) - Fraction(1, 8))
-
-
 def test_sqg_style_composition():
     # double a bound, then one derivative; recomputed by hand
     base = RegBound(DimExpr(Fraction(-1)))  # -1 - alpha + gamma with alpha=gamma=0 placeholder
     alpha, gamma = Fraction(1, 4), Fraction(1, 2)
     solved = schauder_gain(RegBound(DimExpr(Fraction(-1) - alpha)), gamma)
     doubled = product_homogeneity(solved, solved)
-    final = apply_derivative(doubled, 1)
+    final = RegBound(doubled.sup - DimExpr.const(1))  # one derivative
     assert final.sup == DimExpr(Fraction(-3) - 2 * alpha + 2 * gamma)
 
 
@@ -121,7 +97,8 @@ def test_homogeneity_associative(a, b, c):
 
 @given(bounds, st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8))
 def test_schauder_then_derivative_is_identity(a, g):
-    assert apply_derivative(schauder_gain(a, g), g) == a
+    # g derivatives cost g orders, which the solve gained
+    assert RegBound(schauder_gain(a, g).sup - DimExpr.const(g)) == a
 
 
 @given(bounds, bounds)
