@@ -10,6 +10,10 @@ overrides the default; flag and config values go through the same
 converter.  SPDECRIT_SEED supplies the seed when neither gives one.
 `spdecrit tychonov ARGS` reads as `spdecrit verify tychonov ARGS`.
 
+Bad input raises `errors.InputError`, `SpecError` or `ExpansionError`,
+whose text names the flags first; any other exception is a fault and
+shows its traceback.
+
 Each command imports only what it runs.  `analyze` loads the symbolic
 half (`dsl`, `expansion`, `rules`, `affine`) and never numpy.  `verify`
 and `noise sample` (of the lab, only `fields`, `noise` and `io`) load
@@ -30,17 +34,13 @@ from importlib import import_module
 from pathlib import Path
 
 from . import _MODULE_OF, __version__
-from .errors import ExpansionError, SpecError
+from .errors import ExpansionError, InputError, SpecError, check_budget
 from .report import atomic_write, build_envelope, render_table, report_payload, serialize_envelope
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
-
-
-class CliInputError(Exception):
-    pass
 
 
 def run_suite(name: str, **options) -> dict:
@@ -67,32 +67,45 @@ load_bundled_spec, parse_spec, validate_spec, expand = map(
 )
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError("expects a non-negative integer")
-    return seed
-
-
 def _env_seed() -> int:
     raw = os.environ.get("SPDECRIT_SEED", "0")
     try:
         seed = int(raw)
     except ValueError:
-        raise CliInputError(f"SPDECRIT_SEED must be an integer, got {raw!r}")
+        raise InputError(f"SPDECRIT_SEED must be an integer, got {raw!r}")
     if seed < 0:
-        raise CliInputError(f"SPDECRIT_SEED must not be negative, got {raw!r}")
+        raise InputError(f"SPDECRIT_SEED must not be negative, got {raw!r}")
     return seed
 
 
-def _one_of(*choices, convert=str):
+def _checked(convert, test, expects: str):
+    """A converter: convert the text, then refuse a value that fails test."""
+
     def check(text: str):
         value = convert(text)
-        if value not in choices:
-            raise ValueError(f"expects {' or '.join(map(str, choices))}")
+        if not test(value):
+            raise ValueError(f"expects {expects}")
         return value
 
     return check
+
+
+def _one_of(*choices, convert=str):
+    return _checked(convert, choices.__contains__, " or ".join(map(str, choices)))
+
+
+def _positive(convert):
+    return _checked(convert, lambda value: 0 < value < math.inf, "a positive finite value")
+
+
+_odd_power = _checked(int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3")
+_power_of_two = _checked(int, lambda n: n >= 4 and n & (n - 1) == 0, "a power of two >= 4")
+
+
+def _levels(text: str) -> int:
+    from .expansion import MAX_LEVELS_LIMIT  # analyze loads the symbolic half anyway
+
+    return _checked(int, lambda levels: 1 <= levels <= MAX_LEVELS_LIMIT, f"an integer in [1, {MAX_LEVELS_LIMIT}]")(text)
 
 
 def _dim(text: str):
@@ -100,28 +113,27 @@ def _dim(text: str):
     return None if text in ("symbolic", "d") else int(text)
 
 
-def _region(text: str) -> tuple:
-    pieces = tuple(float(p) for p in text.split(","))
-    if len(pieces) != 4:
-        raise ValueError("expects t0,t1,x0,x1")
-    t0, t1, x0, x1 = pieces
-    if not all(map(math.isfinite, pieces)) or not (0 < t0 < t1 and x0 < x1):
-        raise ValueError("expects finite t0,t1,x0,x1 with 0 < t0 < t1 and x0 < x1")
-    return pieces
+_region = _checked(
+    lambda text: tuple(float(p) for p in text.split(",")),
+    lambda r: len(r) == 4 and all(map(math.isfinite, r)) and 0 < r[0] < r[1] and r[2] < r[3],
+    "finite t0,t1,x0,x1 with 0 < t0 < t1 and x0 < x1",
+)
 
 
 # option -> (converter of the raw flag or config string, default); a
 # callable default is called only when neither source gives the option
 _RENDER = {"format": (_one_of("table", "json"), "table"), "out": (str, None)}
-_ANALYZE = {"levels": (int, 4), "dim": (_dim, "keep"), **_RENDER}
-_SEED = {"seed": (_seed, _env_seed)}
+_ANALYZE = {"levels": (_levels, 4), "dim": (_dim, "keep"), **_RENDER}
+_SEED = {"seed": (_checked(int, lambda seed: seed >= 0, "a non-negative integer"), _env_seed)}
 # suite -> the options its runner reads, each passed to it
 _SUITES = {
-    "uniqueness": {"n": (int, 3), "dim": (int, 1), "grid": (int, 256), "tmax": (float, 1.0), "dt": (float, 1.0e-4)},
-    "inequality": {"n": (int, None), "samples": (int, 1_000_000), **_SEED},
-    "steklov": {**_SEED, "samples": (int, 100)},
-    "tychonov": {"alpha": (int, 2), "terms": (int, 30), "region": (_region, (0.5, 1.0, -1.0, 1.0))},
-    "noise": {**_SEED, "grid": (int, 4096), "ensembles": (int, 16)},
+    "uniqueness": {"n": (_odd_power, 3), "dim": (_one_of(1, convert=int), 1), "grid": (_power_of_two, 256),
+                   "tmax": (_positive(float), 1.0), "dt": (_positive(float), 1.0e-4)},
+    "inequality": {"n": (_odd_power, None), "samples": (_positive(int), 1_000_000), **_SEED},
+    "steklov": {**_SEED, "samples": (_positive(int), 100)},
+    "tychonov": {"alpha": (_checked(int, lambda alpha: alpha >= 2, "an integer >= 2"), 2),
+                 "terms": (_positive(int), 30), "region": (_region, (0.5, 1.0, -1.0, 1.0))},
+    "noise": {**_SEED, "grid": (_power_of_two, 4096), "ensembles": (_positive(int), 16)},
     "bony": _SEED,
 }
 SUITE_NAMES = tuple(_SUITES)
@@ -133,15 +145,22 @@ _VERIFY = ("n", "samples", "seed", "grid", "dim", "dt", "tmax", "alpha", "terms"
 # complex modes, 5.8 MB)
 _SAMPLE_BUDGET = 25 * 11 * 256 * 129 * 16
 _NOISE_SAMPLE = {
-    "dim": (_one_of(1, 2, convert=int), 1), "grid": (int, 4096), **_SEED,
-    "kind": (_one_of("white", "z1"), "z1"), "steps": (int, 400), "dt": (float, 2.5e-3), "out": (str, "noise_out"),
+    "dim": (_one_of(1, 2, convert=int), 1), "grid": (_power_of_two, 4096), **_SEED, "kind": (_one_of("white", "z1"), "z1"),
+    "steps": (_positive(int), 400), "dt": (_positive(float), 2.5e-3), "out": (str, "noise_out"),
 }
+
+
+def _read_text(path, named: str) -> str:
+    """The file at path as UTF-8 text; `named` is how the command line gave it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{named}: {exc}") from None
 
 
 def _read_config(path) -> dict:
     """key value; items, same comment and rational syntax as spec files."""
-    text = Path(path).read_text(encoding="utf-8")
-    text = re.sub(r"#[^\n]*", "", text)
+    text = re.sub(r"#[^\n]*", "", _read_text(path, f"--config {path}"))
     out = {}
     for item in text.split(";"):
         item = item.strip()
@@ -149,39 +168,38 @@ def _read_config(path) -> dict:
             continue
         parts = item.split(None, 1)
         if len(parts) != 2:
-            raise CliInputError(f"config item {item!r} is not 'key value;'")
+            raise InputError(f"config item {item!r} is not 'key value;'")
         out[parts[0]] = parts[1].strip()
     return out
 
 
-def _options(args, table: dict, command: str, unread=()):
-    """Every option of `table`, from its flag, else `--config`, else its default.
-
-    `unread` names the parser's other options, which `command` refuses from
-    a flag or the config alike.  Returns the values and the set of options
-    a flag or the config gave.
-    """
+def _given(args, table: dict, command: str, unread=()) -> dict:
+    """The text of each option of `table` that its flag, else `--config`, gives;
+    `unread` names the parser's other options, which `command` refuses."""
     config = _read_config(args.config) if args.config else {}
     stray = sorted(set(config) - set(table) - set(unread))
     if stray:
-        raise CliInputError(f"{command} does not read config key {', '.join(stray)}")
+        raise InputError(f"{command} does not read config key {', '.join(stray)}")
     refused = [f"--{name}" for name in unread if getattr(args, name) is not None or name in config]
     if refused:
-        raise CliInputError(f"{command} does not read {', '.join(refused)}")
-    values, given = {}, set()
+        raise InputError(f"{command} does not read {', '.join(refused)}")
+    given = {name: config[name] for name in table if name in config}
+    given.update((name, getattr(args, name)) for name in table if getattr(args, name) is not None)
+    return given
+
+
+def _convert(table: dict, given: dict) -> dict:
+    """Every option of `table`, converted from its given text, else its default."""
+    values = {}
     for name, (convert, default) in table.items():
-        raw = getattr(args, name)
-        if raw is None:
-            raw = config.get(name)
-        if raw is None:
+        if name not in given:
             values[name] = default() if callable(default) else default
             continue
-        given.add(name)
         try:
-            values[name] = convert(raw)
+            values[name] = convert(given[name])
         except ValueError as exc:
-            raise CliInputError(f"--{name} {raw!r}: {exc}")
-    return values, given
+            raise InputError(f"--{name} {given[name]!r}: {exc}") from None
+    return values
 
 
 def _emit(text: str, out_path) -> None:
@@ -196,11 +214,11 @@ def _load_spec_source(ref: str):
 
     path = Path(ref)
     if path.exists():
-        return parse_spec(path.read_text(encoding="utf-8"))
+        return parse_spec(_read_text(path, ref))
     stem = path.stem
     if stem in BUNDLED_SPECS:
         return load_bundled_spec(stem)
-    raise CliInputError(f"no spec file {ref!r} and no bundled spec of that name")
+    raise InputError(f"no spec file {ref!r} and no bundled spec of that name")
 
 
 def _apply_params(spec, params):
@@ -209,16 +227,16 @@ def _apply_params(spec, params):
     for item in params or ():
         key, _, value = item.partition("=")
         if key not in known or not value:
-            raise CliInputError(f"--param expects k=v with k in {sorted(known)}, got {item!r}")
+            raise InputError(f"--param expects k=v with k in {sorted(known)}, got {item!r}")
         try:
             kwargs[key] = int(value) if key == "n" else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliInputError(f"--param {item!r}: {exc}")
+            raise InputError(f"--param {item!r}: {exc}")
     return spec.with_overrides(**kwargs) if kwargs else spec
 
 
 def _cmd_analyze(args) -> int:
-    opts, _ = _options(args, _ANALYZE, "analyze")
+    opts = _convert(_ANALYZE, _given(args, _ANALYZE, "analyze"))
     spec = _apply_params(_load_spec_source(args.spec), args.param).with_overrides(dim=opts["dim"])
 
     for diag in validate_spec(spec):
@@ -237,11 +255,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        raise CliInputError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}")
     reads = _SUITES[args.suite]
     table = {**_SEED, **reads, **_RENDER}
-    opts, given = _options(args, table, f"verify {args.suite}", [name for name in _VERIFY if name not in table])
+    given = _given(args, table, f"verify {args.suite}", [name for name in _VERIFY if name not in table])
+    opts = _convert(table, given)
     result = run_suite(args.suite, **{name: opts[name] for name in reads})
 
     if opts["format"] == "json":
@@ -261,46 +278,43 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
-def _stride(steps: int) -> int:
+def _stride(steps: int, rows: int = sys.maxsize) -> int:
     """The largest divisor of steps that is at most steps // 8, or 1.
 
     About 8 intervals, but only a divisor keeps the endpoints and one dt.
     A divisor above isqrt(steps) is steps // q for a q at most isqrt(steps),
-    so both searches stop there: O(sqrt(steps)) for a prime step count,
-    which keeps every row, and a few trials for most others.
+    so both searches stop there, or with 1 once no divisor left keeps at
+    most `rows` rows, steps // divisor + 1: at most min(isqrt(steps), rows)
+    trials each, and a step count none of whose divisors fits keeps every row.
     """
     root = math.isqrt(steps)
-    for q in range(8, root + 1):  # the fewest intervals, at least 8, that split the steps
+    for q in range(8, min(root, max(8, rows - 1)) + 1):  # the fewest intervals, at least 8, that split the steps
         if steps % q == 0:
             return steps // q
-    for d in range(min(root, steps // 8), 1, -1):
+    for d in range(min(root, steps // 8), max(2, steps // max(rows - 1, 1)) - 1, -1):
         if steps % d == 0:
             return d
     return 1
 
 
 def _cmd_noise_sample(args) -> int:
-    opts, given = _options(args, _NOISE_SAMPLE, "noise sample")
-    dim, grid, seed, kind, steps, dt, out_dir = (opts[k] for k in ("dim", "grid", "seed", "kind", "steps", "dt", "out"))
-    if kind == "white":
+    given = _given(args, _NOISE_SAMPLE, "noise sample")
+    if given.get("kind") == "white":  # it steps nothing, whatever --steps and --dt say
         unread = [f"--{name}" for name in ("steps", "dt") if name in given]
         if unread:
-            raise CliInputError(f"noise sample --kind white does not read {', '.join(unread)}")
+            raise InputError(f"noise sample --kind white does not read {', '.join(unread)}")
+    opts = _convert(_NOISE_SAMPLE, given)
+    dim, grid, seed, kind, steps, dt, out_dir = (opts[k] for k in ("dim", "grid", "seed", "kind", "steps", "dt", "out"))
+    modes = grid ** (dim - 1) * (grid // 2 + 1)  # of the half spectrum
+    if kind == "white":
         rows, flags = 1, f"--grid {grid}"
     else:
-        for name in ("steps", "dt"):
-            if not 0 < opts[name] < math.inf:
-                raise CliInputError(f"--{name} '{opts[name]!r}': expects a positive finite value")
         if steps * Fraction(dt) > sys.float_info.max:  # exact: steps may pass a float
-            raise CliInputError(f"--dt {dt!r} --steps {steps}: the end time dt * steps overflows a double")
-        stride = _stride(steps)
+            raise InputError(f"--dt {dt!r} --steps {steps}: the end time dt * steps overflows a double")
+        stride = _stride(steps, _SAMPLE_BUDGET // (modes * 16))
         rows, flags = steps // stride + 1, f"--steps {steps} --grid {grid}"
-    modes = grid ** (dim - 1) * (grid // 2 + 1)  # of the half spectrum
-    if rows * modes * 16 > _SAMPLE_BUDGET:
-        raise CliInputError(
-            f"{flags}: the sample keeps {rows} x {modes} complex modes, {rows * modes * 16} bytes,"
-            f" over the budget of {_SAMPLE_BUDGET}"
-        )
+    bytes_kept = rows * modes * 16
+    check_budget(flags, bytes_kept, _SAMPLE_BUDGET, f"the sample keeps {rows} x {modes} complex modes, {bytes_kept} bytes")
 
     from .lab import fields as lf
     from .lab import io as lio
@@ -308,7 +322,10 @@ def _cmd_noise_sample(args) -> int:
 
     shape = (grid,) * dim
     if args.estimate:
-        lf.fit_window(shape)  # the fit needs enough blocks; check before sampling
+        try:  # the fit needs enough blocks; check before sampling
+            lf.fit_window(shape)
+        except lf.ResolutionError as exc:
+            raise InputError(f"--dim {dim} --grid {grid} --estimate: {exc}") from None
     if kind == "white":
         field = ln.sample_spatial_white(dim, shape, seed)
         traj = lf.Trajectory(dt=1.0, times=[0.0], spectral=field.spectral[None])
@@ -320,10 +337,14 @@ def _cmd_noise_sample(args) -> int:
         times = [k * dt for k in range(0, steps + 1, stride)]
         traj = lf.Trajectory(dt * stride, times, spectral=solved.spectral_array())
         field = traj.final()
+    if args.estimate:  # before writing, so that a fit that fails writes nothing
+        try:
+            exponent = lf.estimate_holder_exponent(field)
+        except lf.ResolutionError as exc:  # a z1 field whose end time is so short that its blocks underflow to zero
+            raise InputError(f"--dt {dt!r} --steps {steps} --estimate: {exc}") from None
     lio.write_trajectory(traj, out_dir, seed=seed)
 
     if args.estimate:
-        exponent = lf.estimate_holder_exponent(field)
         print(f"fitted exponent: {exponent:.4f}")
     print(f"wrote {out_dir}")
     return EXIT_OK
@@ -351,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_options(pa, _ANALYZE, _cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
+    pv.add_argument("suite", choices=SUITE_NAMES)
     _add_options(pv, _VERIFY, _cmd_verify)
 
     pn = sub.add_parser("noise", help="noise and first-object sampling")
@@ -375,7 +396,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SpecError, ExpansionError, CliInputError, ValueError, KeyError) as exc:
+    except (InputError, SpecError, ExpansionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except MemoryError as exc:  # numpy's names the size it could not allocate

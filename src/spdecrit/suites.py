@@ -3,7 +3,8 @@
 Each suite runs a batch of checks with explicit tolerances and returns a
 serializable summary; nothing here depends on wall-clock or filesystem
 state, so a fixed seed reproduces every number exactly.  The runners
-take keywords and no defaults: those are in the suite tables of `spdecrit.cli`.
+take keywords and no defaults: those, and each value's own checks, are in
+the suite tables of `spdecrit.cli`; a runner's `InputError` names its flags.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .errors import InputError, check_budget
 from .lab import fields as lf
 from .lab import heat as lh
 from .lab import noise as ln
@@ -41,12 +43,6 @@ def _finish(suite: str, checks: List[Dict]) -> Dict:
     return {"suite": suite, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _require_positive(**sizes):
-    for name, value in sizes.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _spawn(seed: int, count: int):
     return np.random.SeedSequence(seed).spawn(count)
 
@@ -64,17 +60,12 @@ _INEQUALITY_BUDGET = 100_000_000
 def run_inequality(*, n, samples: int, seed: int) -> Dict:
     """Random sweep plus the exact closed form of the pairing inequality;
     n None sweeps the powers 3, 5, 7 and 9."""
-    _require_positive(samples=samples)
-    if n is not None:
-        lh._odd_check(n)
-        if math.log10(n) + n - 1 > math.log10(np.finfo(float).max):
-            raise ValueError(f"--n {n}: samples in [-10, 10] take the gap to n * 10^(n-1), past a double; use n <= 305")
+    if n is not None and math.log10(n) + n - 1 > math.log10(np.finfo(float).max):
+        raise InputError(f"--n {n}: samples in [-10, 10] take the gap to n * 10^(n-1), past a double; use n <= 305")
     powers = (n,) if n is not None else (3, 5, 7, 9)
-    if len(powers) * samples > _INEQUALITY_BUDGET:
-        raise ValueError(
-            f"--samples {samples}: the sweep draws {len(powers) * samples} sample pairs,"
-            f" {len(powers)} x {samples}, over the budget of {_INEQUALITY_BUDGET}"
-        )
+    pairs = len(powers) * samples
+    check_budget(f"--samples {samples}", pairs, _INEQUALITY_BUDGET,
+                 f"the sweep draws {pairs} sample pairs, {len(powers)} x {samples}")
     checks = []
     for i, p in enumerate(powers):
         # a and b go on with default_rng(seed)'s stream from outputs
@@ -125,25 +116,24 @@ def _smooth_data(grid: int, kind: int = 0) -> lf.PeriodicField:
 
 
 def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Dict:
-    """Mesh convergence and integral-norm contraction for the damped flow."""
-    if dim != 1:
-        raise ValueError("the uniqueness experiment runs on dim 1")
-    lf._check_shape(1, (grid,))
-    _require_positive(tmax=tmax, dt=dt)
+    """Mesh convergence and integral-norm contraction for the damped flow on dim 1."""
     if not math.isfinite(tmax / dt):
-        raise ValueError(f"--tmax {tmax!r} --dt {dt!r}: the step count tmax / dt overflows a double")
+        raise InputError(f"--tmax {tmax!r} --dt {dt!r}: the step count tmax / dt overflows a double")
     steps = round(tmax / dt)
     # the contraction checks march at a coarser step of their own
     dt_b = max(dt, 1.0e-3)
     steps_b = round(tmax / dt_b)
     if steps_b < 1:  # dt_b >= dt, so steps >= steps_b
-        raise ValueError(f"tmax={tmax!r} is shorter than one step of {dt_b!r}")
+        raise InputError(f"--tmax {tmax!r} --dt {dt!r}: tmax={tmax!r} is shorter than one step of {dt_b!r}")
     # five runs march as one stack: the same data at dt and at dt/2, and
     # three contraction runs at the coarser step
     data = [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)]
-    dts, counts = lh._checked(data, n, [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b])
+    try:  # the step-size guard, on the data's peak
+        dts, counts = lh._checked(data, n, [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b])
+    except ValueError as exc:
+        raise InputError(f"--n {n} --dt {dt!r}: {exc}") from None
     if (steps + 1) * grid * 8 > np.iinfo(np.intp).max:
-        raise ValueError(
+        raise InputError(
             f"--tmax {tmax!r} --dt {dt!r}: the stored rows, (tmax / dt + 1) x {grid} doubles, exceed numpy's largest array"
         )
     # only the dt run's rows that the dt/2 run has not reached are kept,
@@ -215,12 +205,7 @@ _STEKLOV_BUDGET = 2_500
 
 def run_steklov(*, seed: int, samples: int) -> Dict:
     """Window-average contraction and approximation quality."""
-    _require_positive(samples=samples)
-    if samples > _STEKLOV_BUDGET:
-        raise ValueError(
-            f"--samples {samples}: the contraction check draws {samples} random series,"
-            f" over the budget of {_STEKLOV_BUDGET}"
-        )
+    check_budget(f"--samples {samples}", samples, _STEKLOV_BUDGET, f"the contraction check draws {samples} random series")
     checks = []
     length, grid, dt = 64, 16, 0.01
     qs = (1, 2, 3)
@@ -294,13 +279,9 @@ def _tychonov_table_size(alpha: int, terms: int) -> int:
 
 def run_tychonov(*, alpha: int, terms: int, region) -> Dict:
     """Pointwise values, vanishing past, and the two-route residual check."""
-    _require_positive(terms=terms)
     size = _tychonov_table_size(alpha, terms)
-    if size > _TYCHONOV_TABLE_BUDGET:
-        raise ValueError(
-            f"--alpha {alpha} --terms {terms}: the derivative table needs {size} coefficients,"
-            f" over the budget of {_TYCHONOV_TABLE_BUDGET}"
-        )
+    check_budget(f"--alpha {alpha} --terms {terms}", size, _TYCHONOV_TABLE_BUDGET,
+                 f"the derivative table needs {size} coefficients")
     from .lab import tychonov as lt  # the one suite that needs mpmath
 
     checks = []
@@ -309,7 +290,7 @@ def run_tychonov(*, alpha: int, terms: int, region) -> Dict:
     try:
         center = lt.tychonov_eval(series, 1.0, 0.0, terms)
     except OverflowError:
-        raise ValueError(f"--terms {terms}: the series at --alpha {alpha} overflows a double") from None
+        raise InputError(f"--terms {terms}: the series at --alpha {alpha} overflows a double") from None
     checks.append(
         _check(
             "value at (t,x)=(1,0) is exp(-1)",
@@ -331,7 +312,7 @@ def run_tychonov(*, alpha: int, terms: int, region) -> Dict:
         max_k10 = lt.tychonov_residual(series, terms + 10, t_grid, x_grid)
     except OverflowError:
         region_text = ",".join(map(repr, region))
-        raise ValueError(
+        raise InputError(
             f"--alpha {alpha} --terms {terms} --region {region_text}: the residual bound overflows a double"
         ) from None
 
@@ -397,14 +378,13 @@ def _white_modes(seed: int, draws: int, points: int, modes) -> np.ndarray:
 
 def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     """Spectral statistics of the sampler and the first object's roughness."""
-    lf._check_shape(1, (grid,))
-    _require_positive(ensembles=ensembles)
-    if ensembles * grid > _NOISE_BUDGET:
-        raise ValueError(
-            f"--ensembles {ensembles} --grid {grid}: the roughness fit solves {ensembles * grid} member-points,"
-            f" {ensembles} x {grid}, over the budget of {_NOISE_BUDGET}"
-        )
-    lf.fit_window((grid,))  # the roughness fit needs enough blocks; check before sampling
+    points = ensembles * grid
+    check_budget(f"--ensembles {ensembles} --grid {grid}", points, _NOISE_BUDGET,
+                 f"the roughness fit solves {points} member-points, {ensembles} x {grid}")
+    try:  # the roughness fit needs enough blocks; check before sampling
+        lf.fit_window((grid,))
+    except lf.ResolutionError as exc:
+        raise InputError(f"--grid {grid}: {exc}") from None
     checks = []
 
     # flat spectrum: per-mode variance 1, distinct modes uncorrelated

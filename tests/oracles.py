@@ -15,8 +15,9 @@ batch as it drew a batch of steps per member, the affine arithmetic and
 its rendering on Fractions, as `spdecrit.affine` kept them before it
 held integers, the parser of that rendering, the L1 contraction curve
 of two stored trajectories, the rescaling exponents and verdict in
-closed form from the spec alone, and a document's JSON bytes without
-its timestamp.
+closed form from the spec alone, a document's JSON bytes without
+its timestamp, and `noise sample`'s stride as it searched every divisor
+up to the square root of the steps, whatever the row budget.
 """
 
 import json
@@ -495,3 +496,17 @@ def z1_batch_per_member_oracle(dim: int, grid_shape, dt: float, steps: int, seed
             np.multiply(decay, coeffs[:, k], out=coeffs[:, k + 1])
             coeffs[:, k + 1] += eta
     return coeffs
+
+
+def stride_oracle(steps: int) -> int:
+    """The largest divisor of steps that is at most steps // 8, or 1, by
+    two searches that each run up to isqrt(steps): O(sqrt(steps)) trials
+    for a prime step count."""
+    root = math.isqrt(steps)
+    for q in range(8, root + 1):
+        if steps % q == 0:
+            return steps // q
+    for d in range(min(root, steps // 8), 1, -1):
+        if steps % d == 0:
+            return d
+    return 1

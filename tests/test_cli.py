@@ -253,7 +253,7 @@ def test_verify_zero_size_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("--grid", "-64"), "grid points per axis must be a power of two >= 4, got -64"),
+        (("--grid", "-64"), "--grid '-64': expects a power of two >= 4"),
         (("--tmax", "1e308", "--dt", "1e-10"), "--tmax 1e+308 --dt 1e-10: the step count tmax / dt overflows a double"),
         (("--dt", "1e-320"), "--tmax 1.0 --dt 1e-320: the step count tmax / dt overflows a double"),
     ],
@@ -1151,7 +1151,7 @@ def test_noise_sample_estimate_checks_fit_window_before_sampling(tmp_path, capsy
         capsys, "noise", "sample", "--dim", "2", "--grid", "8", "--kind", kind, "--estimate", "--out", str(out_dir)
     )
     assert (code, out) == (2, "")
-    assert err == "error: grid (8, 8): need at least 4 dyadic blocks to fit an exponent\n"
+    assert err == "error: --dim 2 --grid 8 --estimate: grid (8, 8): need at least 4 dyadic blocks to fit an exponent\n"
     assert calls == []
     assert not out_dir.exists()
 
@@ -1303,3 +1303,144 @@ def test_the_sample_budget_admits_the_largest_benchmarked_form(tmp_path, capsys)
     assert (code, err) == (0, "")
     assert len(list(out_dir.glob("*.spdf"))) == 11
     assert cli._SAMPLE_BUDGET == 25 * 11 * 256 * 129 * 16
+
+
+_NAMED = [
+    (("verify", "uniqueness", "--n", "4"), "--n '4': expects an odd integer >= 3"),
+    (("verify", "inequality", "--n", "4"), "--n '4': expects an odd integer >= 3"),
+    (("verify", "uniqueness", "--dim", "2"), "--dim '2': expects 1"),
+    (("verify", "uniqueness", "--grid", "100"), "--grid '100': expects a power of two >= 4"),
+    (("verify", "noise", "--grid", "100"), "--grid '100': expects a power of two >= 4"),
+    (("noise", "sample", "--grid", "6"), "--grid '6': expects a power of two >= 4"),
+    (("verify", "noise", "--grid", "32"), "--grid 32: grid (32,): exponent-fit window is empty at this resolution"),
+    (
+        ("noise", "sample", "--grid", "32", "--estimate"),
+        "--dim 1 --grid 32 --estimate: grid (32,): exponent-fit window is empty at this resolution",
+    ),
+    (("verify", "uniqueness", "--tmax", "0"), "--tmax '0': expects a positive finite value"),
+    (("verify", "uniqueness", "--dt", "nan"), "--dt 'nan': expects a positive finite value"),
+    (("verify", "uniqueness", "--tmax", "inf"), "--tmax 'inf': expects a positive finite value"),
+    (("verify", "inequality", "--samples", "0"), "--samples '0': expects a positive finite value"),
+    (("verify", "steklov", "--samples", "0"), "--samples '0': expects a positive finite value"),
+    (("verify", "tychonov", "--terms", "0"), "--terms '0': expects a positive finite value"),
+    (("verify", "noise", "--ensembles", "0"), "--ensembles '0': expects a positive finite value"),
+    (("verify", "uniqueness", "--dt", "0.5"), "--n 3 --dt 0.5: unstable step: dt * max|u|^(n-1) = 1.12 >= 0.5"),
+    (("verify", "uniqueness", "--n", "401"), "--n 401 --dt 0.0001: unstable step: dt * max|u|^(n-1) = 2.73e+66 >= 0.5"),
+    (
+        ("verify", "uniqueness", "--tmax", "1e-9"),
+        "--tmax 1e-09 --dt 0.0001: tmax=1e-09 is shorter than one step of 0.001",
+    ),
+    (("verify", "tychonov", "--alpha", "1"), "--alpha '1': expects an integer >= 2"),
+    (("analyze", "phi4", "--levels", "0"), "--levels '0': expects an integer in [1, 32]"),
+    (("analyze", "phi4", "--levels", "33"), "--levels '33': expects an integer in [1, 32]"),
+    # the field of so short an end time underflows to zero in the fit's blocks
+    (
+        ("noise", "sample", "--grid", "64", "--dt", "5e-324", "--steps", "8", "--estimate"),
+        "--dt 5e-324 --steps 8 --estimate: exponent-fit window is empty at this resolution",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", _NAMED, ids=[" ".join(argv) for argv, _ in _NAMED])
+def test_bad_input_exits_2_naming_its_flags(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []  # noise sample's default --out included
+
+
+@pytest.mark.parametrize("how", ["config", "spec"])
+def test_an_undecodable_input_file_names_its_flag_or_path(tmp_path, capsys, how):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\x89\xff\xfe")
+    argv = ("analyze", "phi4", "--config", str(path)) if how == "config" else ("analyze", str(path))
+    named = f"--config {path}" if how == "config" else str(path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named}: 'utf-8' codec can't decode byte 0x89 in position 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize("fault", [ValueError("a fault"), KeyError("a fault")], ids=["ValueError", "KeyError"])
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [(("verify", "bony"), "spdecrit.suites", "run_bony"), (("analyze", "phi4"), "spdecrit.expansion", "expand")],
+    ids=["suite", "expand"],
+)
+def test_a_fault_is_not_bad_input(monkeypatch, fault, argv, module, name):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(importlib.import_module(module), name, broken)
+    with pytest.raises(type(fault)):
+        cli.main(list(argv))
+
+
+_HOSTILE = ("nan", "inf", "-1", "0", "1e300", "abc", "3.5", "1")
+_TABLES = [
+    (("analyze", "phi4"), cli._ANALYZE),
+    *((("verify", suite), {**cli._SEED, **reads, **cli._RENDER}) for suite, reads in cli._SUITES.items()),
+    (("noise", "sample"), cli._NOISE_SAMPLE),
+]
+
+
+@pytest.mark.parametrize("command,table", _TABLES, ids=[" ".join(command) for command, _ in _TABLES])
+def test_every_option_runs_or_refuses_hostile_values_by_name(tmp_path, capsys, monkeypatch, command, table):
+    """The suites and `expand` are stubbed, so this checks the converters
+    and the checks the CLI makes itself; `noise sample` draws for real,
+    which at its defaults takes a few milliseconds."""
+    from spdecrit import expansion
+    from spdecrit.dsl import load_bundled_spec
+
+    report = expansion.expand(load_bundled_spec("phi4"), 1)
+    monkeypatch.setattr(expansion, "expand", lambda spec, max_levels: report)
+    monkeypatch.setattr(cli, "run_suite", lambda name, **options: {"suite": name, "checks": [], "passed": True})
+    monkeypatch.delenv("SPDECRIT_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name in table:
+        for value in _HOSTILE:
+            code, _, err = run(capsys, *command, f"--{name}", value)
+            assert code == 0 or (code == 2 and err.startswith(f"error: --{name} ")), (name, value, code, err)
+
+
+def test_stride_matches_the_unbounded_search_wherever_it_fits():
+    from oracles import stride_oracle
+
+    # the most rows at --grid 4096 and 64 in 1D and at --grid 256 in 2D;
+    # below 275,200 steps every stride fits the second
+    budgets = [cli._SAMPLE_BUDGET // (modes * 16) for modes in (2049, 33, 256 * 129)]
+    assert budgets == [4432, 275200, 275]
+
+    def agree(steps, rows, want):
+        got = cli._stride(steps, rows)
+        fits = steps // want + 1 <= rows
+        # a stride that fits is the oracle's; one that does not is refused
+        return got == want if fits else steps // got + 1 > rows
+
+    wants = [stride_oracle(steps) for steps in range(1, 100_001)]
+    for rows in (budgets[0], budgets[2]):
+        assert [steps for steps, want in enumerate(wants, 1) if not agree(steps, rows, want)] == [], rows
+    for steps in (8 * (2**61 - 1), 3 * 5 * 1_000_003, 2 * 99_991, 1_000_003 * 8, 274_877 * 2):
+        want = stride_oracle(steps)
+        assert all(agree(steps, rows, want) for rows in budgets), steps
+    # the fewest intervals, 9 and 127, keep exactly the rows allowed
+    assert cli._stride(81, 10) == 9 and cli._stride(127**2, 128) == 127
+
+
+def test_noise_sample_refuses_a_huge_prime_step_count_at_once(tmp_path):
+    # 2^61 - 1 is prime: the unbounded divisor search took ~1.5e9 trials;
+    # no divisor keeps the 275,200 rows that --grid 64 allows
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    steps = 2**61 - 1
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "noise", "sample", "--steps", str(steps), "--grid", "64", "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: --steps {steps} --grid 64: the sample keeps {steps + 1} x 33 complex modes,"
+        f" {(steps + 1) * 33 * 16} bytes, over the budget of 145305600\n"
+    )
+    assert not (tmp_path / "F").exists()
