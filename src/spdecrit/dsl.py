@@ -59,10 +59,6 @@ class NonlinearTerm(NamedTuple):
     outer_derivative_order: Fraction = Fraction(0)
     projector: Optional[str] = None
 
-    @property
-    def total_derivative_order(self) -> Fraction:
-        return sum(self.inner_derivative_orders, Fraction(0)) + self.outer_derivative_order
-
 
 class SpdeSpec(NamedTuple):
     name: str
@@ -384,36 +380,6 @@ def validate_spec(spec: SpdeSpec) -> List[Diagnostic]:
                 severity="warning",
             ))
     return out
-
-
-def format_spec(spec: SpdeSpec) -> str:
-    """Canonical text form; parse_spec(format_spec(s)) == s for valid specs."""
-    lines = [f"equation {spec.name} {{"]
-    if spec.dim is None:
-        lines.append(f"  dimension {spec.dim_symbol};")
-    else:
-        lines.append(f"  dimension {spec.dim};")
-    lines.append(f"  unknown {spec.unknown}: {spec.unknown_rank};")
-    lines.append(f"  diffusion order {spec.diffusion_order};")
-    if spec.z1_diffusion_order is not None:
-        lines.append(f"  aux_z1 order {spec.z1_diffusion_order};")
-    if spec.noise_lift:
-        lines.append(f"  noise {spec.noise_kind} lift {spec.noise_lift};")
-    else:
-        lines.append(f"  noise {spec.noise_kind};")
-    for term in spec.nonlinear_terms:
-        lines.append("  nonlinear {")
-        lines.append(f"    degree {term.degree};")
-        if any(term.inner_derivative_orders):
-            inner = ", ".join(str(k) for k in term.inner_derivative_orders)
-            lines.append(f"    inner_deriv {inner};")
-        if term.outer_derivative_order:
-            lines.append(f"    outer_deriv {term.outer_derivative_order};")
-        if term.projector:
-            lines.append(f"    projector {term.projector};")
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def load_bundled_spec(name: str) -> SpdeSpec:

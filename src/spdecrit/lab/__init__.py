@@ -14,8 +14,7 @@ _export_lazily(globals(), {
     ),
     "noise": ("sample_spatial_white", "solve_z1_mild", "solve_z1_mild_batch"),
     "heat": (
-        "BlowupError", "solve_damped_heat", "solve_damped_heat_batch", "steklov_average", "proof_inequality_gap",
-        "proof_inequality_gap_exact",
+        "BlowupError", "steklov_average", "proof_inequality_gap", "proof_inequality_gap_exact",
     ),
     "tychonov": ("TychonovSeries", "tychonov_eval", "tychonov_residual", "fd_heat_residual"),
 })

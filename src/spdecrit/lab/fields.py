@@ -165,9 +165,6 @@ class PeriodicField:
             return float(np.max(np.abs(self.values)))
         return float((np.sum(np.abs(self.values) ** q) * dv) ** (1.0 / q))
 
-    def mean_square(self) -> float:
-        return float(np.mean(self.values**2))
-
 
 class Trajectory:
     """Uniformly spaced time samples of one evolving field.

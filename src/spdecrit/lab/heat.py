@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,48 +39,10 @@ def _power(x, k: int):
     return out
 
 
-def solve_damped_heat(u_in: PeriodicField, n: int, dt: float, steps: int) -> Trajectory:
-    """March the damped flow forward from u_in."""
-    return solve_damped_heat_batch([u_in], n, dt, steps)[0]
-
-
-def solve_damped_heat_batch(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[Trajectory]:
-    """March the damped flow from several initial fields on one grid at once.
-
-    dt and steps are one value for all members or one per member.  Each
-    member's trajectory is exactly what solve_damped_heat gives for it
-    alone: the step is elementwise per member, the transforms run over
-    the trailing grid axes of the stack, members drop out of the stack
-    once their steps are done, and the blow-up guard watches every
-    member still marching.  The stack marches in place, a block of
-    steps at a time, and each block is copied into the members' rows.
-    """
-    dts, steps = _checked(u_ins, n, dt, steps)
-    # longest run first, so the members still marching are a leading slice
-    order = sorted(range(len(u_ins)), key=lambda i: -steps[i])
-    rows = [np.empty((steps[i] + 1,) + u_ins[0].grid_shape) for i in order]
-    values = np.stack([u_ins[i].values for i in order])
-    for first, block in _march(values, n, [dts[i] for i in order], [steps[i] for i in order]):
-        for member, out in enumerate(rows):
-            size = min(len(block), len(out) - first)
-            if size <= 0:  # this member and every later one have finished
-                break
-            out[first : first + size] = block[:size, member]
-    trajs = [None] * len(u_ins)
-    for i, out in zip(order, rows):
-        trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
-    return trajs
-
-
-def _checked(u_ins: Sequence[PeriodicField], n: int, dt, steps):
-    """Each member's step size and step count, after the checks of
-    solve_damped_heat_batch, which run in the members' order."""
+def _checked(u_ins: Sequence[PeriodicField], n: int, dts: Sequence[float], steps: Sequence[int]):
+    """The checks of a march of u_ins, one step size and step count per
+    member, which run in the members' order."""
     _odd_check(n)
-    if not u_ins or any(u.grid_shape != u_ins[0].grid_shape for u in u_ins):
-        raise ValueError("need at least one field, all on one grid")
-    count = len(u_ins)
-    dts = [float(d) for d in np.broadcast_to(dt, (count,))]
-    steps = np.broadcast_to(steps, (count,)).tolist()
     if not all(0 < d < math.inf for d in dts) or not all(isinstance(s, int) and s >= 1 for s in steps):
         raise ValueError("need 0 < dt < inf and whole steps >= 1")
     for u, d in zip(u_ins, dts):
@@ -91,7 +53,6 @@ def _checked(u_ins: Sequence[PeriodicField], n: int, dt, steps):
             raise ValueError(f"max|u|^n overflows a double: max|u| = {peak:.3g}, n = {n}") from None
         if d * peak ** (n - 1) >= 0.5:
             raise ValueError(f"unstable step: dt * max|u|^(n-1) = {d * peak ** (n - 1):.3g} >= 0.5")
-    return dts, steps
 
 
 # steps per block of the march: the guard runs once per block, and a
@@ -100,9 +61,9 @@ _BLOCK = 128
 
 
 def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int]):
-    """March a stack of fields in place; yield (first, rows) per block.
+    """March a stack of 1D fields in place; yield (first, rows) per block.
 
-    values is (members, *grid), its members ordered by nonincreasing
+    values is (members, points), its members ordered by nonincreasing
     steps, and dts and steps are the members' checked step sizes and
     counts.  rows[j, i] is member i at step first + j while that step
     is at most steps[i]; later rows of a finished member hold nothing.
@@ -113,26 +74,18 @@ def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int
     before the block is yielded.  A block may step on past that step, so
     overflow and invalid values do not warn while a block is computed.
     """
-    count, shape = len(values), values.shape[1:]
-    axes = tuple(range(-len(shape), 0))
-    grid_axes = tuple(range(2, 2 + len(shape)))  # of a block
-    lead = (count,) + (1,) * len(shape)
-    dt_rows = np.array(dts).reshape(lead)
+    count, points = values.shape
+    dt_rows = np.array(dts).reshape(count, 1)
     # complex already, as numpy would cast it for the product every step
-    decay = np.exp(-(mode_magnitudes(shape) ** 2) * dt_rows).astype(np.complex128)
+    decay = np.exp(-(mode_magnitudes((points,)) ** 2) * dt_rows).astype(np.complex128)
     total = steps[0] + 1  # rows, the data's included
     block = np.empty((min(_BLOCK, total),) + values.shape)
     work = np.empty_like(values)
     spectrum = np.empty_like(decay)
     last = np.array(steps)
-    if len(shape) == 1:
-        # rfftn's and irfftn's bits on one axis, without numpy's per-call
-        # wrappers: at a few rows of a 1D grid a step costs what its calls
-        # into numpy cost
-        forward, inverse = real_fft_pair(shape[0])
-    else:
-        forward = lambda x, out: np.fft.rfftn(x, axes=axes, out=out)
-        inverse = lambda x, out: np.fft.irfftn(x, s=shape, axes=axes, out=out)
+    # rfft's and irfft's bits without numpy's per-call wrappers: at a few
+    # rows of a 1D grid a step costs what its calls into numpy cost
+    forward, inverse = real_fft_pair(points)
     # dt as whole rows: the same products, without a broadcast, which
     # doubles the cost of the call
     dt_values = np.broadcast_to(dt_rows, values.shape).copy()
@@ -165,7 +118,7 @@ def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int
         # one guard per block: max|u| of each member at each step, over
         # the members marching into that step (a NaN hides the step, as
         # numpy's max of the whole stack would)
-        peaks = np.maximum(np.max(rows, axis=grid_axes), -np.min(rows, axis=grid_axes))
+        peaks = np.maximum(np.max(rows, axis=2), -np.min(rows, axis=2))
         step = np.arange(first, first + size)[:, None]
         live = (step >= 1) & (step <= last)
         over = np.max(np.where(live, peaks, 0.0), axis=1) > BLOWUP_LIMIT

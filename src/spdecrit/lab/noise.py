@@ -38,8 +38,10 @@ def _ou_factors(dim, grid_shape, dt, steps):
     if not 0 < dt < math.inf or steps < 1:
         raise ValueError(f"need 0 < dt < inf and steps >= 1, got dt={dt!r} and steps={steps!r}")
     lam = mode_magnitudes(tuple(grid_shape)) ** 2.0
-    decay = np.exp(-lam * dt)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # at a step so long that lam * dt overflows, exp(-inf) gives the exact
+    # limits 0 and 1 / (2 lam)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        decay = np.exp(-lam * dt)
         var = np.where(lam > 0, (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam), dt)
     std = np.sqrt(var)
     # complex already, as numpy would cast them for each product

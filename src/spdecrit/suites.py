@@ -55,6 +55,8 @@ _INEQUALITY_BLOCK = 1 << 15
 # sample pairs over all powers: 25 times the default sweep of 4 powers x
 # 1,000,000 samples, which takes ~0.2 s of draws and gaps
 _INEQUALITY_BUDGET = 100_000_000
+# the powers of the default sweep: phi4's degrees under --param n
+_POWERS = (3, 5, 7, 9)
 
 
 def run_inequality(*, n, samples: int, seed: int) -> Dict:
@@ -62,7 +64,7 @@ def run_inequality(*, n, samples: int, seed: int) -> Dict:
     n None sweeps the powers 3, 5, 7 and 9."""
     if n is not None and math.log10(n) + n - 1 > math.log10(np.finfo(float).max):
         raise InputError(f"--n {n}: samples in [-10, 10] take the gap to n * 10^(n-1), past a double; use n <= 305")
-    powers = (n,) if n is not None else (3, 5, 7, 9)
+    powers = (n,) if n is not None else _POWERS
     pairs = len(powers) * samples
     check_budget(f"--samples {samples}", pairs, _INEQUALITY_BUDGET,
                  f"the sweep draws {pairs} sample pairs, {len(powers)} x {samples}")
@@ -128,8 +130,9 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     # five runs march as one stack: the same data at dt and at dt/2, and
     # three contraction runs at the coarser step
     data = [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)]
+    dts, counts = [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b]
     try:  # the step-size guard, on the data's peak
-        dts, counts = lh._checked(data, n, [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b])
+        lh._checked(data, n, dts, counts)
     except ValueError as exc:
         raise InputError(f"--n {n} --dt {dt!r}: {exc}") from None
     if (steps + 1) * grid * 8 > np.iinfo(np.intp).max:
@@ -358,6 +361,8 @@ _ROUGH_T = 1.0
 # member-points of the roughness fit, --ensembles x --grid: 25 times the
 # default 16 x 4096, which take ~0.03 s
 _NOISE_BUDGET = 25 * 16 * 4096
+# the fitted exponent's window, about phi4's z1 bound at d = 1
+_Z1_WINDOW = (0.35, 0.60)
 
 
 # rows of normals the flat-spectrum check draws and packs at a time
@@ -432,12 +437,13 @@ def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
         trajs = ln.solve_z1_mild_batch(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK])
         exponents += [lf.estimate_holder_exponent(t.final()) for t in trajs]
     mean_exp = float(np.mean(exponents))
+    low, high = _Z1_WINDOW
     checks.append(
         _check(
             f"fitted smoothness exponent over {ensembles} seeds",
-            0.35 <= mean_exp <= 0.60,
+            low <= mean_exp <= high,
             value=mean_exp,
-            target="in [0.35, 0.60]",
+            target=f"in [{low:.2f}, {high:.2f}]",
         )
     )
 
@@ -450,13 +456,19 @@ def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     return _finish("noise", checks)
 
 
+# (dim, shape, exponent of f, exponent of g) of the exactness cases,
+# whose products are well defined, and the exponent of both resonant
+# factors, whose product is not
+_BONY_CASES = ((1, (256,), 1.5, 0.8), (2, (64, 64), 1.2, 1.0))
+_RESONANT = -0.25
+
+
 def run_bony(*, seed: int) -> Dict:
     """Paraproduct partition exactness and resonant blow-up."""
     checks = []
 
     worst_rel = 0.0
-    cases = [(1, (256,), 1.5, 0.8), (2, (64, 64), 1.2, 1.0)]
-    for i, (dim, shape, ef, eg) in enumerate(cases):
+    for i, (dim, shape, ef, eg) in enumerate(_BONY_CASES):
         f = lf.synthetic_field(dim, shape, ef, seed + 10 + i)
         g = lf.synthetic_field(dim, shape, eg, seed + 20 + i)
         lo, hi, res = lf.bony_decompose(f, g)
@@ -479,8 +491,8 @@ def run_bony(*, seed: int) -> Dict:
         s = int(np.random.default_rng(ss).integers(0, 2**31))
         norms = []
         for nres in (512, 2048):
-            f = lf.synthetic_field(1, (nres,), -0.25, s)
-            g = lf.synthetic_field(1, (nres,), -0.25, s + 1)
+            f = lf.synthetic_field(1, (nres,), _RESONANT, s)
+            g = lf.synthetic_field(1, (nres,), _RESONANT, s + 1)
             _, _, res = lf.bony_decompose(f, g)
             norms.append(res.lq_norm(math.inf))
         ratios.append(norms[1] / norms[0])

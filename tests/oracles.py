@@ -15,7 +15,8 @@ batch as it drew a batch of steps per member, the affine arithmetic and
 its rendering on Fractions, as `spdecrit.affine` kept them before it
 held integers, the parser of that rendering, the L1 contraction curve
 of two stored trajectories, the rescaling exponents and verdict in
-closed form from the spec alone, a document's JSON bytes without
+closed form from the spec alone, a spec's canonical text form, which
+the round-trip tests parse back, a document's JSON bytes without
 its timestamp, and `noise sample`'s stride as it searched every divisor
 up to the square root of the steps, whatever the row budget.
 """
@@ -286,7 +287,10 @@ def closed_form_exponents(spec: SpdeSpec) -> Tuple[DimExpr, ...]:
     noise = noise_regularity(spec.noise_kind, _scaling_info(spec), spec.noise_lift)
     r1 = noise.sup + DimExpr.const(spec.z1_effective_order)
     gamma = DimExpr.const(spec.diffusion_order)
-    return tuple(r1 * (t.degree - 1) - DimExpr.const(t.total_derivative_order) + gamma for t in spec.nonlinear_terms)
+    return tuple(
+        r1 * (t.degree - 1) - DimExpr.const(sum(t.inner_derivative_orders, t.outer_derivative_order)) + gamma
+        for t in spec.nonlinear_terms
+    )
 
 
 def closed_form_exponent(spec: SpdeSpec) -> DimExpr:
@@ -309,6 +313,36 @@ def closed_form_classification(spec: SpdeSpec, dim: Optional[int]) -> Classifica
         worst = min(e.evaluate(dim or 0) for e in exps)
         return Classification(SUBCRITICAL if worst > 0 else CRITICAL if worst == 0 else SUPERCRITICAL)
     return Classification(CONDITION_ON_DIM, _subcritical_condition(exps) or "never subcritical")
+
+
+def format_spec(spec: SpdeSpec) -> str:
+    """Canonical text form; parse_spec(format_spec(s)) == s for valid specs."""
+    lines = [f"equation {spec.name} {{"]
+    if spec.dim is None:
+        lines.append(f"  dimension {spec.dim_symbol};")
+    else:
+        lines.append(f"  dimension {spec.dim};")
+    lines.append(f"  unknown {spec.unknown}: {spec.unknown_rank};")
+    lines.append(f"  diffusion order {spec.diffusion_order};")
+    if spec.z1_diffusion_order is not None:
+        lines.append(f"  aux_z1 order {spec.z1_diffusion_order};")
+    if spec.noise_lift:
+        lines.append(f"  noise {spec.noise_kind} lift {spec.noise_lift};")
+    else:
+        lines.append(f"  noise {spec.noise_kind};")
+    for term in spec.nonlinear_terms:
+        lines.append("  nonlinear {")
+        lines.append(f"    degree {term.degree};")
+        if any(term.inner_derivative_orders):
+            inner = ", ".join(str(k) for k in term.inner_derivative_orders)
+            lines.append(f"    inner_deriv {inner};")
+        if term.outer_derivative_order:
+            lines.append(f"    outer_deriv {term.outer_derivative_order};")
+        if term.projector:
+            lines.append(f"    projector {term.projector};")
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def deterministic_bytes(doc: dict) -> bytes:
@@ -368,18 +402,18 @@ def tychonov_residual_float_oracle(series, K: int, t_values, x_values) -> float:
 
 
 def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[Trajectory]:
-    """solve_damped_heat_batch as a per-step march of the stacked members:
-    new arrays every step, each member's row copied out as it is made,
-    and the blow-up guard on the whole marching stack after every step."""
+    """The damped flow from 1D fields on one grid, each member's dt and
+    steps one value for all or one per member, as a per-step march of the
+    stacked members: new arrays every step, each member's row copied out
+    as it is made, and the blow-up guard on the whole marching stack
+    after every step."""
     _odd_check(n)
     count = len(u_ins)
     dts = [float(d) for d in np.broadcast_to(dt, (count,))]
     steps = np.broadcast_to(steps, (count,)).tolist()
     order = sorted(range(count), key=lambda i: -steps[i])
     shape = u_ins[0].grid_shape
-    axes = tuple(range(-len(shape), 0))
-    lead = (count,) + (1,) * len(shape)
-    dt_rows = np.array([dts[i] for i in order]).reshape(lead)
+    dt_rows = np.array([dts[i] for i in order]).reshape(count, 1)
     decay = np.exp(-(mode_magnitudes(shape) ** 2) * dt_rows).astype(np.complex128)
     rows = [np.empty((steps[i] + 1,) + shape) for i in order]
     values = np.stack([u_ins[i].values for i in order])
@@ -391,10 +425,7 @@ def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) 
             marching -= 1
         values = values[:marching]
         damped = values - dt_rows[:marching] * _power(values, n)
-        if len(shape) == 1:
-            values = np.fft.irfft(decay[:marching] * np.fft.rfft(damped), n=shape[0])
-        else:
-            values = np.fft.irfftn(decay[:marching] * np.fft.rfftn(damped, axes=axes), s=shape, axes=axes)
+        values = np.fft.irfft(decay[:marching] * np.fft.rfft(damped), n=shape[0])
         if np.abs(values).max() > BLOWUP_LIMIT:
             raise BlowupError(f"field exceeded {BLOWUP_LIMIT:g} at step {k + 1}")
         for out, v in zip(rows, values):

@@ -1272,6 +1272,20 @@ def test_noise_sample_refuses_rows_over_its_budget_before_allocating(tmp_path):
     assert not (tmp_path / "F").exists()
 
 
+def test_noise_sample_of_a_huge_step_writes_it_without_warnings(tmp_path):
+    # |m|^2 dt overflows to inf at every mode but the zero mode, and
+    # exp(-inf) gives the step's exact limits; numpy's overflow warnings
+    # went to stderr of a run that exits 0
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "noise", "sample", "--dt", "1e300", "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "F").exists()
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from importlib import resources
 
+from oracles import format_spec
 from spdecrit.dsl import (
     BUNDLED_SPECS,
     MAX_DEGREE,
@@ -15,7 +16,6 @@ from spdecrit.dsl import (
     SpecError,
     SpecSemanticError,
     SpecSyntaxError,
-    format_spec,
     load_bundled_spec,
     parse_spec,
     validate_spec,

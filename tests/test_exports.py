@@ -22,15 +22,14 @@ API = {
     "spdecrit": (
         "DimExpr", "RegBound", "ScalingInfo",
         "noise_regularity", "product_homogeneity", "product_analytic", "schauder_gain", "zero_order_operator",
-        "SpdeSpec", "NonlinearTerm", "parse_spec", "validate_spec", "format_spec", "load_bundled_spec",
+        "SpdeSpec", "NonlinearTerm", "parse_spec", "validate_spec", "load_bundled_spec",
         "CriticalityReport", "ProductTerm", "expand", "renormalization_flags",
     ),
     "spdecrit.lab": (
         "PeriodicField", "Trajectory", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
         "fit_window", "estimate_holder_exponent", "bony_decompose",
         "sample_spatial_white", "solve_z1_mild", "solve_z1_mild_batch",
-        "BlowupError", "solve_damped_heat", "solve_damped_heat_batch", "steklov_average", "proof_inequality_gap",
-        "proof_inequality_gap_exact",
+        "BlowupError", "steklov_average", "proof_inequality_gap", "proof_inequality_gap_exact",
         "TychonovSeries", "tychonov_eval", "tychonov_residual", "fd_heat_residual",
     ),
 }
@@ -39,7 +38,7 @@ API = {
 @pytest.mark.parametrize("package", [spdecrit, spdecrit.lab], ids=lambda p: p.__name__)
 def test_public_api_is_pinned(package):
     assert tuple(package.__all__) == API[package.__name__]
-    assert len(API["spdecrit"]) == 18 and len(API["spdecrit.lab"]) == 22
+    assert len(API["spdecrit"]) == 17 and len(API["spdecrit.lab"]) == 20
 
 
 @pytest.mark.parametrize("package", [spdecrit, spdecrit.lab], ids=lambda p: p.__name__)

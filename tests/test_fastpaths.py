@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
     damped_heat_batch_oracle,
     holder_exponent_oracle,
@@ -403,61 +403,70 @@ def test_real_fft_pair_matches_numpys_public_transforms(fft_pair_source, shape):
     assert same_bits(back, np.fft.irfft(c, n=n))
 
 
+def assert_march_rows(values, n, dts, steps, want):
+    """Run _march over the stack values, its members by nonincreasing
+    steps, and hold each block row by row against want[i], member i's
+    rows from step 0; every row of every member is compared once."""
+    done = 0
+    for first, rows in lh._march(values, n, dts, steps):
+        assert first == done
+        done += len(rows)
+        for i, member in enumerate(want):
+            size = min(len(rows), len(member) - first)
+            if size > 0:
+                assert same_bits(rows[:size, i], member[first : first + size])
+    assert done == len(want[0])
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_damped_heat_march_is_the_same_on_either_fft_pair(fft_pair_source, n):
     data = [smooth_values((256,), seed, peak=0.5 + 0.2 * seed) for seed in range(3)]
-    trajs = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], n, 1e-3, [40, 25, 7])
-    for traj, u, steps in zip(trajs, data, [40, 25, 7]):
-        assert same_bits(traj.values_array(), np.stack(heat_oracle(u, n, 1e-3, steps)))
+    want = [np.stack(heat_oracle(u, n, 1e-3, steps)) for u, steps in zip(data, [40, 25, 7])]
+    assert_march_rows(np.stack(data), n, [1e-3] * 3, [40, 25, 7], want)
 
 
 @FAST
-@given(st.sampled_from([(16,), (64,), (8, 8)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
+@given(st.sampled_from([(16,), (64,)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
 def test_damped_heat_matches_per_step_loop(shape, seed, n, steps):
     u = smooth_values(shape, seed)
-    traj = lh.solve_damped_heat(PeriodicField(u), n, 1e-3, steps)
-    want = heat_oracle(u, n, 1e-3, steps)
-    assert same_bits(traj.values_array(), np.stack(want))
+    assert_march_rows(u[None], n, [1e-3], [steps], [np.stack(heat_oracle(u, n, 1e-3, steps))])
 
 
 @FAST
-@given(st.sampled_from([(16,), (256,), (8, 8)]), seeds, st.integers(1, 4), st.integers(1, 30))
+@given(st.sampled_from([(16,), (256,)]), seeds, st.integers(1, 4), st.integers(1, 30))
 def test_damped_heat_batch_matches_separate_runs(shape, seed, members, steps):
     data = [smooth_values(shape, seed + i, peak=0.5 + 0.2 * i) for i in range(members)]
-    trajs = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], 3, 1e-3, steps)
-    assert len(trajs) == members
-    for traj, u in zip(trajs, data):
-        assert same_bits(traj.values_array(), np.stack(heat_oracle(u, 3, 1e-3, steps)))
+    want = [np.stack(heat_oracle(u, 3, 1e-3, steps)) for u in data]
+    assert_march_rows(np.stack(data), 3, [1e-3] * members, [steps] * members, want)
 
 
 @FAST
 @given(
-    st.sampled_from([(16,), (256,), (8, 8)]),
+    st.sampled_from([(16,), (256,)]),
     seeds,
     st.lists(st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3]), st.integers(1, 30)), min_size=1, max_size=5),
 )
 def test_stacked_runs_with_own_steps_match_separate_runs(shape, seed, runs):
     # each member with its own dt and step count; members drop out as they finish
+    runs = sorted(runs, key=lambda run: -run[1])
     data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(runs))]
-    dts, steps = zip(*runs)
-    trajs = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], 3, list(dts), list(steps))
-    for traj, u, dt, count in zip(trajs, data, dts, steps):
-        alone = lh.solve_damped_heat(PeriodicField(u), 3, dt, count)
-        assert same_bits(traj.values_array(), alone.values_array())
-        assert same_bits(traj.values_array(), np.stack(heat_oracle(u, 3, dt, count)))
-        assert same_bits(traj.times, alone.times) and traj.dt == dt
+    dts, steps = map(list, zip(*runs))
+    want = [np.stack(heat_oracle(u, 3, dt, count)) for u, (dt, count) in zip(data, runs)]
+    assert_march_rows(np.stack(data), 3, dts, steps, want)
+    for u, (dt, count), rows in zip(data, runs, want):
+        assert_march_rows(u[None], 3, [dt], [count], [rows])
 
 
 def test_uniqueness_stack_matches_separate_runs():
-    # the coarse run, the fine run at half its step, and three contraction runs
+    # the fine run at half the coarse run's step, the coarse run, and three
+    # contraction runs, in the suite's order
     from spdecrit.suites import _smooth_data
 
-    data = [_smooth_data(256, k) for k in (0, 0, 0, 1, 2)]
-    dts = [1e-3, 5e-4, 4e-3, 4e-3, 4e-3]
-    steps = [100, 200, 25, 25, 25]
-    stacked = lh.solve_damped_heat_batch(data, 3, dts, steps)
-    for traj, u, dt, count in zip(stacked, data, dts, steps):
-        assert same_bits(traj.values_array(), lh.solve_damped_heat(u, 3, dt, count).values_array())
+    data = [_smooth_data(256, k).values for k in (0, 0, 0, 1, 2)]
+    dts = [5e-4, 1e-3, 4e-3, 4e-3, 4e-3]
+    steps = [200, 100, 25, 25, 25]
+    want = [np.stack(heat_oracle(u, 3, dt, count)) for u, dt, count in zip(data, dts, steps)]
+    assert_march_rows(np.stack(data), 3, dts, steps, want)
 
 
 # step counts up to about three blocks of the march, those next to a
@@ -465,23 +474,38 @@ def test_uniqueness_stack_matches_separate_runs():
 # after an edge (a block's rows start at a multiple of _BLOCK)
 _EDGES = sorted({1, 2} | {b * lh._BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)})
 block_steps = st.one_of(st.sampled_from(_EDGES), st.integers(1, 3 * lh._BLOCK + 1))
+# (n, dt, points) of each march in test_heat.py's flow-property tests,
+# which run through damped_heat_batch_oracle; each is one example below
+_FLOW_CASES = [
+    (3, 1e-3, 64), (3, 1e-3, 128), (3, 1e-3, 256), (3, 1e-4, 32), (5, 1e-4, 32),
+    (3, 2e-4, 256), (3, 1e-4, 256), (3, 4e-3, 256), (3, 2e-3, 256), (3, 1e-14, 16),
+]
+
+
+def flow_examples(test):
+    """test with one explicit example per flow case: a run across a block
+    edge marched beside a short run at another dt."""
+    for n, dt, points in _FLOW_CASES:
+        test = example(shape=(points,), seed=1, n=n, runs=[(dt, lh._BLOCK + 1), (1e-3, 2)])(test)
+    return test
 
 
 @FAST
+@flow_examples
 @given(
-    st.sampled_from([(16,), (256,), (8, 8)]),
+    st.sampled_from([(16,), (32,), (64,), (128,), (256,)]),
     seeds,
     st.sampled_from([3, 5]),
-    st.lists(st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3]), block_steps), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3, 1e-4, 2e-4, 4e-3, 1e-14]), block_steps), min_size=1, max_size=4
+    ),
 )
 def test_blocked_march_matches_stacked_loop(shape, seed, n, runs):
+    runs = sorted(runs, key=lambda run: -run[1])
     data = [PeriodicField(smooth_values(shape, seed + i, peak=0.5 + 0.1 * i)) for i in range(len(runs))]
     dts, steps = map(list, zip(*runs))
-    got = lh.solve_damped_heat_batch(data, n, dts, steps)
-    want = damped_heat_batch_oracle(data, n, dts, steps)
-    for g, w in zip(got, want):
-        assert same_bits(g.values_array(), w.values_array())
-        assert same_bits(g.times, w.times) and g.dt == w.dt
+    want = [traj.values_array() for traj in damped_heat_batch_oracle(data, n, dts, steps)]
+    assert_march_rows(np.stack([u.values for u in data]), n, dts, steps, want)
 
 
 @pytest.mark.parametrize("hidden", [1, lh._BLOCK - 2, lh._BLOCK - 1, lh._BLOCK, 2 * lh._BLOCK + 3])
@@ -491,14 +515,15 @@ def test_blowup_inside_a_block_names_the_loops_step(hidden):
     that step falls in a block.  No warning and no error state leaks."""
     import warnings
 
-    big = PeriodicField(np.full(16, 2.0e6))
-    args = ([big, PeriodicField(np.full(16, np.nan))], 3, 1.0e-20, [3 * lh._BLOCK, hidden])
+    big, nan = np.full(16, 2.0e6), np.full(16, np.nan)
+    steps = [3 * lh._BLOCK, hidden]
     with pytest.raises(BlowupError) as want:
-        damped_heat_batch_oracle(*args)
+        damped_heat_batch_oracle([PeriodicField(big), PeriodicField(nan)], 3, 1.0e-20, steps)
     state = np.geterr()
     with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as got:
         warnings.simplefilter("always")
-        lh.solve_damped_heat_batch(*args)
+        for _ in lh._march(np.stack([big, nan]), 3, [1.0e-20] * 2, steps):
+            pass
     assert str(got.value) == str(want.value) == f"field exceeded 1e+06 at step {hidden + 1}"
     assert [str(w.message) for w in caught] == []
     assert np.geterr() == state
@@ -533,10 +558,10 @@ def test_streamed_uniqueness_stores_only_the_dt_run():
 
 
 @FAST
-@given(st.sampled_from([(16,), (64,), (8, 8)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
+@given(st.sampled_from([(16,), (64,)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
 def test_damped_heat_tracks_full_fft_power_step(shape, seed, n, steps):
     u = smooth_values(shape, seed)
-    got = lh.solve_damped_heat(PeriodicField(u), n, 1e-3, steps).values_array()
+    got = np.concatenate([rows[:, 0].copy() for _, rows in lh._march(u[None], n, [1e-3], [steps])])
     want = np.stack(heat_full_fft_oracle(u, n, 1e-3, steps))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -571,11 +596,12 @@ def test_l1_contraction_curve_matches_field_loop(shape, seed, length):
 
 
 def test_l1_curve_on_batched_members():
-    # the curve of two members of one batch
+    # the curve of two members of one march, block by block as the suite reduces it
     data = [smooth_values((128,), s) for s in (1, 2)]
-    t1, t2 = lh.solve_damped_heat_batch([PeriodicField(u) for u in data], 3, 1e-3, 50)
-    want = l1_oracle(heat_oracle(data[0], 3, 1e-3, 50), heat_oracle(data[1], 3, 1e-3, 50))
-    assert same_bits(l1_contraction_curve(t1, t2), want)
+    dv = PeriodicField(data[0]).volume_element()
+    got = [lh._l1_rows(rows[:, 0] - rows[:, 1], dv) for _, rows in lh._march(np.stack(data), 3, [1e-3] * 2, [300] * 2)]
+    want = l1_oracle(heat_oracle(data[0], 3, 1e-3, 300), heat_oracle(data[1], 3, 1e-3, 300))
+    assert same_bits(np.concatenate(got), want)
 
 
 @FAST

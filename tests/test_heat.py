@@ -7,17 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import SmoothTestFunction, l1_contraction_curve, power_difference_residual, subsample, weak_residual
+from oracles import (
+    SmoothTestFunction,
+    damped_heat_batch_oracle,
+    l1_contraction_curve,
+    power_difference_residual,
+    subsample,
+    weak_residual,
+)
 from spdecrit.lab import (
     BlowupError,
     PeriodicField,
     Trajectory,
     proof_inequality_gap,
     proof_inequality_gap_exact,
-    solve_damped_heat,
-    solve_damped_heat_batch,
     steklov_average,
 )
+from spdecrit.lab.heat import _checked, _march
 
 
 def grid(n=256):
@@ -30,11 +36,12 @@ def smooth_field(n=256):
 
 
 # ---------------------------------------------------------------------------
-# the damped flow
+# the damped flow, by the stacked-march oracle, which test_fastpaths.py
+# holds _march to bit for bit at each (n, dt, grid) marched here
 
 
 def test_zero_data_stays_zero():
-    traj = solve_damped_heat(PeriodicField(np.zeros(64)), 3, 1e-3, 100)
+    (traj,) = damped_heat_batch_oracle([PeriodicField(np.zeros(64))], 3, 1e-3, 100)
     assert all(np.max(np.abs(f.values)) == 0.0 for f in traj.fields)
 
 
@@ -43,42 +50,45 @@ def test_constant_data_tracks_ode(n, c):
     """Spatially constant data reduces the flow to u' = -u^n, whose
     solution is c (1 + (n-1) c^(n-1) t)^(-1/(n-1))."""
     dt, T = 1e-4, 1.0
-    traj = solve_damped_heat(PeriodicField(np.full(32, c)), n, dt, round(T / dt))
+    (traj,) = damped_heat_batch_oracle([PeriodicField(np.full(32, c))], n, dt, round(T / dt))
     exact = c * (1.0 + (n - 1) * c ** (n - 1) * T) ** (-1.0 / (n - 1))
     assert abs(traj.final().values[0] - exact) < 1e-3
 
 
 def test_energy_strictly_decreasing():
-    traj = solve_damped_heat(smooth_field(), 3, 1e-3, 500)
-    energy = 0.5 * np.array([f.mean_square() for f in traj.fields])
+    (traj,) = damped_heat_batch_oracle([smooth_field()], 3, 1e-3, 500)
+    energy = 0.5 * np.array([np.mean(f.values**2) for f in traj.fields])
     assert np.all(np.diff(energy) < 0)
+
+
+# the checks the uniqueness suite runs before it marches
 
 
 def test_odd_power_enforced():
     with pytest.raises(ValueError):
-        solve_damped_heat(smooth_field(), 4, 1e-3, 10)
+        _checked([smooth_field()], 4, [1e-3], [10])
     with pytest.raises(ValueError):
-        solve_damped_heat(smooth_field(), 1, 1e-3, 10)
+        _checked([smooth_field()], 1, [1e-3], [10])
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_non_finite_or_non_positive_dt_rejected(dt):
     with pytest.raises(ValueError, match="0 < dt < inf"):
-        solve_damped_heat(smooth_field(), 3, dt, 10)
+        _checked([smooth_field()], 3, [dt], [10])
     with pytest.raises(ValueError, match="0 < dt < inf"):
-        solve_damped_heat_batch([smooth_field(), smooth_field()], 3, [1e-3, dt], [10, 10])
+        _checked([smooth_field(), smooth_field()], 3, [1e-3, dt], [10, 10])
 
 
-@pytest.mark.parametrize("steps", [[10, 0], [10, 2.5], 2.5])
+@pytest.mark.parametrize("steps", [[10, 0], [10, 2.5], [2.5, 2.5]])
 def test_batch_needs_whole_steps_for_every_member(steps):
     with pytest.raises(ValueError, match="whole steps >= 1"):
-        solve_damped_heat_batch([smooth_field(), smooth_field()], 3, 1e-3, steps)
+        _checked([smooth_field(), smooth_field()], 3, [1e-3, 1e-3], steps)
 
 
 def test_unstable_step_rejected():
     big = PeriodicField(np.full(32, 100.0))
     with pytest.raises(ValueError):
-        solve_damped_heat(big, 3, 1e-3, 10)
+        _checked([big], 3, [1e-3], [10])
 
 
 @pytest.mark.parametrize(
@@ -91,10 +101,10 @@ def test_unstable_step_rejected():
 def test_data_whose_power_overflows_are_refused(peak, n, dt, steps):
     message = f"max|u|^n overflows a double: max|u| = {peak:.3g}, n = {n}"
     with pytest.raises(ValueError) as info:
-        solve_damped_heat(PeriodicField(np.full(16, peak)), n, dt, steps)
+        _checked([PeriodicField(np.full(16, peak))], n, [dt], [steps])
     assert str(info.value) == message
     with pytest.raises(ValueError, match=r"max\|u\|\^n overflows"):
-        solve_damped_heat_batch([smooth_field(16), PeriodicField(np.full(16, -peak))], n, dt, steps)
+        _checked([smooth_field(16), PeriodicField(np.full(16, -peak))], n, [dt, dt], [steps, steps])
 
 
 def test_negation_is_a_symmetry_of_the_odd_flow():
@@ -104,8 +114,7 @@ def test_negation_is_a_symmetry_of_the_odd_flow():
     what the quadratic divergence-form equations lack."""
     x = grid(128)
     asym = PeriodicField(np.sin(x) + 0.3 * np.cos(3 * x) ** 2)
-    fwd = solve_damped_heat(asym, 3, 1e-3, 200)
-    neg = solve_damped_heat(PeriodicField(-asym.values), 3, 1e-3, 200)
+    fwd, neg = damped_heat_batch_oracle([asym, PeriodicField(-asym.values)], 3, 1e-3, 200)
     # exact up to FFT roundoff (the library's kernels are not sign-bitwise)
     assert np.allclose(neg.final().values, -fwd.final().values, atol=1e-13)
 
@@ -127,7 +136,9 @@ def test_blowup_guard():
     # with a tiny dt but trips the in-flight check immediately
     u = PeriodicField(np.full(16, 2.0e6))
     with pytest.raises(BlowupError):
-        solve_damped_heat(u, 3, 1.0e-14, 3)
+        damped_heat_batch_oracle([u], 3, 1.0e-14, 3)
+    with pytest.raises(BlowupError):
+        next(_march(u.values[None], 3, [1.0e-14], [3]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,7 @@ def test_weak_residual_first_order_in_dt():
     u0 = smooth_field()
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
-        traj = solve_damped_heat(u0, 3, dt, round(1.0 / dt))
+        (traj,) = damped_heat_batch_oracle([u0], 3, dt, round(1.0 / dt))
         res.append(weak_residual(traj, 3, psi))
     assert res[0] > res[1] > res[2]
     assert res[0] / res[2] > 3.0  # about 4 for a first-order method
@@ -165,7 +176,7 @@ def test_weak_residual_zero_test_function():
         dt=lambda t, X: np.zeros_like(X[0]),
         laplacian=lambda t, X: np.zeros_like(X[0]),
     )
-    traj = solve_damped_heat(smooth_field(64), 3, 1e-3, 100)
+    (traj,) = damped_heat_batch_oracle([smooth_field(64)], 3, 1e-3, 100)
     assert weak_residual(traj, 3, zero) == 0.0
 
 
@@ -293,8 +304,7 @@ def test_l1_distance_contracts():
     x = grid(128)
     u1 = PeriodicField(np.sin(x))
     u2 = PeriodicField(0.5 * np.cos(2 * x) + 0.1)
-    t1 = solve_damped_heat(u1, 3, 1e-3, 500)
-    t2 = solve_damped_heat(u2, 3, 1e-3, 500)
+    t1, t2 = damped_heat_batch_oracle([u1, u2], 3, 1e-3, 500)
     curve = l1_contraction_curve(t1, t2)
     assert np.all(np.diff(curve) <= 1e-8)
 
@@ -302,7 +312,7 @@ def test_l1_distance_contracts():
 def test_l1_curve_against_zero_solution():
     x = grid(128)
     pos = PeriodicField(0.6 + 0.5 * np.sin(x))
-    traj = solve_damped_heat(pos, 3, 1e-3, 300)
+    (traj,) = damped_heat_batch_oracle([pos], 3, 1e-3, 300)
     zero = Trajectory(
         dt=1e-3,
         times=traj.times.copy(),
@@ -315,14 +325,13 @@ def test_l1_curve_against_zero_solution():
 
 def test_mesh_refinement_convergence():
     u0 = smooth_field()
-    coarse = solve_damped_heat(u0, 3, 2e-4, 2500)
-    fine = solve_damped_heat(u0, 3, 1e-4, 5000)
+    coarse, fine = damped_heat_batch_oracle([u0, u0], 3, [2e-4, 1e-4], [2500, 5000])
     diff = l1_contraction_curve(coarse, subsample(fine, 2))
     assert np.max(diff) < 1e-4
 
 
 def test_l1_curve_shape_mismatch():
-    t1 = solve_damped_heat(smooth_field(64), 3, 1e-3, 10)
-    t2 = solve_damped_heat(smooth_field(128), 3, 1e-3, 10)
+    (t1,) = damped_heat_batch_oracle([smooth_field(64)], 3, 1e-3, 10)
+    (t2,) = damped_heat_batch_oracle([smooth_field(128)], 3, 1e-3, 10)
     with pytest.raises(ValueError):
         l1_contraction_curve(t1, t2)
