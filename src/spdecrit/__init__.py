@@ -32,7 +32,7 @@ def _export_lazily(namespace: dict, exports: dict) -> dict:
 
 _MODULE_OF = _export_lazily(globals(), {
     "affine": ("DimExpr", "RegBound", "ScalingInfo"),
-    "rules": ("noise_regularity", "product_homogeneity", "product_analytic", "schauder_gain", "zero_order_operator"),
+    "rules": ("noise_regularity", "product_analytic", "schauder_gain", "zero_order_operator"),
     "dsl": ("SpdeSpec", "NonlinearTerm", "parse_spec", "validate_spec", "load_bundled_spec"),
     "expansion": ("CriticalityReport", "ProductTerm", "expand", "renormalization_flags"),
 })

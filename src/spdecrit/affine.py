@@ -73,10 +73,6 @@ class DimExpr:
         """The bare symbol d."""
         return from_ints(0, 1, 1)
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.pd
-
     def evaluate(self, d: RationalLike) -> Fraction:
         d = as_fraction(d)
         return Fraction(self.p0 * d.denominator + self.pd * d.numerator, self.q * d.denominator)
@@ -111,14 +107,6 @@ class DimExpr:
 
     def __neg__(self) -> "DimExpr":
         return from_ints(-self.p0, -self.pd, self.q)
-
-    def nonneg_for_all_dims(self) -> bool:
-        """True when c0 + cd*d >= 0 for every integer dimension d >= 1.
-
-        Dimensions are unbounded above, so a negative slope can never be
-        provably nonnegative.
-        """
-        return self.pd >= 0 and self.p0 + self.pd >= 0
 
     def coefficient_strs(self) -> Tuple[str, str]:
         """str(self.c0) and str(self.cd), from the integers."""

@@ -21,7 +21,6 @@ from .errors import ExpansionError
 from .rules import (
     noise_regularity,
     product_analytic,
-    product_homogeneity,
     schauder_gain,
     zero_order_operator,
 )
@@ -152,45 +151,18 @@ def _first_object(spec: SpdeSpec) -> Tuple[RegBound, RegBound]:
     return noise, _solve(noise, spec.z1_effective_order)
 
 
-def _subcritical_condition(exps: Sequence[DimExpr]) -> Optional[str]:
-    """Intersection of {e_i(d) > 0} as a condition on d, or None if empty."""
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-    for e in exps:
-        if e.cd == 0:
-            if e.c0 <= 0:
-                return None
-            continue
-        threshold = -e.c0 / e.cd
-        if e.cd < 0:
-            upper = threshold if upper is None else min(upper, threshold)
-        else:
-            lower = threshold if lower is None else max(lower, threshold)
-    if lower is not None and upper is not None:
-        if lower >= upper:
-            return None
-        return f"{lower} < d < {upper}"
-    if upper is not None:
-        return f"d < {upper}"
-    if lower is not None:
-        return f"d > {lower}"
-    return "all d"
-
-
 def _classify(exps: Sequence[DimExpr], dim: Optional[int]) -> Classification:
-    if dim is not None or all(e.is_constant for e in exps):
-        # the sign of the least value at d is the least sign of the
-        # numerators; with dim None every slope is zero
-        worst = min(_sign(e.p0 + e.pd * (dim or 0)) for e in exps)
-        if worst > 0:
-            return Classification(SUBCRITICAL)
-        if worst == 0:
-            return Classification(CRITICAL)
-        return Classification(SUPERCRITICAL)
-    condition = _subcritical_condition(exps)
-    if condition is None:
-        return Classification(CONDITION_ON_DIM, "never subcritical")
-    return Classification(CONDITION_ON_DIM, condition)
+    if dim is None:
+        # every exponent has slope -(degree - 1)/2 < 0 (r1 falls by d/2 for
+        # both noise kinds), so all are positive below the least root
+        return Classification(CONDITION_ON_DIM, f"d < {min(Fraction(-e.p0, e.pd) for e in exps)}")
+    # the sign of the least value at d is the least sign of the numerators
+    worst = min(_sign(e.p0 + e.pd * dim) for e in exps)
+    if worst > 0:
+        return Classification(SUBCRITICAL)
+    if worst == 0:
+        return Classification(CRITICAL)
+    return Classification(SUPERCRITICAL)
 
 
 def _require_valid(spec: SpdeSpec):
@@ -327,9 +299,8 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     orders = [DimExpr.const(k) for k in inner]
     outer = [DimExpr.const(t.outer_derivative_order) for t in terms]
     factors: Dict[Tuple[int, int], RegBound] = {}
-    # homogeneity per (term, level sum) while the gain is constant, else per prefix of levels
+    # homogeneity per (term, level sum) while the gain is constant
     by_sum: Dict[Tuple[int, int], RegBound] = {}
-    partial_sums: Dict[Tuple[int, Tuple[int, ...]], RegBound] = {}
     # at a concrete d, the analytic fold of each leading run of factors (descending levels)
     folds: Dict[Tuple[int, Tuple[int, ...]], Optional[RegBound]] = {}
     symbolic_stop: Optional[str] = None
@@ -368,36 +339,23 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             h = by_sum[key] = RegBound(h)
         return h
 
-    def partial_homogeneity(ti: int, low: Tuple[int, ...]) -> RegBound:
-        # the len(low) lowest factors, which take the last inner orders,
-        # less the outer derivative; products met in lexicographic order
-        # share these
-        key = (ti, low)
-        h = partial_sums.get(key)
-        if h is None:
-            b = factor(low[-1], term_orders[ti][-len(low)])
-            if len(low) == 1:
-                h = RegBound(b.sup - outer[ti]) if outer[ti].p0 else b
-            else:
-                h = product_homogeneity(partial_homogeneity(ti, low[:-1]), b)
-            partial_sums[key] = h
-        return h
-
     def make_product(ti: int, levels: Tuple[int, ...], total: int) -> ProductTerm:
         # factors descending by level; inner orders applied positionally
-        known = seen_candidates.get((ti, levels))
-        if known is not None:
-            return known
         term = terms[ti]
         ordered = levels[::-1]
+        bounds = tuple([factor(lv, k) for lv, k in zip(ordered, term_orders[ti])])
+        if constant_gain:
+            h = sum_homogeneity(ti, total)
+        else:
+            h = RegBound(sum((b.sup for b in bounds[1:]), bounds[0].sup) - outer[ti])
         return ProductTerm(
             ti,
             tuple([labels[lv] for lv in ordered]),
             term.inner_derivative_orders,
             term.outer_derivative_order,
             term.projector,
-            tuple([factor(lv, k) for lv, k in zip(ordered, term_orders[ti])]),
-            sum_homogeneity(ti, total) if constant_gain else partial_homogeneity(ti, levels),
+            bounds,
+            h,
         )
 
     def candidate_pool(top_level: int) -> List[_Entry]:
@@ -472,9 +430,9 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
             constant_gain = False
         rows.append(ExpansionRow(level, labels[level], tuple(p for _, p in best), forcing_bound, reg, renorm=tuple(new_flags)))
 
+        # at symbolic d every object bound falls with d, so none is nonnegative for all d
         sup = reg.sup
-        done = sup.p0 + sup.pd * dim >= 0 if dim is not None else sup.nonneg_for_all_dims()
-        if done:
+        if dim is not None and sup.p0 + sup.pd * dim >= 0:
             stopped_early = True
             break
 
@@ -509,10 +467,7 @@ def expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         exponent, exponent_error = exps[0], None
     else:
         exponent, exponent_error = None, "E_MULTI_TERM"
-    if symbolic_stop and gain is None:
-        classification = Classification(CONDITION_ON_DIM, _subcritical_condition(exps) or "never subcritical")
-    else:
-        classification = _classify(exps, dim)
+    classification = _classify(exps, dim)
 
     return CriticalityReport(
         spec=spec,

@@ -1,7 +1,7 @@
 """Calculus of open regularity bounds: noise, products, solves, lifts.
 
 The product rule comes in two flavours.  Homogeneity counting simply adds
-suprema and is what the tree expansion uses at symbolic dimension.  The
+suprema, which the tree expansion does on its factors' bounds.  The
 analytic rule decides whether a product of two distributions exists at
 all: it does if and only if the two suprema sum to something positive,
 and then the product lives at min(a, b, a + b).  Bounds are open, so a
@@ -38,11 +38,6 @@ def noise_regularity(kind: str, scaling: ScalingInfo, lift_alpha: RationalLike =
     else:
         raise ValueError(f"unknown noise kind: {kind!r}")
     return RegBound(sup - DimExpr.const(alpha) if alpha else sup)
-
-
-def product_homogeneity(a: RegBound, b: RegBound) -> RegBound:
-    """Homogeneity of a product: suprema add."""
-    return RegBound(a.sup + b.sup)
 
 
 def product_analytic(a: RegBound, b: RegBound, d: int) -> Optional[RegBound]:

@@ -117,10 +117,16 @@ def _smooth_data(grid: int, kind: int = 0) -> lf.PeriodicField:
     return lf.PeriodicField(vals)
 
 
+# steps of the longest march, the dt/2 run: 25 times the default's 2 x 10,000
+_UNIQUENESS_BUDGET = 500_000
+
+
 def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Dict:
     """Mesh convergence and integral-norm contraction for the damped flow on dim 1."""
-    if not math.isfinite(tmax / dt):
-        raise InputError(f"--tmax {tmax!r} --dt {dt!r}: the step count tmax / dt overflows a double")
+    # on the float quotient, so a step count past a double is refused too
+    fine_steps = 2 * tmax / dt
+    check_budget(f"--tmax {tmax!r} --dt {dt!r}", fine_steps, _UNIQUENESS_BUDGET,
+                 f"the dt/2 run marches {fine_steps:g} steps")
     steps = round(tmax / dt)
     # the contraction checks march at a coarser step of their own
     dt_b = max(dt, 1.0e-3)
@@ -135,10 +141,6 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
         lh._checked(data, n, dts, counts)
     except ValueError as exc:
         raise InputError(f"--n {n} --dt {dt!r}: {exc}") from None
-    if (steps + 1) * grid * 8 > np.iinfo(np.intp).max:
-        raise InputError(
-            f"--tmax {tmax!r} --dt {dt!r}: the stored rows, (tmax / dt + 1) x {grid} doubles, exceed numpy's largest array"
-        )
     # only the dt run's rows that the dt/2 run has not reached are kept,
     # those from step first // 2 on: at most half of them and a block, in
     # a ring of whole blocks, so no block's rows wrap; each block reduces

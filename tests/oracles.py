@@ -15,10 +15,12 @@ batch as it drew a batch of steps per member, the affine arithmetic and
 its rendering on Fractions, as `spdecrit.affine` kept them before it
 held integers, the parser of that rendering, the L1 contraction curve
 of two stored trajectories, the rescaling exponents and verdict in
-closed form from the spec alone, a spec's canonical text form, which
-the round-trip tests parse back, a document's JSON bytes without
-its timestamp, and `noise sample`'s stride as it searched every divisor
-up to the square root of the steps, whatever the row budget.
+closed form from the spec alone, with the condition on d for
+exponents of any slope (the expansion assumes each falls with d), a
+spec's canonical text form, which the round-trip tests parse back, a
+document's JSON bytes without its timestamp, and `noise sample`'s
+stride as it searched every divisor up to the square root of the
+steps, whatever the row budget.
 """
 
 import json
@@ -40,7 +42,6 @@ from spdecrit.expansion import (
     Classification,
     _require_valid,
     _scaling_info,
-    _subcritical_condition,
 )
 from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, Trajectory, lp_fields
 from spdecrit.lab import noise as ln
@@ -153,10 +154,6 @@ class FractionDimExpr:
     c0: Fraction
     cd: Fraction = Fraction(0)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.cd == 0
-
     def evaluate(self, d) -> Fraction:
         d = as_fraction(d)
         return self.c0 + self.cd * d if self.cd else self.c0
@@ -182,9 +179,6 @@ class FractionDimExpr:
 
     def __neg__(self) -> "FractionDimExpr":
         return FractionDimExpr(-self.c0, -self.cd)
-
-    def nonneg_for_all_dims(self) -> bool:
-        return self.cd >= 0 and self.c0 + self.cd >= 0
 
 
 def _coerce_oracle(x) -> FractionDimExpr:
@@ -303,16 +297,42 @@ def closed_form_exponent(spec: SpdeSpec) -> DimExpr:
     return exps[0]
 
 
+def subcritical_condition(exps: Sequence[DimExpr]) -> Optional[str]:
+    """Intersection of {e_i(d) > 0} as a condition on d, or None if empty,
+    for exponents of any slope."""
+    lower: Optional[Fraction] = None
+    upper: Optional[Fraction] = None
+    for e in exps:
+        if e.cd == 0:
+            if e.c0 <= 0:
+                return None
+            continue
+        threshold = -e.c0 / e.cd
+        if e.cd < 0:
+            upper = threshold if upper is None else min(upper, threshold)
+        else:
+            lower = threshold if lower is None else max(lower, threshold)
+    if lower is not None and upper is not None:
+        if lower >= upper:
+            return None
+        return f"{lower} < d < {upper}"
+    if upper is not None:
+        return f"d < {upper}"
+    if lower is not None:
+        return f"d > {lower}"
+    return "all d"
+
+
 def closed_form_classification(spec: SpdeSpec, dim: Optional[int]) -> Classification:
     """The verdict at dim from the least closed-form exponent's value; at
     symbolic d with a slope, the condition on d under which every
     exponent is positive."""
     _require_valid(spec)
     exps = closed_form_exponents(spec)
-    if dim is not None or all(e.is_constant for e in exps):
+    if dim is not None or all(e.cd == 0 for e in exps):
         worst = min(e.evaluate(dim or 0) for e in exps)
         return Classification(SUBCRITICAL if worst > 0 else CRITICAL if worst == 0 else SUPERCRITICAL)
-    return Classification(CONDITION_ON_DIM, _subcritical_condition(exps) or "never subcritical")
+    return Classification(CONDITION_ON_DIM, subcritical_condition(exps) or "never subcritical")
 
 
 def format_spec(spec: SpdeSpec) -> str:

@@ -110,13 +110,6 @@ def test_format_parse_round_trip(a):
     assert parse_affine(format_affine(a)) == a
 
 
-def test_nonneg_for_all_dims():
-    assert DimExpr(Fraction(0), Fraction(1, 2)).nonneg_for_all_dims()
-    assert DimExpr(Fraction(-1), Fraction(1)).nonneg_for_all_dims()
-    assert not DimExpr(Fraction(10), Fraction(-1, 100)).nonneg_for_all_dims()
-    assert not DimExpr(Fraction(-2), Fraction(1, 2)).nonneg_for_all_dims()
-
-
 def test_bound_ordering_at_concrete_dim():
     a = RegBound.of(1, Fraction(-1, 2))
     b = RegBound.of(3, -1)

@@ -48,6 +48,42 @@ def test_analyze_path_and_json(tmp_path, capsys):
     assert "z1*z1" in doc["rows"][1]["renorm"]
 
 
+# Two terms with different outer orders tie at level 2, so each is wrapped
+# on its own: D(...) and D^k(...) of a scalar, and D^k[...] of a factor.
+TIE_SPEC = """
+equation tie {
+  dimension 1;
+  unknown u: scalar;
+  diffusion order 2;
+  noise stwn;
+  nonlinear { degree 2; inner_deriv 1/2, 1/2; outer_deriv 1; }
+  nonlinear { degree 2; outer_deriv 2; }
+}
+"""
+
+
+def test_analyze_renders_a_tie_of_terms_with_different_outer_orders(tmp_path, capsys):
+    path = tmp_path / "tie.spde"
+    path.write_text(TIE_SPEC)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        "k | most singular term                  | forcing beta < | object beta < | remainder beta <\n"
+        "--+-------------------------------------+----------------+---------------+-----------------\n"
+        "1 | xi                                  | -3/2           | 1/2           | 1               \n"
+        "2 | D(D^1/2[z1]*D^1/2[z1]) + D^2(z1*z1) | -1             | 1             | 3/2             \n"
+        "\n"
+        "gain per level  : 1/2\n"
+        "scaling exponent: 1/2\n"
+        "classification  : Subcritical\n"
+        "renormalization : D^1/2[z1]*D^1/2[z1]\n"
+    )
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert [row["terms"] for row in rows] == [["xi"], ["D^1/2[z1]*D^1/2[z1]", "z1*z1"]]
+    assert [row["renorm"] for row in rows] == [[], ["D^1/2[z1]*D^1/2[z1]"]]
+
+
 def test_analyze_sqg_param_override(capsys):
     code, out, _ = run(
         capsys,
@@ -254,8 +290,8 @@ def test_verify_zero_size_exits_2(capsys, argv):
     "argv,message",
     [
         (("--grid", "-64"), "--grid '-64': expects a power of two >= 4"),
-        (("--tmax", "1e308", "--dt", "1e-10"), "--tmax 1e+308 --dt 1e-10: the step count tmax / dt overflows a double"),
-        (("--dt", "1e-320"), "--tmax 1.0 --dt 1e-320: the step count tmax / dt overflows a double"),
+        (("--tmax", "1e308", "--dt", "1e-10"), "--tmax 1e+308 --dt 1e-10: the dt/2 run marches inf steps, over the budget of 500000"),
+        (("--dt", "1e-320"), "--tmax 1.0 --dt 1e-320: the dt/2 run marches inf steps, over the budget of 500000"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
 )
@@ -267,8 +303,8 @@ def test_verify_uniqueness_names_a_bad_grid_or_step_count(capsys, argv, message)
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("--tmax", "1e20"), "--tmax 1e+20 --dt 0.0001"),
-        (("--tmax", "1e300", "--dt", "1e-4"), "--tmax 1e+300 --dt 0.0001"),
+        (("--tmax", "1e20"), "--tmax 1e+20 --dt 0.0001: the dt/2 run marches 2e+24 steps"),
+        (("--tmax", "1e300", "--dt", "1e-4"), "--tmax 1e+300 --dt 0.0001: the dt/2 run marches 2e+304 steps"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
 )
@@ -277,7 +313,7 @@ def test_verify_uniqueness_refuses_rows_past_an_array_before_allocating(tmp_path
     # which names no flag
     code, out, err = run(capsys, "verify", "uniqueness", *argv, "--out", str(tmp_path / "F"))
     assert (code, out) == (2, "")
-    assert err == f"error: {message}: the stored rows, (tmax / dt + 1) x 256 doubles, exceed numpy's largest array\n"
+    assert err == f"error: {message}, over the budget of 500000\n"
     assert "Traceback" not in err
     assert not (tmp_path / "F").exists()
 
@@ -1172,13 +1208,13 @@ def test_noise_sample_names_the_flags_when_the_end_time_overflows(tmp_path, caps
 
 
 def test_failed_allocation_exits_2_with_one_error_line(tmp_path):
-    # the ring of coarse rows alone asks for about 5e12 x 256 doubles, 9.09 PiB, more
-    # than a process can map with 4-level page tables (128 TiB), so the
-    # allocation fails at once and touches no memory
+    # the data row alone asks for 2**50 doubles, 8 PiB, more than a process
+    # can map with 4-level page tables (128 TiB), so the allocation fails
+    # at once and touches no memory
     src = str(Path(spdecrit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "spdecrit.cli", "verify", "uniqueness", "--tmax", "1e9", "--out", "F"],
+        [sys.executable, "-m", "spdecrit.cli", "verify", "uniqueness", "--grid", str(2**50), "--out", "F"],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -1204,6 +1240,23 @@ def test_verify_inequality_refuses_oversized_samples_before_drawing(tmp_path):
         "error: --samples 1000000000000: the sweep draws 4000000000000 sample pairs,"
         " 4 x 1000000000000, over the budget of 100000000\n"
     )
+    assert not (tmp_path / "F").exists()
+
+
+def test_verify_uniqueness_refuses_a_long_march_on_a_small_grid_before_marching(tmp_path):
+    # 4-point rows allocate nothing large, so only the step budget stops
+    # this form: it once marched 2e7 steps at dt/2, still running at 10 s
+    src = str(Path(spdecrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdecrit.cli", "verify", "uniqueness", "--grid", "4", "--tmax", "100", "--dt", "1e-5",
+         "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --tmax 100.0 --dt 1e-05: the dt/2 run marches 2e+07 steps, over the budget of 500000\n"
     assert not (tmp_path / "F").exists()
 
 

@@ -4,6 +4,8 @@
 `combinations_with_replacement(1..L, degree)`, drops the absorbed
 products, and rebuilds each product's bounds with inline arithmetic.
 The reports must agree field by field, candidate order included.
+A property test also holds the premise `expand` rests on at symbolic d:
+every bound it builds falls with d.
 """
 
 import itertools
@@ -14,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_form_classification, closed_form_exponent, closed_form_exponents, gain_of_rows
+from oracles import (
+    closed_form_classification,
+    closed_form_exponent,
+    closed_form_exponents,
+    gain_of_rows,
+    subcritical_condition,
+)
 from spdecrit.affine import DimExpr, RegBound
 from spdecrit.dsl import VECTOR, NonlinearTerm, SpdeSpec, load_bundled_spec
 from spdecrit.expansion import (
@@ -28,7 +36,6 @@ from spdecrit.expansion import (
     _label,
     _require_valid,
     _scaling_info,
-    _subcritical_condition,
     _tuples_with_sum,
     analytic_status,
     expand,
@@ -142,7 +149,8 @@ def oracle_expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
         rows.append(ExpansionRow(level, _label(level), forcing, RegBound(best_h), reg, renorm=tuple(new_flags)))
 
         sup = reg.sup
-        done = sup.evaluate(dim) >= 0 if dim is not None else sup.nonneg_for_all_dims()
+        # nonnegative at dim, or at every d >= 1 when d is symbolic
+        done = sup.evaluate(dim) >= 0 if dim is not None else sup.pd >= 0 and sup.p0 + sup.pd >= 0
         if done:
             stopped_early = True
             break
@@ -183,7 +191,7 @@ def oracle_expand(spec: SpdeSpec, max_levels: int = 4) -> CriticalityReport:
     except ExpansionError as exc:
         exponent, exponent_error = None, exc.code
     if symbolic_stop and gain is None:
-        condition = _subcritical_condition(closed_form_exponents(spec)) or "never subcritical"
+        condition = subcritical_condition(closed_form_exponents(spec)) or "never subcritical"
         classification = Classification(CONDITION_ON_DIM, condition)
     else:
         classification = closed_form_classification(spec, dim)
@@ -258,6 +266,17 @@ def specs(draw):
 @given(specs(), st.integers(min_value=1, max_value=12))
 def test_expand_matches_exhaustive_enumerator(spec, levels):
     assert_same_report(spec, levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs().map(lambda spec: spec.with_overrides(dim=None)), st.integers(min_value=1, max_value=12))
+def test_every_bound_falls_with_symbolic_d(spec, levels):
+    # `expand` rests on this at symbolic d: its verdict is d < the least
+    # root of the exponents, and no object bound is nonnegative for all d
+    report = expand(spec, levels)
+    assert report.rows[0].object_bound.sup.cd == F(-1, 2)
+    assert all(e.cd < 0 for e in closed_form_exponents(spec))
+    assert all(row.object_bound.sup.cd < 0 for row in report.rows)
 
 
 @pytest.mark.parametrize("name", ["navier_stokes", "kpz", "phi4", "sqg", "yang_mills"])

@@ -11,7 +11,6 @@ from spdecrit.rules import (
     SPATIAL_WHITE,
     noise_regularity,
     product_analytic,
-    product_homogeneity,
     schauder_gain,
     zero_order_operator,
 )
@@ -42,15 +41,6 @@ def test_negative_lift_rejected():
         noise_regularity(SPACE_TIME_WHITE, HEAT_SYM, Fraction(-1))
 
 
-def test_product_homogeneity_examples():
-    a = RegBound.of(1, Fraction(-1, 2))
-    assert product_homogeneity(a, a).sup == DimExpr(Fraction(2), Fraction(-1))
-    x = RegBound.of(Fraction(5, 7), Fraction(-2, 3))
-    assert product_homogeneity(RegBound.of(0), x) == x
-    b = RegBound.of(3, -1)
-    assert product_homogeneity(b, a).sup == DimExpr(Fraction(4), Fraction(-3, 2))
-
-
 def test_product_analytic_open_boundary():
     a = RegBound.of(1, Fraction(-1, 2))
     assert product_analytic(a, a, 2) is None  # suprema sum to exactly zero
@@ -67,8 +57,8 @@ def test_sqg_style_composition():
     base = RegBound(DimExpr(Fraction(-1)))  # -1 - alpha + gamma with alpha=gamma=0 placeholder
     alpha, gamma = Fraction(1, 4), Fraction(1, 2)
     solved = schauder_gain(RegBound(DimExpr(Fraction(-1) - alpha)), gamma)
-    doubled = product_homogeneity(solved, solved)
-    final = RegBound(doubled.sup - DimExpr.const(1))  # one derivative
+    doubled = solved.sup + solved.sup
+    final = RegBound(doubled - DimExpr.const(1))  # one derivative
     assert final.sup == DimExpr(Fraction(-3) - 2 * alpha + 2 * gamma)
 
 
@@ -83,18 +73,6 @@ def test_zero_order_identity():
         assert zero_order_operator(b) == b
 
 
-@given(bounds, bounds)
-def test_homogeneity_commutative(a, b):
-    assert product_homogeneity(a, b) == product_homogeneity(b, a)
-
-
-@given(bounds, bounds, bounds)
-def test_homogeneity_associative(a, b, c):
-    left = product_homogeneity(product_homogeneity(a, b), c)
-    right = product_homogeneity(a, product_homogeneity(b, c))
-    assert left == right
-
-
 @given(bounds, st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8))
 def test_schauder_then_derivative_is_identity(a, g):
     # g derivatives cost g orders, which the solve gained
@@ -105,7 +83,7 @@ def test_schauder_then_derivative_is_identity(a, g):
 def test_analytic_never_exceeds_homogeneity(a, b):
     result = product_analytic(a, b, 1)
     if result is not None:
-        assert result.sup.c0 <= product_homogeneity(a, b).sup.c0
+        assert result.sup.c0 <= (a.sup + b.sup).c0
 
 
 @given(
