@@ -328,15 +328,16 @@ def _cmd_noise_sample(args) -> int:
             raise InputError(f"--dim {dim} --grid {grid} --estimate: {exc}") from None
     if kind == "white":
         field = ln.sample_spatial_white(dim, shape, seed)
-        traj = lf.Trajectory(dt=1.0, times=[0.0], spectral=field.spectral[None])
+        traj = lf.Trajectory(1.0, [0.0], [field])
     else:
         # exact OU steps compose: one step of dt * stride between written
         # rows gives them the law of the march at dt, without its other rows
-        solved = ln.solve_z1_mild(dim, shape, dt * stride, steps // stride, seed)
-        # k * dt as numpy's arange(0, steps + 1, stride) * dt has it, for any size of int
+        rows = ln.solve_z1_mild(dim, shape, dt * stride, steps // stride, seed)
+        # k * dt as numpy's arange(0, steps + 1, stride) * dt has it, for any
+        # size of int; each row is transformed back as it is written
         times = [k * dt for k in range(0, steps + 1, stride)]
-        traj = lf.Trajectory(dt * stride, times, spectral=solved.spectral_array())
-        field = traj.final()
+        traj = lf.Trajectory(dt * stride, times, map(lf.PeriodicField.from_spectral, rows))
+        field = lf.PeriodicField.from_spectral(rows[-1])
     if args.estimate:  # before writing, so that a fit that fails writes nothing
         try:
             exponent = lf.estimate_holder_exponent(field)

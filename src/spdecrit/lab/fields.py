@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence as SequenceABC
-from typing import List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +31,6 @@ def _check_shape(dim: int, grid_shape: Tuple[int, ...]):
     for n in grid_shape:
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"grid points per axis must be a power of two >= 4, got {n}")
-
-
-def _grid_of(half: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The (even) grid whose half spectrum has shape half."""
-    return tuple(half[:-1]) + (2 * half[-1] - 2,) if half else ()
 
 
 def mode_magnitudes(grid_shape: Tuple[int, ...]) -> np.ndarray:
@@ -130,7 +124,8 @@ class PeriodicField:
     @classmethod
     def from_spectral(cls, coeffs: np.ndarray) -> "PeriodicField":
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        grid_shape = _grid_of(coeffs.shape)
+        # the (even) grid whose half spectrum this is
+        grid_shape = coeffs.shape[:-1] + (2 * coeffs.shape[-1] - 2,) if coeffs.ndim else ()
         _check_shape(coeffs.ndim, grid_shape)
         f = cls.__new__(cls)
         f._values = None
@@ -166,83 +161,13 @@ class PeriodicField:
         return float((np.sum(np.abs(self.values) ** q) * dv) ** (1.0 / q))
 
 
-class Trajectory:
-    """Uniformly spaced time samples of one evolving field.
+class Trajectory(NamedTuple):
+    """The record of a trajectory directory: its step dt, its sample
+    times and one field per time, as `lab.io` writes and reads them."""
 
-    The samples live in one array, either (steps+1, *grid) of sample
-    values or, for a trajectory solved in frequency space, (steps+1,
-    *half) of half-spectrum coefficients.  `fields` views its rows as
-    PeriodicFields made when indexed and never kept, so a spectral row
-    runs its inverse FFT only when its values are read, and the values
-    are freed with the field.
-    Build one from `values=` or from `spectral=`.
-    """
-
-    def __init__(self, dt: float, times, *, values: Optional[np.ndarray] = None, spectral: Optional[np.ndarray] = None):
-        if (values is None) == (spectral is None):
-            raise TypeError("give exactly one of values and spectral")
-        self._is_spectral = spectral is not None
-        if self._is_spectral:
-            rows = np.asarray(spectral, dtype=np.complex128)
-        else:
-            rows = np.asarray(values, dtype=np.float64)
-        self.grid_shape = _grid_of(rows.shape[1:]) if self._is_spectral else rows.shape[1:]
-        _check_shape(rows.ndim - 1, self.grid_shape)
-        self._rows = rows
-        self.dt = dt
-        self.times = np.asarray(times, dtype=np.float64)
-        if len(self.times) != len(rows):
-            raise ValueError("times and fields disagree in length")
-        if len(self.times) > 1:
-            gaps = np.diff(self.times)
-            if not np.allclose(gaps, self.dt, rtol=1e-9, atol=1e-12):
-                raise ValueError("trajectory times are not uniformly spaced")
-
-    @property
-    def steps(self) -> int:
-        return len(self._rows) - 1
-
-    @property
-    def fields(self) -> "_FieldRows":
-        return _FieldRows(self._rows, self._is_spectral)
-
-    def final(self) -> PeriodicField:
-        return self.fields[-1]
-
-    def values_array(self) -> np.ndarray:
-        """All sample values, (steps+1, *grid); a read-only view when stored."""
-        if self._is_spectral:
-            return np.stack([f.values for f in self.fields])
-        return _read_only(self._rows)
-
-    def spectral_array(self) -> np.ndarray:
-        """All half-spectrum coefficients, (steps+1, *half); a read-only view when stored."""
-        if self._is_spectral:
-            return _read_only(self._rows)
-        return np.stack([f.spectral for f in self.fields])
-
-
-class _FieldRows(SequenceABC):
-    """The rows of a trajectory as PeriodicFields, each made when indexed."""
-
-    def __init__(self, rows: np.ndarray, spectral: bool):
-        self._rows = rows
-        self._spectral = spectral
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        row = self._rows[i]
-        return PeriodicField.from_spectral(row) if self._spectral else PeriodicField(row)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
+    dt: float
+    times: Sequence[float]
+    fields: Iterable[PeriodicField]
 
 
 # ---------------------------------------------------------------------------

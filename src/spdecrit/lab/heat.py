@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import PeriodicField, Trajectory, mode_magnitudes, real_fft_pair
+from .fields import mode_magnitudes, real_fft_pair
 
 BLOWUP_LIMIT = 1.0e6
 
@@ -39,14 +39,15 @@ def _power(x, k: int):
     return out
 
 
-def _checked(u_ins: Sequence[PeriodicField], n: int, dts: Sequence[float], steps: Sequence[int]):
-    """The checks of a march of u_ins, one step size and step count per
-    member, which run in the members' order."""
+def _checked(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int]):
+    """The checks of a march of values, a (members, points) stack as
+    _march takes it, one step size and step count per member, which run
+    in the members' order."""
     _odd_check(n)
     if not all(0 < d < math.inf for d in dts) or not all(isinstance(s, int) and s >= 1 for s in steps):
         raise ValueError("need 0 < dt < inf and whole steps >= 1")
-    for u, d in zip(u_ins, dts):
-        peak = float(np.max(np.abs(u.values)))
+    for u, d in zip(values, dts):
+        peak = float(np.max(np.abs(u)))
         try:  # the step forms u^n, which must fit a double (NaN data pass)
             peak**n
         except OverflowError:
@@ -127,25 +128,19 @@ def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int
         yield first, rows
 
 
-def steklov_average(series: Trajectory, h: float) -> Trajectory:
-    """Backward sliding mean over a window of length h (a step multiple).
+def steklov_average(values: np.ndarray, r: int) -> np.ndarray:
+    """Backward sliding mean of values, (rows, *grid), over a window of r
+    whole rows.
 
-    The series extends by zero before time zero, so the average ramps up
-    linearly over [0, h) for constant data.  Discretely this is a left
-    rectangle rule: the mean of the r preceding samples.
+    The series extends by zero before its first row, so the average ramps
+    up linearly over the first r rows for constant data.  Discretely this
+    is a left rectangle rule: the mean of the r preceding samples.
     """
-    r = h / series.dt
-    r_int = round(r)
-    if r_int < 1 or abs(r - r_int) > 1e-9:
-        raise ValueError(f"window {h} is not a positive multiple of dt={series.dt}")
-    r = r_int
-    vals = series.values_array()
-    m = len(vals)
-    padded = np.concatenate([np.zeros((r,) + vals.shape[1:]), vals], axis=0)
-    csum = np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(padded, axis=0)], axis=0)
+    m = len(values)
+    padded = np.concatenate([np.zeros((r,) + values.shape[1:]), values], axis=0)
+    csum = np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(padded, axis=0)], axis=0)
     # left rectangle rule over the window: mean of samples (i-r) .. (i-1)
-    avg = (csum[r : r + m] - csum[:m]) / r
-    return Trajectory(dt=series.dt, times=series.times.copy(), values=avg)
+    return (csum[r : r + m] - csum[:m]) / r
 
 
 def proof_inequality_gap(a, b, n: int):

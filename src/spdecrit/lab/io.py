@@ -47,22 +47,33 @@ def read_field(path) -> PeriodicField:
 
 
 def write_trajectory(traj: Trajectory, directory, seed: Optional[int] = None) -> None:
-    """One snapshot per row and a manifest; its n is the points along the first axis."""
+    """One snapshot per field, as the fields come, and a manifest whose n is their first axis's points."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    n = None
     for idx, field in enumerate(traj.fields):
         write_field(field, directory / f"field_{idx:05d}.spdf")
+        n = field.grid_shape[0]
     manifest = {
         "dt": traj.dt,
         "times": [float(t) for t in traj.times],
-        "n": traj.grid_shape[0],
+        "n": n,
         "seed": seed,
     }
     atomic_write(directory / "manifest.json", serialize_envelope(manifest).encode())
 
 
 def read_trajectory(directory) -> Trajectory:
+    """The trajectory a directory records, its fields in a list; ValueError unless it
+    holds one snapshot per manifest time, all on one grid, at uniform times."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    values = np.stack([read_field(p).values for p in sorted(directory.glob("field_*.spdf"))])
-    return Trajectory(dt=manifest["dt"], times=np.array(manifest["times"]), values=values)
+    dt, times = manifest["dt"], np.array(manifest["times"])
+    fields = [read_field(p) for p in sorted(directory.glob("field_*.spdf"))]
+    if len(fields) != len(times):
+        raise ValueError(f"{directory}: {len(fields)} snapshots for {len(times)} manifest times")
+    if len({f.grid_shape for f in fields}) > 1:
+        raise ValueError(f"{directory}: snapshots on more than one grid")
+    if len(times) > 1 and not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
+        raise ValueError(f"{directory}: manifest times are not uniformly spaced")
+    return Trajectory(dt, times, fields)

@@ -12,11 +12,11 @@ rows can solve with one step from each read row to the next.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .fields import PeriodicField, Trajectory, _check_shape, mode_magnitudes, white_half_spectrum
+from .fields import PeriodicField, _check_shape, mode_magnitudes, white_half_spectrum
 
 # Bytes of Gaussians one solve draws at once, over all its members.  Each
 # step needs one float per grid point, so short grids draw many steps per
@@ -48,22 +48,22 @@ def _ou_factors(dim, grid_shape, dt, steps):
     return decay.astype(np.complex128), std.astype(np.complex128)
 
 
-def solve_z1_mild(dim: int, grid_shape: Tuple[int, ...], dt: float, steps: int, seed: int) -> Trajectory:
+def solve_z1_mild(dim: int, grid_shape: Tuple[int, ...], dt: float, steps: int, seed: int) -> np.ndarray:
     """Evolve dz = Laplacian z dt + dW, W space-time white, from zero data.
 
     Mode m decays at rate |m|^2 and receives a Gaussian increment of
     exact variance (1 - exp(-2 |m|^2 dt)) / (2 |m|^2), which is the
     integrated forcing over one step; the zero mode performs a random
-    walk of variance dt per step.  The trajectory keeps the
-    coefficients, so no row is transformed back unless it is read.
+    walk of variance dt per step.  Returns the coefficients at times 0,
+    dt, ..., steps * dt, (steps+1, *half), none transformed back.
     """
     return solve_z1_mild_batch(dim, grid_shape, dt, steps, [seed])[0]
 
 
 def solve_z1_mild_batch(
     dim: int, grid_shape: Tuple[int, ...], dt: float, steps: int, seeds: Sequence[int]
-) -> List[Trajectory]:
-    """One solve_z1_mild per seed, marched as one stack.
+) -> np.ndarray:
+    """One solve_z1_mild per seed, marched as one stack, (members, steps+1, *half).
 
     Each member keeps its own generator and draw order, so member i is
     solve_z1_mild(..., seeds[i], ...) bit for bit: one draw of count
@@ -83,4 +83,4 @@ def solve_z1_mild_batch(
         for k, eta in enumerate(std * white_half_spectrum(x, len(grid_shape)), start=first):
             np.multiply(decay, coeffs[:, k], out=coeffs[:, k + 1])
             coeffs[:, k + 1] += eta
-    return [Trajectory(dt=dt, times=np.arange(steps + 1) * dt, spectral=c) for c in coeffs]
+    return coeffs

@@ -106,19 +106,20 @@ def run_inequality(*, n, samples: int, seed: int) -> Dict:
     return _finish("inequality", checks)
 
 
-def _smooth_data(grid: int, kind: int = 0) -> lf.PeriodicField:
+def _smooth_data(grid: int, kind: int = 0) -> np.ndarray:
     x = np.arange(grid) * (2.0 * math.pi / grid)
     if kind == 0:
-        vals = np.sin(x) + 0.5 * np.cos(2 * x)
-    elif kind == 1:
-        vals = 0.8 * np.cos(x) - 0.3 * np.sin(3 * x) + 0.2
-    else:
-        vals = 0.6 + 0.5 * np.sin(x)  # strictly positive
-    return lf.PeriodicField(vals)
+        return np.sin(x) + 0.5 * np.cos(2 * x)
+    if kind == 1:
+        return 0.8 * np.cos(x) - 0.3 * np.sin(3 * x) + 0.2
+    return 0.6 + 0.5 * np.sin(x)  # strictly positive
 
 
 # steps of the longest march, the dt/2 run: 25 times the default's 2 x 10,000
 _UNIQUENESS_BUDGET = 500_000
+# grid points of the rows the ring, the march's block and its stack keep:
+# 25 times the default's 5,893 rows of 256 points (12 MB)
+_UNIQUENESS_POINTS_BUDGET = 25 * 5_893 * 256
 
 
 def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Dict:
@@ -128,6 +129,11 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     check_budget(f"--tmax {tmax!r} --dt {dt!r}", fine_steps, _UNIQUENESS_BUDGET,
                  f"the dt/2 run marches {fine_steps:g} steps")
     steps = round(tmax / dt)
+    # the ring's rows (see below), the march's block of five runs and their data
+    ring_rows = lh._BLOCK * (steps // (2 * lh._BLOCK) + 2)
+    kept = ring_rows + 5 * min(lh._BLOCK, 2 * steps + 1) + 5
+    check_budget(f"--grid {grid} --tmax {tmax!r} --dt {dt!r}", kept * grid, _UNIQUENESS_POINTS_BUDGET,
+                 f"the march keeps {kept} rows of {grid} points")
     # the contraction checks march at a coarser step of their own
     dt_b = max(dt, 1.0e-3)
     steps_b = round(tmax / dt_b)
@@ -135,7 +141,7 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
         raise InputError(f"--tmax {tmax!r} --dt {dt!r}: tmax={tmax!r} is shorter than one step of {dt_b!r}")
     # five runs march as one stack: the same data at dt and at dt/2, and
     # three contraction runs at the coarser step
-    data = [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)]
+    data = np.stack([_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)])
     dts, counts = [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b]
     try:  # the step-size guard, on the data's peak
         lh._checked(data, n, dts, counts)
@@ -146,14 +152,13 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     # a ring of whole blocks, so no block's rows wrap; each block reduces
     # the dt/2 run's even steps against them and the contraction runs to
     # their curves
-    ring = np.empty((lh._BLOCK * (steps // (2 * lh._BLOCK) + 2), grid))
+    ring = np.empty((ring_rows, grid))
     diff = np.empty(steps + 1)
     curve = np.empty(steps_b + 1)
     curve0 = np.empty(steps_b + 1)
-    dv = data[0].volume_element()
+    dv = 2.0 * math.pi / grid
     order = (1, 0, 2, 3, 4)  # the march takes the longest run first
-    stack = np.stack([data[i].values for i in order])
-    for first, rows in lh._march(stack, n, [dts[i] for i in order], [counts[i] for i in order]):
+    for first, rows in lh._march(data[list(order)], n, [dts[i] for i in order], [counts[i] for i in order]):
         size = min(len(rows), steps + 1 - first)
         if size > 0:
             at = first % len(ring)
@@ -219,12 +224,11 @@ def run_steklov(*, seed: int, samples: int) -> Dict:
     for ss in _spawn(seed, samples):
         rng = np.random.default_rng(ss)
         vals = rng.standard_normal((length, grid))
-        series = lh.Trajectory(dt=dt, times=np.arange(length) * dt, values=vals)
-        norms = {q: _lq_lq(series, q) for q in qs}
+        norms = {q: _lq_lq(vals, q, dt) for q in qs}
         for r in (1, 2, 5, 8):
-            avg = lh.steklov_average(series, r * dt)
+            avg = lh.steklov_average(vals, r)
             for q in qs:
-                excess = _lq_lq(avg, q) - norms[q]
+                excess = _lq_lq(avg, q, dt) - norms[q]
                 worst_excess = max(worst_excess, excess)
                 if excess > 1.0e-12:
                     contraction_ok = False
@@ -241,12 +245,12 @@ def run_steklov(*, seed: int, samples: int) -> Dict:
     x = np.arange(grid) * (2.0 * math.pi / grid)
     times = np.arange(length) * dt
     profile = np.sin(x)
-    smooth = lh.Trajectory(dt=dt, times=times, values=np.stack([profile * math.cos(t) for t in times]))
+    smooth = np.stack([profile * math.cos(t) for t in times])
     errors = []
     for r in (1, 2, 4, 8, 16):
-        avg = lh.steklov_average(smooth, r * dt)
+        avg = lh.steklov_average(smooth, r)
         start = 16  # compare past the zero-extension ramp
-        err = float(np.max(np.abs(avg.values_array()[start:] - smooth.values_array()[start:])))
+        err = float(np.max(np.abs(avg[start:] - smooth[start:])))
         errors.append(err)
     monotone = all(errors[i] <= errors[i + 1] + 1e-15 for i in range(len(errors) - 1))
     checks.append(
@@ -260,10 +264,11 @@ def run_steklov(*, seed: int, samples: int) -> Dict:
     return _finish("steklov", checks)
 
 
-def _lq_lq(series, q: int) -> float:
-    dv = series.final().volume_element()
-    powers = np.abs(series.values_array()) ** q
-    row_sums = np.sum(powers, axis=tuple(range(1, powers.ndim))) * dv * series.dt
+def _lq_lq(values: np.ndarray, q: int, dt: float) -> float:
+    """The space-time L^q norm of values, (rows, *grid), rows dt apart."""
+    dv = lf.PeriodicField(values[0]).volume_element()
+    powers = np.abs(values) ** q
+    row_sums = np.sum(powers, axis=tuple(range(1, powers.ndim))) * dv * dt
     total = sum(row_sums.tolist())  # left to right over time, as a Python sum
     return total ** (1.0 / q)
 
@@ -414,8 +419,7 @@ def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     probe_modes = (2, 3, 4)
     est = {m: [] for m in probe_modes}
     seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 1, 8)]
-    for traj in ln.solve_z1_mild_batch(1, (32,), dt, steps, seeds):
-        spec = traj.spectral_array()[burn:]
+    for spec in ln.solve_z1_mild_batch(1, (32,), dt, steps, seeds)[:, burn:]:
         for m in probe_modes:
             est[m].append(float(np.mean(np.abs(spec[:, m]) ** 2)))
     stationary_ok = True
@@ -436,8 +440,8 @@ def run_noise(*, seed: int, grid: int, ensembles: int) -> Dict:
     seeds = [int(np.random.default_rng(ss).integers(0, 2**31)) for ss in _spawn(seed + 2, ensembles)]
     exponents = []
     for first in range(0, ensembles, _STACK):
-        trajs = ln.solve_z1_mild_batch(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK])
-        exponents += [lf.estimate_holder_exponent(t.final()) for t in trajs]
+        coeffs = ln.solve_z1_mild_batch(1, (grid,), _ROUGH_T, 1, seeds[first : first + _STACK])
+        exponents += [lf.estimate_holder_exponent(lf.PeriodicField.from_spectral(c)) for c in coeffs[:, -1]]
     mean_exp = float(np.mean(exponents))
     low, high = _Z1_WINDOW
     checks.append(

@@ -43,7 +43,7 @@ from spdecrit.expansion import (
     _require_valid,
     _scaling_info,
 )
-from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, Trajectory, lp_fields
+from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, lp_fields
 from spdecrit.lab import noise as ln
 from spdecrit.lab.fields import fit_window, mode_magnitudes, white_half_spectrum
 from spdecrit.lab.heat import BLOWUP_LIMIT, _l1_rows, _odd_check, _power, proof_inequality_gap
@@ -68,38 +68,40 @@ def _grids(field: PeriodicField):
     return tuple(np.meshgrid(*axes, indexing="ij")) if field.dim > 1 else (axes[0],)
 
 
-def weak_residual(traj: Trajectory, n: int, psi: SmoothTestFunction) -> float:
-    """Absolute defect of the time-integrated weak form against psi.
+def weak_residual(values: np.ndarray, dt: float, n: int, psi: SmoothTestFunction) -> float:
+    """Absolute defect of the time-integrated weak form against psi, of a
+    trajectory of values (rows, *grid) at times 0, dt, 2 dt, ...
 
     psi must vanish at the final time of the trajectory (compact support
     in [0, T)); space integrals are exact for trigonometric data, time
     integrals use the trapezoid rule.
     """
     _odd_check(n)
-    X = _grids(traj.fields[0])
-    dv = traj.fields[0].volume_element()
+    first = PeriodicField(values[0])
+    X = _grids(first)
+    dv = first.volume_element()
+    times = np.arange(len(values)) * dt
 
     def space_int(a: np.ndarray) -> float:
         return float(np.sum(a) * dv)
 
-    T = traj.times[-1]
+    T = times[-1]
     psi_end = psi.value(T, X)
     if np.max(np.abs(psi_end)) > 1e-12:
         raise ValueError("test function must vanish at the trajectory's final time")
 
-    boundary = space_int(traj.fields[-1].values * psi_end)
-    initial = space_int(traj.fields[0].values * psi.value(0.0, X))
+    boundary = space_int(values[-1] * psi_end)
+    initial = space_int(values[0] * psi.value(0.0, X))
 
     integrand = []
-    for t, f in zip(traj.times, traj.fields):
-        u = f.values
+    for t, u in zip(times, values):
         integrand.append(
             -space_int(u * psi.dt(t, X))
             + space_int(u**n * psi.value(t, X))
             - space_int(u * psi.laplacian(t, X))
         )
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    time_integral = float(trapezoid(np.array(integrand), traj.times))
+    time_integral = float(trapezoid(np.array(integrand), times))
     return abs(boundary - initial + time_integral)
 
 
@@ -421,12 +423,13 @@ def tychonov_residual_float_oracle(series, K: int, t_values, x_values) -> float:
     return worst
 
 
-def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[Trajectory]:
+def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[np.ndarray]:
     """The damped flow from 1D fields on one grid, each member's dt and
     steps one value for all or one per member, as a per-step march of the
     stacked members: new arrays every step, each member's row copied out
     as it is made, and the blow-up guard on the whole marching stack
-    after every step."""
+    after every step.  Each member's rows are one (steps + 1, points)
+    array of values at times 0, dt, ..."""
     _odd_check(n)
     count = len(u_ins)
     dts = [float(d) for d in np.broadcast_to(dt, (count,))]
@@ -452,27 +455,28 @@ def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) 
             out[k + 1] = v
     trajs = [None] * count
     for i, out in zip(order, rows):
-        trajs[i] = Trajectory(dt=dts[i], times=np.arange(steps[i] + 1) * dts[i], values=out)
+        trajs[i] = out
     return trajs
 
 
-def l1_contraction_curve(traj1: Trajectory, traj2: Trajectory) -> np.ndarray:
-    """Integral norm of the difference at each shared time, over the
-    stored arrays; the suites reduce block by block through the same
-    `_l1_rows`."""
-    if traj1.grid_shape != traj2.grid_shape:
+def l1_contraction_curve(values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
+    """Integral norm of the difference at each shared time of two stored
+    trajectories of values, (rows, *grid); the suites reduce block by
+    block through the same `_l1_rows`."""
+    if values1.shape[1:] != values2.shape[1:]:
         raise ValueError("trajectories live on different grids")
-    if len(traj1.times) != len(traj2.times) or not np.allclose(traj1.times, traj2.times):
+    if len(values1) != len(values2):
         raise ValueError("trajectories must share their time grid")
-    return _l1_rows(traj1.values_array() - traj2.values_array(), traj1.final().volume_element())
+    return _l1_rows(values1 - values2, PeriodicField(values1[-1]).volume_element())
 
 
-def subsample(traj: Trajectory, stride: int) -> Trajectory:
-    """Every stride-th sample of a trajectory of values, keeping the
+def subsample(values: np.ndarray, stride: int) -> np.ndarray:
+    """Every stride-th row of a trajectory of values, keeping the
     endpoints aligned."""
-    if stride < 1 or traj.steps % stride != 0:
-        raise ValueError(f"stride {stride} does not divide {traj.steps} steps")
-    return Trajectory(traj.dt * stride, traj.times[::stride], values=traj.values_array()[::stride])
+    steps = len(values) - 1
+    if stride < 1 or steps % stride != 0:
+        raise ValueError(f"stride {stride} does not divide {steps} steps")
+    return values[::stride]
 
 
 def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
@@ -485,7 +489,7 @@ def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
     dt_b = max(dt, 1.0e-3)
     steps_b = round(tmax / dt_b)
     coarse, fine, t1, t2, traj = damped_heat_batch_oracle(
-        [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)],
+        [PeriodicField(_smooth_data(grid, k)) for k in (0, 0, 0, 1, 2)],
         n,
         [dt, dt / 2.0, dt_b, dt_b, dt_b],
         [steps, 2 * steps, steps_b, steps_b, steps_b],
@@ -495,7 +499,7 @@ def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
     tol = 1.0e-4 * max(1.0, dt / 1.0e-4)
     curve = l1_contraction_curve(t1, t2)
     growth = float(np.max(np.diff(curve)))
-    zero = Trajectory(dt=dt_b, times=traj.times.copy(), values=np.zeros((len(traj.times),) + traj.grid_shape))
+    zero = np.zeros_like(traj)
     curve0 = l1_contraction_curve(traj, zero)
     checks = [
         _check(

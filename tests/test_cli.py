@@ -724,6 +724,7 @@ def test_noise_sample_huge_step_count_writes_nine_rows(tmp_path, capsys):
 def test_noise_sample_solves_one_exact_step_per_written_row(tmp_path, capsys, monkeypatch, dim, grid, steps, stride):
     import numpy as np
 
+    from spdecrit.lab import PeriodicField
     from spdecrit.lab import io as lio
     from spdecrit.lab import noise as ln
 
@@ -744,7 +745,8 @@ def test_noise_sample_solves_one_exact_step_per_written_row(tmp_path, capsys, mo
     assert solves == [(int(dim), shape, 2.5e-3 * stride, int(steps) // stride, 5)]
     want = solve(int(dim), shape, 2.5e-3 * stride, int(steps) // stride, 5)
     got = lio.read_trajectory(out_dir)
-    assert np.array_equal(got.values_array(), want.values_array())
+    want_values = [PeriodicField.from_spectral(row).values for row in want]
+    assert np.array_equal(np.stack([f.values for f in got.fields]), np.stack(want_values))
     # times and dt as a march at 2.5e-3 thinned to every stride-th row has them
     assert got.times.tolist() == (np.arange(int(steps) + 1) * 2.5e-3)[::stride].tolist()
     assert got.dt == 2.5e-3 * stride
@@ -1207,20 +1209,35 @@ def test_noise_sample_names_the_flags_when_the_end_time_overflows(tmp_path, caps
     assert not out_dir.exists()
 
 
-def test_failed_allocation_exits_2_with_one_error_line(tmp_path):
-    # the data row alone asks for 2**50 doubles, 8 PiB, more than a process
-    # can map with 4-level page tables (128 TiB), so the allocation fails
-    # at once and touches no memory
+def test_failed_allocation_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # every suite now refuses a grid too large to allocate before it
+    # allocates, so the runner raises what numpy raises for 2**50 doubles
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 PiB for an array with shape (1125899906842624,) and data type float64")
+
+    monkeypatch.setattr(cli, "run_suite", allocate)
+    out = tmp_path / "F"
+    code, stdout, err = run(capsys, "verify", "uniqueness", "--grid", str(2**50), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_uniqueness_refuses_a_grid_past_its_budget_before_allocating(tmp_path):
+    # numpy once refused the data row of 2**60 points with a traceback
     src = str(Path(spdecrit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "spdecrit.cli", "verify", "uniqueness", "--grid", str(2**50), "--out", "F"],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-m", "spdecrit.cli", "verify", "uniqueness", "--grid", str(2**60), "--out", "F"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: --grid {2**60} --tmax 1.0 --dt 0.0001: the march keeps 5893 rows of {2**60} points,"
+        " over the budget of 37715200\n"
+    )
     assert not (tmp_path / "F").exists()
 
 

@@ -27,7 +27,7 @@ from oracles import (
 )
 
 from spdecrit import suites
-from spdecrit.lab import BlowupError, PeriodicField, Trajectory
+from spdecrit.lab import BlowupError, PeriodicField
 from spdecrit.lab import fields as lf
 from spdecrit.lab import heat as lh
 from spdecrit.lab import noise as ln
@@ -207,29 +207,20 @@ def test_z1_solve_matches_per_step_loop(shape, steps, seed, dt, batch_bytes):
     saved = ln.DRAW_BATCH_BYTES
     ln.DRAW_BATCH_BYTES = batch_bytes
     try:
-        traj = ln.solve_z1_mild(len(shape), shape, dt, steps, seed)
+        rows = ln.solve_z1_mild(len(shape), shape, dt, steps, seed)
     finally:
         ln.DRAW_BATCH_BYTES = saved
     coeffs, values = z1_oracle(len(shape), shape, dt, steps, seed)
-    assert same_bits(traj.spectral_array(), np.stack(coeffs))
-    for field, want in zip(traj.fields, values):
-        assert same_bits(field.values, want)
-    assert same_bits(traj.times, np.array([0.0] + [(k + 1) * dt for k in range(steps)]))
+    assert same_bits(rows, np.stack(coeffs))
+    for row, want in zip(rows, values):
+        assert same_bits(PeriodicField.from_spectral(row).values, want)
 
 
 def test_z1_batched_draws_span_several_batches():
     # 32 points draw 1024 steps per batch: 2300 steps take three batches
-    traj = ln.solve_z1_mild(1, (32,), 0.05, 2300, 5)
+    rows = ln.solve_z1_mild(1, (32,), 0.05, 2300, 5)
     coeffs, _ = z1_oracle(1, (32,), 0.05, 2300, 5)
-    assert same_bits(traj.spectral_array(), np.stack(coeffs))
-
-
-def _same_trajectory(got, want) -> bool:
-    return (
-        got.dt == want.dt
-        and same_bits(got.times, want.times)
-        and same_bits(got.spectral_array(), want.spectral_array())
-    )
+    assert same_bits(rows, np.stack(coeffs))
 
 
 @FAST
@@ -238,15 +229,15 @@ def test_z1_batch_matches_separate_solves(shape, steps, member_seeds, batch_byte
     saved = ln.DRAW_BATCH_BYTES
     ln.DRAW_BATCH_BYTES = batch_bytes
     try:
-        trajs = ln.solve_z1_mild_batch(len(shape), shape, 0.01, steps, member_seeds)
+        batch = ln.solve_z1_mild_batch(len(shape), shape, 0.01, steps, member_seeds)
         alone = [ln.solve_z1_mild(len(shape), shape, 0.01, steps, s) for s in member_seeds]
     finally:
         ln.DRAW_BATCH_BYTES = saved
-    assert len(trajs) == len(member_seeds)
-    for got, want in zip(trajs, alone):
-        assert _same_trajectory(got, want)
-        for field, row in zip(got.fields, want.fields):
-            assert same_bits(field.values, row.values)
+    assert len(batch) == len(member_seeds)
+    for got, want in zip(batch, alone):
+        assert same_bits(got, want)
+        for row, want_row in zip(got, want):
+            assert same_bits(PeriodicField.from_spectral(row).values, PeriodicField.from_spectral(want_row).values)
 
 
 # three members of 32 points draw 341 steps per batch and of 16 x 8
@@ -254,11 +245,11 @@ def test_z1_batch_matches_separate_solves(shape, steps, member_seeds, batch_byte
 @pytest.mark.parametrize("shape,steps", [((32,), 2300), ((16, 8), 600)])
 def test_z1_batch_spans_several_draw_batches(shape, steps):
     member_seeds = [5, 11, 2**31 - 1]
-    trajs = ln.solve_z1_mild_batch(len(shape), shape, 0.05, steps, member_seeds)
-    for got, s in zip(trajs, member_seeds):
-        assert _same_trajectory(got, ln.solve_z1_mild(len(shape), shape, 0.05, steps, s))
+    batch = ln.solve_z1_mild_batch(len(shape), shape, 0.05, steps, member_seeds)
+    for got, s in zip(batch, member_seeds):
+        assert same_bits(got, ln.solve_z1_mild(len(shape), shape, 0.05, steps, s))
         coeffs, _ = z1_oracle(len(shape), shape, 0.05, steps, s)
-        assert same_bits(got.spectral_array(), np.stack(coeffs))
+        assert same_bits(got, np.stack(coeffs))
 
 
 @pytest.mark.parametrize(
@@ -268,9 +259,9 @@ def test_z1_batch_spans_several_draw_batches(shape, steps):
 def test_z1_batch_draws_match_per_member_batches(shape, steps, members):
     # the draw batch counts every member's bytes; the old one counted one member's
     member_seeds = [int(s) for s in np.random.default_rng(steps).integers(0, 2**31, size=members)]
-    trajs = ln.solve_z1_mild_batch(len(shape), shape, 0.05, steps, member_seeds)
+    batch = ln.solve_z1_mild_batch(len(shape), shape, 0.05, steps, member_seeds)
     want = z1_batch_per_member_oracle(len(shape), shape, 0.05, steps, member_seeds)
-    assert same_bits(np.stack([t.spectral_array() for t in trajs]), want)
+    assert same_bits(batch, want)
 
 
 @pytest.mark.parametrize("draws", [1, suites._WHITE_ROWS - 1, suites._WHITE_ROWS, suites._WHITE_ROWS + 1, 10_000])
@@ -462,7 +453,7 @@ def test_uniqueness_stack_matches_separate_runs():
     # contraction runs, in the suite's order
     from spdecrit.suites import _smooth_data
 
-    data = [_smooth_data(256, k).values for k in (0, 0, 0, 1, 2)]
+    data = [_smooth_data(256, k) for k in (0, 0, 0, 1, 2)]
     dts = [5e-4, 1e-3, 4e-3, 4e-3, 4e-3]
     steps = [200, 100, 25, 25, 25]
     want = [np.stack(heat_oracle(u, 3, dt, count)) for u, dt, count in zip(data, dts, steps)]
@@ -504,7 +495,7 @@ def test_blocked_march_matches_stacked_loop(shape, seed, n, runs):
     runs = sorted(runs, key=lambda run: -run[1])
     data = [PeriodicField(smooth_values(shape, seed + i, peak=0.5 + 0.1 * i)) for i in range(len(runs))]
     dts, steps = map(list, zip(*runs))
-    want = [traj.values_array() for traj in damped_heat_batch_oracle(data, n, dts, steps)]
+    want = damped_heat_batch_oracle(data, n, dts, steps)
     assert_march_rows(np.stack([u.values for u in data]), n, dts, steps, want)
 
 
@@ -570,17 +561,15 @@ def test_damped_heat_tracks_full_fft_power_step(shape, seed, n, steps):
 @given(st.sampled_from([(8,), (16,), (4, 8)]), seeds, st.integers(4, 40), st.sampled_from([1, 2, 3, 5]))
 def test_steklov_average_matches_field_loop(shape, seed, length, r):
     rows = list(np.random.default_rng(seed).standard_normal((length,) + shape))
-    series = Trajectory(dt=0.1, times=np.arange(length) * 0.1, values=np.stack(rows))
-    avg = lh.steklov_average(series, r * 0.1)
-    assert same_bits(avg.values_array(), np.stack(steklov_oracle(rows, r)))
+    avg = lh.steklov_average(np.stack(rows), r)
+    assert same_bits(avg, np.stack(steklov_oracle(rows, r)))
 
 
 @FAST
 @given(st.sampled_from([(16,), (64,), (4, 8)]), seeds, st.integers(1, 70), st.sampled_from([1, 2, 3]))
 def test_lq_lq_matches_field_loop(shape, seed, length, q):
     rows = list(np.random.default_rng(seed).standard_normal((length,) + shape))
-    series = Trajectory(dt=0.01, times=np.arange(length) * 0.01, values=np.stack(rows))
-    assert same_bits(_lq_lq(series, q), lq_lq_oracle(rows, 0.01, q))
+    assert same_bits(_lq_lq(np.stack(rows), q, 0.01), lq_lq_oracle(rows, 0.01, q))
 
 
 @FAST
@@ -589,10 +578,7 @@ def test_l1_contraction_curve_matches_field_loop(shape, seed, length):
     rng = np.random.default_rng(seed)
     rows1 = list(rng.standard_normal((length,) + shape))
     rows2 = list(rng.standard_normal((length,) + shape))
-    times = np.arange(length) * 0.5
-    t1 = Trajectory(dt=0.5, times=times, values=np.stack(rows1))
-    t2 = Trajectory(dt=0.5, times=times, values=np.stack(rows2))
-    assert same_bits(l1_contraction_curve(t1, t2), l1_oracle(rows1, rows2))
+    assert same_bits(l1_contraction_curve(np.stack(rows1), np.stack(rows2)), l1_oracle(rows1, rows2))
 
 
 def test_l1_curve_on_batched_members():

@@ -18,7 +18,6 @@ from oracles import (
 from spdecrit.lab import (
     BlowupError,
     PeriodicField,
-    Trajectory,
     proof_inequality_gap,
     proof_inequality_gap_exact,
     steklov_average,
@@ -35,6 +34,11 @@ def smooth_field(n=256):
     return PeriodicField(np.sin(x) + 0.5 * np.cos(2 * x))
 
 
+def stack(*fields):
+    """Fields' values as the (members, points) stack a march takes."""
+    return np.stack([f.values for f in fields])
+
+
 # ---------------------------------------------------------------------------
 # the damped flow, by the stacked-march oracle, which test_fastpaths.py
 # holds _march to bit for bit at each (n, dt, grid) marched here
@@ -42,7 +46,7 @@ def smooth_field(n=256):
 
 def test_zero_data_stays_zero():
     (traj,) = damped_heat_batch_oracle([PeriodicField(np.zeros(64))], 3, 1e-3, 100)
-    assert all(np.max(np.abs(f.values)) == 0.0 for f in traj.fields)
+    assert all(np.max(np.abs(row)) == 0.0 for row in traj)
 
 
 @pytest.mark.parametrize("n,c", [(3, 1.0), (5, 0.8)])
@@ -52,12 +56,12 @@ def test_constant_data_tracks_ode(n, c):
     dt, T = 1e-4, 1.0
     (traj,) = damped_heat_batch_oracle([PeriodicField(np.full(32, c))], n, dt, round(T / dt))
     exact = c * (1.0 + (n - 1) * c ** (n - 1) * T) ** (-1.0 / (n - 1))
-    assert abs(traj.final().values[0] - exact) < 1e-3
+    assert abs(traj[-1][0] - exact) < 1e-3
 
 
 def test_energy_strictly_decreasing():
     (traj,) = damped_heat_batch_oracle([smooth_field()], 3, 1e-3, 500)
-    energy = 0.5 * np.array([np.mean(f.values**2) for f in traj.fields])
+    energy = 0.5 * np.array([np.mean(row**2) for row in traj])
     assert np.all(np.diff(energy) < 0)
 
 
@@ -66,29 +70,29 @@ def test_energy_strictly_decreasing():
 
 def test_odd_power_enforced():
     with pytest.raises(ValueError):
-        _checked([smooth_field()], 4, [1e-3], [10])
+        _checked(stack(smooth_field()), 4, [1e-3], [10])
     with pytest.raises(ValueError):
-        _checked([smooth_field()], 1, [1e-3], [10])
+        _checked(stack(smooth_field()), 1, [1e-3], [10])
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_non_finite_or_non_positive_dt_rejected(dt):
     with pytest.raises(ValueError, match="0 < dt < inf"):
-        _checked([smooth_field()], 3, [dt], [10])
+        _checked(stack(smooth_field()), 3, [dt], [10])
     with pytest.raises(ValueError, match="0 < dt < inf"):
-        _checked([smooth_field(), smooth_field()], 3, [1e-3, dt], [10, 10])
+        _checked(stack(smooth_field(), smooth_field()), 3, [1e-3, dt], [10, 10])
 
 
 @pytest.mark.parametrize("steps", [[10, 0], [10, 2.5], [2.5, 2.5]])
 def test_batch_needs_whole_steps_for_every_member(steps):
     with pytest.raises(ValueError, match="whole steps >= 1"):
-        _checked([smooth_field(), smooth_field()], 3, [1e-3, 1e-3], steps)
+        _checked(stack(smooth_field(), smooth_field()), 3, [1e-3, 1e-3], steps)
 
 
 def test_unstable_step_rejected():
     big = PeriodicField(np.full(32, 100.0))
     with pytest.raises(ValueError):
-        _checked([big], 3, [1e-3], [10])
+        _checked(stack(big), 3, [1e-3], [10])
 
 
 @pytest.mark.parametrize(
@@ -101,10 +105,10 @@ def test_unstable_step_rejected():
 def test_data_whose_power_overflows_are_refused(peak, n, dt, steps):
     message = f"max|u|^n overflows a double: max|u| = {peak:.3g}, n = {n}"
     with pytest.raises(ValueError) as info:
-        _checked([PeriodicField(np.full(16, peak))], n, [dt], [steps])
+        _checked(stack(PeriodicField(np.full(16, peak))), n, [dt], [steps])
     assert str(info.value) == message
     with pytest.raises(ValueError, match=r"max\|u\|\^n overflows"):
-        _checked([smooth_field(16), PeriodicField(np.full(16, -peak))], n, [dt, dt], [steps, steps])
+        _checked(stack(smooth_field(16), PeriodicField(np.full(16, -peak))), n, [dt, dt], [steps, steps])
 
 
 def test_negation_is_a_symmetry_of_the_odd_flow():
@@ -116,7 +120,7 @@ def test_negation_is_a_symmetry_of_the_odd_flow():
     asym = PeriodicField(np.sin(x) + 0.3 * np.cos(3 * x) ** 2)
     fwd, neg = damped_heat_batch_oracle([asym, PeriodicField(-asym.values)], 3, 1e-3, 200)
     # exact up to FFT roundoff (the library's kernels are not sign-bitwise)
-    assert np.allclose(neg.final().values, -fwd.final().values, atol=1e-13)
+    assert np.allclose(neg[-1], -fwd[-1], atol=1e-13)
 
 
 def test_damping_cannot_be_flipped_by_negation():
@@ -165,7 +169,7 @@ def test_weak_residual_first_order_in_dt():
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
         (traj,) = damped_heat_batch_oracle([u0], 3, dt, round(1.0 / dt))
-        res.append(weak_residual(traj, 3, psi))
+        res.append(weak_residual(traj, dt, 3, psi))
     assert res[0] > res[1] > res[2]
     assert res[0] / res[2] > 3.0  # about 4 for a first-order method
 
@@ -177,42 +181,39 @@ def test_weak_residual_zero_test_function():
         laplacian=lambda t, X: np.zeros_like(X[0]),
     )
     (traj,) = damped_heat_batch_oracle([smooth_field(64)], 3, 1e-3, 100)
-    assert weak_residual(traj, 3, zero) == 0.0
+    assert weak_residual(traj, 1e-3, 3, zero) == 0.0
 
 
 def test_weak_residual_rejects_nonsolutions():
     psi = make_psi()
     u0 = smooth_field()
     frozen = np.stack([u0.values] * 1001)
-    stat = Trajectory(dt=1e-3, times=np.arange(1001) * 1e-3, values=frozen)
-    assert weak_residual(stat, 3, psi) > 0.1
+    assert weak_residual(frozen, 1e-3, 3, psi) > 0.1
 
 
 # ---------------------------------------------------------------------------
 # window averages
 
 
-def constant_series(c=2.0, length=10, dt=0.1, n=8):
-    return Trajectory(dt=dt, times=np.arange(length) * dt, values=np.full((length, n), c))
+def constant_series(c=2.0, length=10, n=8):
+    return np.full((length, n), c)
 
 
 def test_steklov_constant_ramp():
-    avg = steklov_average(constant_series(), 0.4)
-    got = [f.values[0] for f in avg.fields[:6]]
+    avg = steklov_average(constant_series(), 4)
+    got = [row[0] for row in avg[:6]]
     assert got == [0.0, 0.5, 1.0, 1.5, 2.0, 2.0]
 
 
 def test_steklov_contraction_random_series():
     rng = np.random.default_rng(5)
-    dt = 0.05
     for _ in range(20):
         vals = rng.standard_normal((40, 16))
-        series = Trajectory(dt=dt, times=np.arange(40) * dt, values=vals)
         for q in (1, 2, 3):
             for r in (1, 3, 7):
-                avg = steklov_average(series, r * dt)
-                lhs = sum(f.lq_norm(q) ** q for f in avg.fields)
-                rhs = sum(f.lq_norm(q) ** q for f in series.fields)
+                avg = steklov_average(vals, r)
+                lhs = sum(PeriodicField(row).lq_norm(q) ** q for row in avg)
+                rhs = sum(PeriodicField(row).lq_norm(q) ** q for row in vals)
                 assert lhs <= rhs + 1e-12
 
 
@@ -220,31 +221,23 @@ def test_steklov_error_monotone_in_window():
     dt = 0.01
     times = np.arange(200) * dt
     x = grid(16)
-    series = Trajectory(dt=dt, times=times, values=np.stack([np.sin(x) * math.cos(t) for t in times]))
+    series = np.stack([np.sin(x) * math.cos(t) for t in times])
     errors = []
     for r in (1, 2, 4, 8):
-        avg = steklov_average(series, r * dt)
-        errors.append(
-            max(np.max(np.abs(a.values - b.values)) for a, b in zip(avg.fields[20:], series.fields[20:]))
-        )
+        avg = steklov_average(series, r)
+        errors.append(max(np.max(np.abs(a - b)) for a, b in zip(avg[20:], series[20:])))
     assert errors == sorted(errors)
-
-
-def test_steklov_window_must_divide():
-    with pytest.raises(ValueError):
-        steklov_average(constant_series(dt=0.1), 0.25)
 
 
 def test_steklov_discrete_time_derivative():
     rng = np.random.default_rng(8)
     vals = rng.standard_normal((30, 8))
     dt = 0.1
-    series = Trajectory(dt=dt, times=np.arange(30) * dt, values=vals)
     r = 4
-    avg = steklov_average(series, r * dt)
+    avg = steklov_average(vals, r)
     ext = lambda i: vals[i] if i >= 0 else np.zeros(8)
     for i in range(5, 25):
-        lhs = (avg.fields[i + 1].values - avg.fields[i].values) / dt
+        lhs = (avg[i + 1] - avg[i]) / dt
         rhs = (ext(i) - ext(i - r)) / (r * dt)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -313,11 +306,7 @@ def test_l1_curve_against_zero_solution():
     x = grid(128)
     pos = PeriodicField(0.6 + 0.5 * np.sin(x))
     (traj,) = damped_heat_batch_oracle([pos], 3, 1e-3, 300)
-    zero = Trajectory(
-        dt=1e-3,
-        times=traj.times.copy(),
-        values=np.zeros((len(traj.fields), 128)),
-    )
+    zero = np.zeros((len(traj), 128))
     curve = l1_contraction_curve(traj, zero)
     assert np.all(np.diff(curve) <= 1e-12)
     assert curve[-1] < curve[0]

@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from spdecrit.lab import sample_spatial_white, solve_z1_mild
+from spdecrit.lab import PeriodicField, Trajectory, sample_spatial_white, solve_z1_mild
 from spdecrit.lab.io import MAGIC, field_to_bytes, read_field, read_trajectory, write_field, write_trajectory
+
+
+def z1_record(shape, steps, seed, dt=0.01):
+    """The record of a z1 solve: one field per row, at times 0, dt, ..."""
+    rows = solve_z1_mild(len(shape), shape, dt, steps, seed)
+    return Trajectory(dt, np.arange(steps + 1) * dt, [PeriodicField.from_spectral(row) for row in rows])
 
 
 def test_field_round_trip(tmp_path):
@@ -43,7 +49,7 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_trajectory_round_trip(tmp_path):
-    traj = solve_z1_mild(1, (32,), 0.01, 5, seed=9)
+    traj = z1_record((32,), 5, seed=9)
     write_trajectory(traj, tmp_path / "run", seed=9)
     back = read_trajectory(tmp_path / "run")
     assert back.dt == traj.dt
@@ -53,7 +59,7 @@ def test_trajectory_round_trip(tmp_path):
 
 
 def test_writes_are_deterministic(tmp_path):
-    traj = solve_z1_mild(1, (32,), 0.01, 5, seed=11)
+    traj = z1_record((32,), 5, seed=11)
     write_trajectory(traj, tmp_path / "a", seed=11)
     write_trajectory(traj, tmp_path / "b", seed=11)
     for name in ("manifest.json", "field_00000.spdf", "field_00005.spdf"):
@@ -62,7 +68,42 @@ def test_writes_are_deterministic(tmp_path):
 
 @pytest.mark.parametrize("shape", [(32,), (16, 8)])
 def test_manifest_n_is_the_trajectory_grid(tmp_path, shape):
-    traj = solve_z1_mild(len(shape), shape, 0.01, 2, seed=3)
+    traj = z1_record(shape, 2, seed=3)
     write_trajectory(traj, tmp_path / "run", seed=3)
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["n"] == shape[0]
+
+
+def test_manifest_n_of_fields_written_one_at_a_time(tmp_path):
+    rows = solve_z1_mild(2, (16, 8), 0.01, 2, seed=3)
+    write_trajectory(Trajectory(0.01, [0.0, 0.01, 0.02], map(PeriodicField.from_spectral, rows)), tmp_path / "run")
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["n"] == 16
+    assert len(read_trajectory(tmp_path / "run").fields) == 3
+
+
+# directories that read_trajectory refuses: each is a written trajectory
+# with one thing broken after the write
+
+
+def test_read_refuses_a_missing_snapshot(tmp_path):
+    write_trajectory(z1_record((32,), 5, seed=9), tmp_path / "run", seed=9)
+    (tmp_path / "run" / "field_00003.spdf").unlink()
+    with pytest.raises(ValueError, match="5 snapshots for 6 manifest times"):
+        read_trajectory(tmp_path / "run")
+
+
+def test_read_refuses_times_not_uniformly_spaced(tmp_path):
+    write_trajectory(z1_record((32,), 5, seed=9), tmp_path / "run", seed=9)
+    manifest_path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["times"][3] += 0.005
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="not uniformly spaced"):
+        read_trajectory(tmp_path / "run")
+
+
+def test_read_refuses_snapshots_on_two_grids(tmp_path):
+    write_trajectory(z1_record((32,), 5, seed=9), tmp_path / "run", seed=9)
+    write_field(sample_spatial_white(1, (64,), 1), tmp_path / "run" / "field_00002.spdf")
+    with pytest.raises(ValueError, match="more than one grid"):
+        read_trajectory(tmp_path / "run")

@@ -36,19 +36,16 @@ def test_distinct_modes_uncorrelated():
 
 
 def test_trajectory_shape_and_times():
-    traj = solve_z1_mild(1, (64,), 0.01, 50, seed=1)
-    assert traj.steps == 50
-    assert len(traj.fields) == 51
-    assert np.allclose(np.diff(traj.times), 0.01)
-    assert np.max(np.abs(traj.fields[0].values)) == 0.0  # zero initial data
+    rows = solve_z1_mild(1, (64,), 0.01, 50, seed=1)
+    assert rows.shape == (51, 33)  # one half spectrum at each time 0, dt, ..., 50 dt
+    assert np.max(np.abs(PeriodicField.from_spectral(rows[0]).values)) == 0.0  # zero initial data
 
 
 def test_stationary_mode_variance_matches_closed_form():
     dt, steps, burn = 0.05, 2000, 400
     est = {2: [], 4: []}
     for seed in range(6):
-        traj = solve_z1_mild(1, (32,), dt, steps, seed=100 + seed)
-        spec = np.stack([f.spectral for f in traj.fields[burn:]])
+        spec = solve_z1_mild(1, (32,), dt, steps, seed=100 + seed)[burn:]
         for m in est:
             est[m].append(np.mean(np.abs(spec[:, m]) ** 2))
     for m, values in est.items():
@@ -61,15 +58,15 @@ def test_z1_field_smoothness_one_dim():
 
     fits = []
     for seed in range(6):
-        traj = solve_z1_mild(1, (2048,), 2.5e-3, 400, seed=500 + seed)
-        fits.append(estimate_holder_exponent(traj.final()))
+        rows = solve_z1_mild(1, (2048,), 2.5e-3, 400, seed=500 + seed)
+        fits.append(estimate_holder_exponent(PeriodicField.from_spectral(rows[-1])))
     assert 0.35 <= float(np.mean(fits)) <= 0.60
 
 
 def test_two_dims_supported():
-    traj = solve_z1_mild(2, (32, 32), 0.01, 20, seed=3)
-    assert traj.final().dim == 2
-    assert np.isfinite(traj.final().values).all()
+    final = PeriodicField.from_spectral(solve_z1_mild(2, (32, 32), 0.01, 20, seed=3)[-1])
+    assert final.dim == 2
+    assert np.isfinite(final.values).all()
 
 
 def test_rejects_bad_grids():
@@ -93,10 +90,10 @@ def test_batch_needs_a_seed():
 
 
 def test_half_spectrum_layout():
-    traj = solve_z1_mild(2, (16, 8), 0.01, 3, seed=2)
-    assert traj.grid_shape == (16, 8)
-    assert traj.spectral_array().shape == (4, 16, 5)
-    assert traj.final().values.shape == (16, 8)
+    rows = solve_z1_mild(2, (16, 8), 0.01, 3, seed=2)
+    assert PeriodicField.from_spectral(rows[-1]).grid_shape == (16, 8)
+    assert rows.shape == (4, 16, 5)
+    assert PeriodicField.from_spectral(rows[-1]).values.shape == (16, 8)
     assert sample_spatial_white(1, (64,), 0).spectral.shape == (33,)
 
 
