@@ -43,7 +43,7 @@ def _sample_forms():
     yield "white", ["noise", "sample", "--kind", "white", "--dim", "1", "--grid", "256", "--estimate"]
 
 
-@pytest.mark.parametrize("key,argv", list(_sample_forms()), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("key,argv", list(_sample_forms()), ids=[key for key, _ in _sample_forms()])
 def test_noise_sample_output_passes_the_harness_check(tmp_path, capsys, key, argv):
     out = tmp_path / "out"
     assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
