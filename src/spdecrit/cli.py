@@ -327,23 +327,21 @@ def _cmd_noise_sample(args) -> int:
         except lf.ResolutionError as exc:
             raise InputError(f"--dim {dim} --grid {grid} --estimate: {exc}") from None
     if kind == "white":
-        field = ln.sample_spatial_white(dim, shape, seed)
-        traj = lf.Trajectory(1.0, [0.0], [field])
+        rows, row_dt, times = [ln.sample_spatial_white(dim, shape, seed)], 1.0, [0.0]
     else:
         # exact OU steps compose: one step of dt * stride between written
         # rows gives them the law of the march at dt, without its other rows
-        rows = ln.solve_z1_mild(dim, shape, dt * stride, steps // stride, seed)
+        row_dt = dt * stride
+        rows = ln.solve_z1_mild(dim, shape, row_dt, steps // stride, seed)
         # k * dt as numpy's arange(0, steps + 1, stride) * dt has it, for any
         # size of int; each row is transformed back as it is written
         times = [k * dt for k in range(0, steps + 1, stride)]
-        traj = lf.Trajectory(dt * stride, times, map(lf.PeriodicField.from_spectral, rows))
-        field = lf.PeriodicField.from_spectral(rows[-1])
     if args.estimate:  # before writing, so that a fit that fails writes nothing
         try:
-            exponent = lf.estimate_holder_exponent(field)
+            exponent = lf.estimate_holder_exponent(rows[-1])
         except lf.ResolutionError as exc:  # a z1 field whose end time is so short that its blocks underflow to zero
             raise InputError(f"--dt {dt!r} --steps {steps} --estimate: {exc}") from None
-    lio.write_trajectory(traj, out_dir, seed=seed)
+    lio.write_trajectory(lio.Trajectory(row_dt, times, map(lf.values_of, rows)), out_dir, seed=seed)
 
     if args.estimate:
         print(f"fitted exponent: {exponent:.4f}")

@@ -205,16 +205,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in ("rat", "int"):
             self.fail(f"expected a rational, found {tok.text!r}")
-        try:
-            value = Fraction(tok.text)
-        except ZeroDivisionError:
-            self.fail(f"zero denominator in {tok.text!r}")
-        self.next()
-        return value
+        return self.number(self.next(), Fraction)
 
     def integer(self) -> int:
-        tok = self.expect("int")
-        return int(tok.text)
+        return self.number(self.expect("int"), int)
+
+    def number(self, tok: _Token, convert):
+        try:
+            return convert(tok.text)
+        except ZeroDivisionError:
+            raise SpecSyntaxError(f"zero denominator in {tok.text!r}", tok.line, tok.column) from None
+        except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
+            raise SpecSyntaxError(f"number of {len(tok.text)} characters has too many digits", tok.line, tok.column) from None
 
     # grammar -------------------------------------------------------------
 

@@ -8,8 +8,9 @@ in mpmath, the others numpy.
 from .. import _export_lazily
 
 _export_lazily(globals(), {
+    "io": ("Trajectory",),
     "fields": (
-        "PeriodicField", "Trajectory", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
+        "values_of", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
         "fit_window", "estimate_holder_exponent", "bony_decompose",
     ),
     "noise": ("sample_spatial_white", "solve_z1_mild", "solve_z1_mild_batch"),

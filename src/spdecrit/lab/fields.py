@@ -3,9 +3,10 @@
 Fields live on [0, 2pi)^dim with integer wavenumbers.  The spectral
 convention divides the forward transform by the point count, so the mean
 square of the samples equals the sum of squared coefficient moduli over
-the full spectrum.  Only the half spectrum is kept (numpy's rfftn
+the full spectrum.  A field is its half spectrum (numpy's rfftn
 layout): the last axis holds wavenumbers 0..N/2, and the modes left out
-are the complex conjugates of the kept ones at -m.
+are the complex conjugates of the kept ones at -m.  values_of transforms
+it back to samples.
 Frequency blocks are sharp annuli: block -1 keeps |m| <= 1 and block
 j >= 1 keeps 2^(j-1) < |m| <= 2^j, which partitions the modes exactly.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -102,72 +103,23 @@ def white_half_spectrum(x: np.ndarray, dim: int) -> np.ndarray:
     return c
 
 
-class PeriodicField:
-    """Samples of a real field on a uniform periodic grid.
+def grid_of(coeffs: np.ndarray) -> Tuple[int, ...]:
+    """The (even) grid whose half spectrum coeffs is."""
+    return coeffs.shape[:-1] + (2 * coeffs.shape[-1] - 2,) if coeffs.ndim else ()
 
-    Either view is computed from the other on first read and cached: a
-    field built from samples transforms forward when its spectrum is
-    asked for, one built from half-spectrum coefficients transforms back
-    only when its values are.  Coefficients must be a real field's
-    (self-conjugate modes real, 2D edge columns Hermitian); the inverse
-    transform drops whatever part of them is not.
+
+def values_of(coeffs: np.ndarray) -> np.ndarray:
+    """Sample values of the real field whose half-spectrum coefficients
+    are coeffs.
+
+    Coefficients must be a real field's (self-conjugate modes real, 2D
+    edge columns Hermitian); the inverse transform drops whatever part
+    of them is not.
     """
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        _check_shape(values.ndim, values.shape)
-        self._values: Optional[np.ndarray] = values
-        self._spectral: Optional[np.ndarray] = None
-        self.dim = values.ndim
-        self.grid_shape = values.shape
-
-    @classmethod
-    def from_spectral(cls, coeffs: np.ndarray) -> "PeriodicField":
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        # the (even) grid whose half spectrum this is
-        grid_shape = coeffs.shape[:-1] + (2 * coeffs.shape[-1] - 2,) if coeffs.ndim else ()
-        _check_shape(coeffs.ndim, grid_shape)
-        f = cls.__new__(cls)
-        f._values = None
-        f._spectral = coeffs
-        f.dim = coeffs.ndim
-        f.grid_shape = grid_shape
-        return f
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            axes = tuple(range(self.dim))
-            self._values = np.fft.irfftn(self._spectral, s=self.grid_shape, axes=axes) * self.npoints
-        return self._values
-
-    @property
-    def spectral(self) -> np.ndarray:
-        if self._spectral is None:
-            self._spectral = np.fft.rfftn(self._values) / self._values.size
-        return self._spectral
-
-    @property
-    def npoints(self) -> int:
-        return math.prod(self.grid_shape)
-
-    def volume_element(self) -> float:
-        return (2.0 * math.pi) ** self.dim / self.npoints
-
-    def lq_norm(self, q: float) -> float:
-        dv = self.volume_element()
-        if q == math.inf:
-            return float(np.max(np.abs(self.values)))
-        return float((np.sum(np.abs(self.values) ** q) * dv) ** (1.0 / q))
-
-
-class Trajectory(NamedTuple):
-    """The record of a trajectory directory: its step dt, its sample
-    times and one field per time, as `lab.io` writes and reads them."""
-
-    dt: float
-    times: Sequence[float]
-    fields: Iterable[PeriodicField]
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    grid_shape = grid_of(coeffs)
+    _check_shape(coeffs.ndim, grid_shape)
+    return np.fft.irfftn(coeffs, s=grid_shape, axes=tuple(range(coeffs.ndim))) * math.prod(grid_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +140,24 @@ def max_block(grid_shape: Tuple[int, ...]) -> int:
     return int(math.floor(math.log2(nyquist)))
 
 
-def lp_fields(f: PeriodicField) -> List[Tuple[int, PeriodicField]]:
-    """Sharp annulus projections (j, block field); blocks sum to f.
+def lp_fields(coeffs: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """Sharp annulus projections (j, block values) of the field whose half
+    spectrum is coeffs; the blocks sum to its values.
 
     Blocks beyond max_block exist only to absorb corner modes of square
     grids; exponent fits must stay below max_block.
     """
-    if max_block(f.grid_shape) < 1:
-        raise ResolutionError(f"grid {f.grid_shape} resolves no dyadic blocks")
-    idx = _block_index(mode_magnitudes(f.grid_shape))
+    grid_shape = grid_of(coeffs)
+    _check_shape(coeffs.ndim, grid_shape)  # every grid it passes resolves block 1
+    idx = _block_index(mode_magnitudes(grid_shape))
     jtop = int(idx.max())
     out = []
-    coeffs = f.spectral
     for j in range(-1, jtop + 1):
         if j == 0:
             continue  # the annulus (1/2, 1] holds no integer modes
         mask = idx == j
         block = np.where(mask, coeffs, 0.0)
-        out.append((j, PeriodicField.from_spectral(block)))
+        out.append((j, values_of(block)))
     return out
 
 
@@ -224,9 +176,10 @@ def fit_window(grid_shape: Tuple[int, ...]) -> range:
     return window
 
 
-def estimate_holder_exponent(f: PeriodicField) -> float:
+def estimate_holder_exponent(coeffs: np.ndarray) -> float:
     """Least-squares slope of compensated -log2 block sup norms over
-    j in [2, J - 2] (see fit_window).
+    j in [2, J - 2] (see fit_window) of the field whose half spectrum
+    is coeffs.
 
     The sup of a block of ~2^j random-phase modes runs a factor
     sqrt(j ln 2) above its mean-square size; fitting the raw norms
@@ -234,10 +187,10 @@ def estimate_holder_exponent(f: PeriodicField) -> float:
     that factor is divided out before the fit.  Only the blocks in the
     window are built and transformed back, one at a time.
     """
-    js_fit = fit_window(f.grid_shape)
-    idx = _block_index(mode_magnitudes(f.grid_shape))
-    coeffs = f.spectral
-    sups = [(j, PeriodicField.from_spectral(np.where(idx == j, coeffs, 0.0)).lq_norm(math.inf)) for j in js_fit]
+    grid_shape = grid_of(coeffs)
+    js_fit = fit_window(grid_shape)
+    idx = _block_index(mode_magnitudes(grid_shape))
+    sups = [(j, float(np.max(np.abs(values_of(np.where(idx == j, coeffs, 0.0)))))) for j in js_fit]
     window = [(j, s) for j, s in sups if s > 0]
     if len(window) < 2:
         raise ResolutionError("exponent-fit window is empty at this resolution")
@@ -247,8 +200,9 @@ def estimate_holder_exponent(f: PeriodicField) -> float:
     return float(slope)
 
 
-def synthetic_field(dim: int, grid_shape: Tuple[int, ...], exponent: float, seed: int) -> PeriodicField:
-    """Random-phase field whose dyadic block norms scale like 2^(-j*exponent).
+def synthetic_field(dim: int, grid_shape: Tuple[int, ...], exponent: float, seed: int) -> np.ndarray:
+    """Half spectrum of a random-phase field whose dyadic block norms
+    scale like 2^(-j*exponent).
 
     Coefficient magnitudes |m|^-(exponent + dim/2) give that scaling for
     random phases; the zero mode is dropped.  The phases are those of a
@@ -263,32 +217,30 @@ def synthetic_field(dim: int, grid_shape: Tuple[int, ...], exponent: float, seed
         amp = np.where(mags > 0, mags, 1.0) ** (-sigma)
     amp[mags == 0] = 0.0
     noise = white_half_spectrum(rng.standard_normal(shape), dim)
-    coeffs = noise * (amp / np.maximum(np.abs(noise), np.finfo(np.float64).tiny))
-    return PeriodicField.from_spectral(coeffs)
+    return noise * (amp / np.maximum(np.abs(noise), np.finfo(np.float64).tiny))
 
 
-def bony_decompose(f: PeriodicField, g: PeriodicField):
-    """Split fg into low-high, high-low and resonant frequency parts.
+def bony_decompose(f: np.ndarray, g: np.ndarray):
+    """Split fg into low-high, high-low and resonant frequency parts, as
+    value arrays, of the fields whose half spectra are f and g.
 
     Low-high pairs blocks i <= j - 2 of f with block j of g, high-low is
     the mirror, and the resonant part keeps |i - j| <= 1.  The three
     parts add up to the pointwise product exactly (every index pair
     lands in exactly one bucket).
     """
-    if f.grid_shape != g.grid_shape:
+    if f.shape != g.shape:
         raise ValueError("fields must share a grid")
     fb = lp_fields(f)
     gb = lp_fields(g)
-    low_high = np.zeros_like(f.values)
-    high_low = np.zeros_like(f.values)
-    resonant = np.zeros_like(f.values)
+    low_high, high_low, resonant = np.zeros((3,) + grid_of(f))
     for i, fi in fb:
         for j, gj in gb:
-            prod = fi.values * gj.values
+            prod = fi * gj
             if i <= j - 2:
                 low_high += prod
             elif j <= i - 2:
                 high_low += prod
             else:
                 resonant += prod
-    return PeriodicField(low_high), PeriodicField(high_low), PeriodicField(resonant)
+    return low_high, high_low, resonant

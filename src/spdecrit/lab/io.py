@@ -10,50 +10,71 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..report import atomic_write, serialize_envelope
-from .fields import PeriodicField, Trajectory
+from .fields import _check_shape
 
 MAGIC = b"SPDF"
 VERSION = 1
 
 
-def field_to_bytes(field: PeriodicField) -> bytes:
-    header = MAGIC + struct.pack("<II", VERSION, field.dim)
-    header += struct.pack(f"<{field.dim}I", *field.grid_shape)
-    body = field.values.astype("<f8").tobytes(order="C")
+class Snapshot(NamedTuple):
+    """A snapshot as read back: its samples and the grid they lie on."""
+
+    values: np.ndarray
+    grid_shape: Tuple[int, ...]
+
+
+class Trajectory(NamedTuple):
+    """The record of a trajectory directory: its step dt, its sample
+    times and one array of sample values per time, as written; read
+    back, one Snapshot per time."""
+
+    dt: float
+    times: Sequence[float]
+    fields: Iterable
+
+
+def field_to_bytes(values: np.ndarray) -> bytes:
+    header = MAGIC + struct.pack("<II", VERSION, values.ndim)
+    header += struct.pack(f"<{values.ndim}I", *values.shape)
+    body = values.astype("<f8").tobytes(order="C")
     return header + body
 
 
-def write_field(field: PeriodicField, path) -> None:
-    atomic_write(Path(path), field_to_bytes(field))
+def write_field(values: np.ndarray, path) -> None:
+    atomic_write(Path(path), field_to_bytes(values))
 
 
-def read_field(path) -> PeriodicField:
+def read_field(path) -> Snapshot:
+    """The snapshot at path; ValueError, naming the path, for any file
+    that write_field does not write."""
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a field snapshot (bad magic)")
-    version, dim = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    shape = struct.unpack_from(f"<{dim}I", raw, 12)
-    offset = 12 + 4 * dim
-    count = int(np.prod(shape))
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-    return PeriodicField(values.copy())
+    try:
+        if raw[:4] != MAGIC:
+            raise ValueError("not a field snapshot (bad magic)")
+        version, dim = struct.unpack_from("<II", raw, 4)
+        if version != VERSION:
+            raise ValueError(f"unsupported snapshot version {version}")
+        shape = struct.unpack_from(f"<{dim}I", raw, 12)
+        _check_shape(dim, shape)
+        values = np.frombuffer(raw, dtype="<f8", offset=12 + 4 * dim).reshape(shape)
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Snapshot(values.copy(), shape)
 
 
 def write_trajectory(traj: Trajectory, directory, seed: Optional[int] = None) -> None:
-    """One snapshot per field, as the fields come, and a manifest whose n is their first axis's points."""
+    """One snapshot per array of values, as the arrays come, and a manifest whose n is their first axis's points."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n = None
-    for idx, field in enumerate(traj.fields):
-        write_field(field, directory / f"field_{idx:05d}.spdf")
-        n = field.grid_shape[0]
+    for idx, values in enumerate(traj.fields):
+        write_field(values, directory / f"field_{idx:05d}.spdf")
+        n = values.shape[0]
     manifest = {
         "dt": traj.dt,
         "times": [float(t) for t in traj.times],

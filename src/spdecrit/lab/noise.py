@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .fields import PeriodicField, _check_shape, mode_magnitudes, white_half_spectrum
+from .fields import _check_shape, mode_magnitudes, white_half_spectrum
 
 # Bytes of Gaussians one solve draws at once, over all its members.  Each
 # step needs one float per grid point, so short grids draw many steps per
@@ -25,11 +25,11 @@ from .fields import PeriodicField, _check_shape, mode_magnitudes, white_half_spe
 DRAW_BATCH_BYTES = 1 << 18
 
 
-def sample_spatial_white(dim: int, grid_shape: Tuple[int, ...], seed: int) -> PeriodicField:
-    """Spatially white Gaussian field: flat unit spectrum, zero-mode included."""
+def sample_spatial_white(dim: int, grid_shape: Tuple[int, ...], seed: int) -> np.ndarray:
+    """Half spectrum of a spatially white Gaussian field: flat unit spectrum, zero-mode included."""
     _check_shape(dim, tuple(grid_shape))
     rng = np.random.default_rng(seed)
-    return PeriodicField.from_spectral(white_half_spectrum(rng.standard_normal(tuple(grid_shape)), dim))
+    return white_half_spectrum(rng.standard_normal(tuple(grid_shape)), dim)
 
 
 def _ou_factors(dim, grid_shape, dt, steps):

@@ -18,9 +18,12 @@ of two stored trajectories, the rescaling exponents and verdict in
 closed form from the spec alone, with the condition on d for
 exponents of any slope (the expansion assumes each falls with d), a
 spec's canonical text form, which the round-trip tests parse back, a
-document's JSON bytes without its timestamp, and `noise sample`'s
+document's JSON bytes without its timestamp, `noise sample`'s
 stride as it searched every divisor up to the square root of the
-steps, whatever the row budget.
+steps, whatever the row budget, both sides of the pairing
+inequality's sum-of-squares certificate, and the views of a field's
+samples that the lab does not keep: their half spectrum, the grid's
+cell volume and their L^q norm.
 """
 
 import json
@@ -43,9 +46,9 @@ from spdecrit.expansion import (
     _require_valid,
     _scaling_info,
 )
-from spdecrit.lab import BlowupError, PeriodicField, ResolutionError, lp_fields
+from spdecrit.lab import BlowupError, ResolutionError, lp_fields
 from spdecrit.lab import noise as ln
-from spdecrit.lab.fields import fit_window, mode_magnitudes, white_half_spectrum
+from spdecrit.lab.fields import fit_window, grid_of, mode_magnitudes, white_half_spectrum
 from spdecrit.lab.heat import BLOWUP_LIMIT, _l1_rows, _odd_check, _power, proof_inequality_gap
 from spdecrit.rules import noise_regularity
 
@@ -63,9 +66,27 @@ class SmoothTestFunction:
     laplacian: Callable
 
 
-def _grids(field: PeriodicField):
-    axes = [np.arange(n) * (2.0 * math.pi / n) for n in field.grid_shape]
-    return tuple(np.meshgrid(*axes, indexing="ij")) if field.dim > 1 else (axes[0],)
+def spectrum_of(values: np.ndarray) -> np.ndarray:
+    """Half spectrum of a field's samples: the forward transform divided
+    by the point count, the inverse of `values_of`."""
+    return np.fft.rfftn(values) / values.size
+
+
+def volume_element(grid_shape) -> float:
+    """Volume of one cell of a uniform grid on [0, 2pi)^dim."""
+    return (2.0 * math.pi) ** len(grid_shape) / math.prod(grid_shape)
+
+
+def lq_norm(values: np.ndarray, q: float) -> float:
+    """L^q norm over the torus of a field's samples; q = inf is their max."""
+    if q == math.inf:
+        return float(np.max(np.abs(values)))
+    return float((np.sum(np.abs(values) ** q) * volume_element(values.shape)) ** (1.0 / q))
+
+
+def _grids(grid_shape):
+    axes = [np.arange(n) * (2.0 * math.pi / n) for n in grid_shape]
+    return tuple(np.meshgrid(*axes, indexing="ij")) if len(grid_shape) > 1 else (axes[0],)
 
 
 def weak_residual(values: np.ndarray, dt: float, n: int, psi: SmoothTestFunction) -> float:
@@ -77,9 +98,8 @@ def weak_residual(values: np.ndarray, dt: float, n: int, psi: SmoothTestFunction
     integrals use the trapezoid rule.
     """
     _odd_check(n)
-    first = PeriodicField(values[0])
-    X = _grids(first)
-    dv = first.volume_element()
+    X = _grids(values.shape[1:])
+    dv = volume_element(values.shape[1:])
     times = np.arange(len(values)) * dt
 
     def space_int(a: np.ndarray) -> float:
@@ -105,12 +125,12 @@ def weak_residual(values: np.ndarray, dt: float, n: int, psi: SmoothTestFunction
     return abs(boundary - initial + time_integral)
 
 
-def power_difference_residual(u1: PeriodicField, u2: PeriodicField, n: int) -> float:
-    """Max norm of u1^n - u2^n minus its telescoping factorization."""
+def power_difference_residual(a: np.ndarray, b: np.ndarray, n: int) -> float:
+    """Max norm of a^n - b^n minus its telescoping factorization, for two
+    fields' samples."""
     _odd_check(n)
-    if u1.grid_shape != u2.grid_shape:
+    if a.shape != b.shape:
         raise ValueError("fields must share a grid")
-    a, b = u1.values, u2.values
     w = a - b
     series = np.zeros_like(a)
     for l in range(n):
@@ -118,21 +138,21 @@ def power_difference_residual(u1: PeriodicField, u2: PeriodicField, n: int) -> f
     return float(np.max(np.abs(a**n - b**n - w * series)))
 
 
-def littlewood_paley_blocks(f: PeriodicField) -> List[Tuple[int, float]]:
-    """(block index, sup norm of the block) for every resolved block."""
-    return [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f)]
+def littlewood_paley_blocks(coeffs: np.ndarray) -> List[Tuple[int, float]]:
+    """(block index, sup norm of the block) for every resolved block of
+    the field whose half spectrum is coeffs."""
+    return [(j, lq_norm(g, math.inf)) for j, g in lp_fields(coeffs)]
 
 
-def holder_quotient_exponent(f: PeriodicField, max_octaves: int = 6) -> float:
+def holder_quotient_exponent(vals: np.ndarray, max_octaves: int = 6) -> float:
     """Direct oracle: slope of log sup |f(x+h) - f(x)| against log h.
 
     Works on 1D fields only; lags run over dyadic multiples of the grid
     spacing.  Independent of any frequency-space machinery.
     """
-    if f.dim != 1:
+    if vals.ndim != 1:
         raise ValueError("quotient sampling is implemented for dim 1")
-    n = f.grid_shape[0]
-    vals = f.values
+    n = vals.shape[0]
     ks, ds = [], []
     for k in range(max_octaves):
         shift = 2**k
@@ -412,6 +432,37 @@ def inequality_sweep_oracle(powers, samples: int, seed: int) -> List[Tuple[float
     return out
 
 
+# the pairing certificate: for odd n >= 3,
+#   2 G_n(a, b) = (a + b)^2 * sum_{j=0}^{(n-3)/2} a^(n-3-2j) b^(2j),
+# where G_n is the gap of proof_inequality_gap; every summand is a square
+
+
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def pairing_certificate_sides(n: int) -> Tuple[List[int], List[int]]:
+    """Both sides of the certificate as integer coefficients of the
+    homogeneous polynomials of degree n - 1 in (a, b), indexed by the
+    power of b: 2 G_n from its definition, and the factored form."""
+    _odd_check(n)
+    left = [2] * n  # twice the sum of a^(n-1-l) b^l over l < n
+    left[0] -= 1  # minus a^(n-1)
+    left[-1] -= 1  # minus b^(n-1)
+    squares = [1 - k % 2 for k in range(n - 2)]  # a^(n-3-2j) b^(2j)
+    return left, _poly_mul([1, 2, 1], squares)
+
+
+def pairing_gap_factored(a: Fraction, b: Fraction, n: int) -> Fraction:
+    """G_n(a, b) from the certificate's factored form."""
+    _odd_check(n)
+    return (a + b) ** 2 * sum(a ** (n - 3 - 2 * j) * b ** (2 * j) for j in range((n - 1) // 2)) / 2
+
+
 def tychonov_residual_float_oracle(series, K: int, t_values, x_values) -> float:
     """Max of |g^(K+1)(t)| |x|^(2K) / (2K)! with (2K)! divided as a double."""
     fact = math.factorial(2 * K)
@@ -423,7 +474,7 @@ def tychonov_residual_float_oracle(series, K: int, t_values, x_values) -> float:
     return worst
 
 
-def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) -> List[np.ndarray]:
+def damped_heat_batch_oracle(u_ins: Sequence[np.ndarray], n: int, dt, steps) -> List[np.ndarray]:
     """The damped flow from 1D fields on one grid, each member's dt and
     steps one value for all or one per member, as a per-step march of the
     stacked members: new arrays every step, each member's row copied out
@@ -435,11 +486,11 @@ def damped_heat_batch_oracle(u_ins: Sequence[PeriodicField], n: int, dt, steps) 
     dts = [float(d) for d in np.broadcast_to(dt, (count,))]
     steps = np.broadcast_to(steps, (count,)).tolist()
     order = sorted(range(count), key=lambda i: -steps[i])
-    shape = u_ins[0].grid_shape
+    shape = u_ins[0].shape
     dt_rows = np.array([dts[i] for i in order]).reshape(count, 1)
     decay = np.exp(-(mode_magnitudes(shape) ** 2) * dt_rows).astype(np.complex128)
     rows = [np.empty((steps[i] + 1,) + shape) for i in order]
-    values = np.stack([u_ins[i].values for i in order])
+    values = np.stack([u_ins[i] for i in order])
     for out, v in zip(rows, values):
         out[0] = v
     marching = count
@@ -467,7 +518,7 @@ def l1_contraction_curve(values1: np.ndarray, values2: np.ndarray) -> np.ndarray
         raise ValueError("trajectories live on different grids")
     if len(values1) != len(values2):
         raise ValueError("trajectories must share their time grid")
-    return _l1_rows(values1 - values2, PeriodicField(values1[-1]).volume_element())
+    return _l1_rows(values1 - values2, volume_element(values1.shape[1:]))
 
 
 def subsample(values: np.ndarray, stride: int) -> np.ndarray:
@@ -489,7 +540,7 @@ def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
     dt_b = max(dt, 1.0e-3)
     steps_b = round(tmax / dt_b)
     coarse, fine, t1, t2, traj = damped_heat_batch_oracle(
-        [PeriodicField(_smooth_data(grid, k)) for k in (0, 0, 0, 1, 2)],
+        [_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)],
         n,
         [dt, dt / 2.0, dt_b, dt_b, dt_b],
         [steps, 2 * steps, steps_b, steps_b, steps_b],
@@ -524,10 +575,10 @@ def uniqueness_oracle(*, n: int, grid: int, tmax: float, dt: float) -> Dict:
     return _finish("uniqueness", checks)
 
 
-def holder_exponent_oracle(f: PeriodicField) -> float:
+def holder_exponent_oracle(coeffs: np.ndarray) -> float:
     """estimate_holder_exponent from every lp_fields block, built at once."""
-    js_fit = fit_window(f.grid_shape)
-    sups = [(j, g.lq_norm(math.inf)) for j, g in lp_fields(f) if j in js_fit]
+    js_fit = fit_window(grid_of(coeffs))
+    sups = [(j, lq_norm(g, math.inf)) for j, g in lp_fields(coeffs) if j in js_fit]
     window = [(j, s) for j, s in sups if s > 0]
     if len(window) < 2:
         raise ResolutionError("exponent-fit window is empty at this resolution")

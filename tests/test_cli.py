@@ -111,6 +111,35 @@ def test_analyze_malformed_file_exits_2(tmp_path, capsys):
     assert err.strip() != ""
 
 
+# a spec with a number at each of its seven numeric positions, and the
+# (line, column) of each; all defaults give a spec that analyzes
+_NUMBERS = (
+    "equation probe {{\n  dimension {};\n  unknown u: scalar;\n  diffusion order {};\n  aux_z1 order {};\n"
+    "  noise stwn lift {};\n  nonlinear {{ degree {}; inner_deriv {}, 0, 0; outer_deriv {}; }}\n}}\n"
+)
+_NUMBER_DEFAULTS = ("2", "2", "2", "0", "3", "0", "0")
+_NUMBER_PLACES = {
+    "dimension": (2, 13), "diffusion order": (4, 19), "aux_z1 order": (5, 16), "noise lift": (6, 19),
+    "degree": (7, 22), "inner order": (7, 37), "outer order": (7, 58),
+}
+
+
+@pytest.mark.parametrize("place", range(7), ids=list(_NUMBER_PLACES))
+def test_analyze_refuses_a_literal_past_the_digit_limit(tmp_path, capsys, place):
+    """int() converts at most 4,300 digits; one more is a syntax error at
+    the literal, not a traceback, and the digits are not echoed."""
+    numbers = list(_NUMBER_DEFAULTS)
+    numbers[place] = "9" * 4301
+    path = tmp_path / "big.spde"
+    path.write_text(_NUMBERS.format(*numbers))
+    code, out, err = run(capsys, "analyze", str(path))
+    line, column = list(_NUMBER_PLACES.values())[place]
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}:{column}: number of 4301 characters has too many digits\n"
+    path.write_text(_NUMBERS.format(*_NUMBER_DEFAULTS))
+    assert run(capsys, "analyze", str(path))[0] == 0
+
+
 def test_analyze_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "no_such_spec")
     assert code == 2
@@ -154,9 +183,19 @@ def test_noise_sample_writes_files(tmp_path, capsys):
         "--steps", "64", "--estimate", "--out", str(out_dir),
     )
     assert code == 0
-    assert "fitted exponent:" in out
+    assert out.splitlines()[0] == "fitted exponent: 0.5046"
     assert (out_dir / "manifest.json").exists()
     assert sorted(out_dir.glob("*.spdf"))
+
+
+def test_noise_sample_white_prints_its_fitted_exponent(tmp_path, capsys):
+    code, out, _ = run(
+        capsys,
+        "noise", "sample", "--kind", "white", "--dim", "1", "--grid", "512", "--seed", "42",
+        "--estimate", "--out", str(tmp_path / "white"),
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "fitted exponent: -0.3534"
 
 
 def test_noise_sample_repeats_identically(tmp_path, capsys):
@@ -724,8 +763,8 @@ def test_noise_sample_huge_step_count_writes_nine_rows(tmp_path, capsys):
 def test_noise_sample_solves_one_exact_step_per_written_row(tmp_path, capsys, monkeypatch, dim, grid, steps, stride):
     import numpy as np
 
-    from spdecrit.lab import PeriodicField
     from spdecrit.lab import io as lio
+    from spdecrit.lab import values_of
     from spdecrit.lab import noise as ln
 
     solves = []
@@ -745,7 +784,7 @@ def test_noise_sample_solves_one_exact_step_per_written_row(tmp_path, capsys, mo
     assert solves == [(int(dim), shape, 2.5e-3 * stride, int(steps) // stride, 5)]
     want = solve(int(dim), shape, 2.5e-3 * stride, int(steps) // stride, 5)
     got = lio.read_trajectory(out_dir)
-    want_values = [PeriodicField.from_spectral(row).values for row in want]
+    want_values = [values_of(row) for row in want]
     assert np.array_equal(np.stack([f.values for f in got.fields]), np.stack(want_values))
     # times and dt as a march at 2.5e-3 thinned to every stride-th row has them
     assert got.times.tolist() == (np.arange(int(steps) + 1) * 2.5e-3)[::stride].tolist()

@@ -26,7 +26,7 @@ API = {
         "CriticalityReport", "ProductTerm", "expand", "renormalization_flags",
     ),
     "spdecrit.lab": (
-        "PeriodicField", "Trajectory", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
+        "Trajectory", "values_of", "ResolutionError", "synthetic_field", "white_half_spectrum", "lp_fields",
         "fit_window", "estimate_holder_exponent", "bony_decompose",
         "sample_spatial_white", "solve_z1_mild", "solve_z1_mild_batch",
         "BlowupError", "steklov_average", "proof_inequality_gap", "proof_inequality_gap_exact",

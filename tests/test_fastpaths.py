@@ -20,14 +20,16 @@ from oracles import (
     holder_exponent_oracle,
     inequality_sweep_oracle,
     l1_contraction_curve,
+    spectrum_of,
     tychonov_poly_table_oracle,
     tychonov_residual_float_oracle,
     uniqueness_oracle,
+    volume_element,
     z1_batch_per_member_oracle,
 )
 
 from spdecrit import suites
-from spdecrit.lab import BlowupError, PeriodicField
+from spdecrit.lab import BlowupError, values_of
 from spdecrit.lab import fields as lf
 from spdecrit.lab import heat as lh
 from spdecrit.lab import noise as ln
@@ -124,12 +126,12 @@ def steklov_oracle(rows, r):
 
 
 def lq_lq_oracle(rows, dt, q):
-    dv = PeriodicField(rows[0]).volume_element()
+    dv = volume_element(rows[0].shape)
     return sum(float(np.sum(np.abs(v) ** q)) * dv * dt for v in rows) ** (1.0 / q)
 
 
 def l1_oracle(rows1, rows2):
-    dv = PeriodicField(rows1[0]).volume_element()
+    dv = volume_element(rows1[0].shape)
     return np.array([float(np.sum(np.abs(a - b)) * dv) for a, b in zip(rows1, rows2)])
 
 
@@ -213,7 +215,7 @@ def test_z1_solve_matches_per_step_loop(shape, steps, seed, dt, batch_bytes):
     coeffs, values = z1_oracle(len(shape), shape, dt, steps, seed)
     assert same_bits(rows, np.stack(coeffs))
     for row, want in zip(rows, values):
-        assert same_bits(PeriodicField.from_spectral(row).values, want)
+        assert same_bits(values_of(row), want)
 
 
 def test_z1_batched_draws_span_several_batches():
@@ -237,7 +239,7 @@ def test_z1_batch_matches_separate_solves(shape, steps, member_seeds, batch_byte
     for got, want in zip(batch, alone):
         assert same_bits(got, want)
         for row, want_row in zip(got, want):
-            assert same_bits(PeriodicField.from_spectral(row).values, PeriodicField.from_spectral(want_row).values)
+            assert same_bits(values_of(row), values_of(want_row))
 
 
 # three members of 32 points draw 341 steps per batch and of 16 x 8
@@ -292,7 +294,7 @@ def test_exponent_fit_holds_one_block_at_a_time():
     building every lp_fields block first took 14."""
     f = lf.synthetic_field(2, (256, 256), 0.5, 3)
     lf.estimate_holder_exponent(lf.synthetic_field(2, (64, 64), 0.5, 3))  # caches filled outside the trace
-    assert traced_peak(lambda: lf.estimate_holder_exponent(f)) < 5 * f.spectral.nbytes
+    assert traced_peak(lambda: lf.estimate_holder_exponent(f)) < 5 * f.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +325,7 @@ def test_white_half_spectrum_is_exactly_hermitian(shape, seed, lead):
 @given(st.sampled_from([(4,), (64,), (8, 8), (16, 4)]), seeds)
 def test_white_half_spectrum_round_trips(shape, seed):
     c = white_half_spectrum(np.random.default_rng(seed).standard_normal(shape), len(shape))
-    field = PeriodicField.from_spectral(c)
-    again = PeriodicField(field.values).spectral
+    again = spectrum_of(values_of(c))
     assert np.max(np.abs(again - c)) <= 1e-12
 
 
@@ -493,10 +494,10 @@ def flow_examples(test):
 )
 def test_blocked_march_matches_stacked_loop(shape, seed, n, runs):
     runs = sorted(runs, key=lambda run: -run[1])
-    data = [PeriodicField(smooth_values(shape, seed + i, peak=0.5 + 0.1 * i)) for i in range(len(runs))]
+    data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(runs))]
     dts, steps = map(list, zip(*runs))
     want = damped_heat_batch_oracle(data, n, dts, steps)
-    assert_march_rows(np.stack([u.values for u in data]), n, dts, steps, want)
+    assert_march_rows(np.stack(data), n, dts, steps, want)
 
 
 @pytest.mark.parametrize("hidden", [1, lh._BLOCK - 2, lh._BLOCK - 1, lh._BLOCK, 2 * lh._BLOCK + 3])
@@ -509,7 +510,7 @@ def test_blowup_inside_a_block_names_the_loops_step(hidden):
     big, nan = np.full(16, 2.0e6), np.full(16, np.nan)
     steps = [3 * lh._BLOCK, hidden]
     with pytest.raises(BlowupError) as want:
-        damped_heat_batch_oracle([PeriodicField(big), PeriodicField(nan)], 3, 1.0e-20, steps)
+        damped_heat_batch_oracle([big, nan], 3, 1.0e-20, steps)
     state = np.geterr()
     with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as got:
         warnings.simplefilter("always")
@@ -584,7 +585,7 @@ def test_l1_contraction_curve_matches_field_loop(shape, seed, length):
 def test_l1_curve_on_batched_members():
     # the curve of two members of one march, block by block as the suite reduces it
     data = [smooth_values((128,), s) for s in (1, 2)]
-    dv = PeriodicField(data[0]).volume_element()
+    dv = volume_element(data[0].shape)
     got = [lh._l1_rows(rows[:, 0] - rows[:, 1], dv) for _, rows in lh._march(np.stack(data), 3, [1e-3] * 2, [300] * 2)]
     want = l1_oracle(heat_oracle(data[0], 3, 1e-3, 300), heat_oracle(data[1], 3, 1e-3, 300))
     assert same_bits(np.concatenate(got), want)

@@ -40,6 +40,8 @@ SUITES = {
 SAMPLES = {
     "sample_1d": ["--dim", "1", "--grid", "256", "--seed", "4", "--steps", "32"],
     "sample_2d": ["--dim", "2", "--grid", "32", "--seed", "5", "--steps", "100"],
+    "white_1d": ["--kind", "white", "--dim", "1", "--grid", "256", "--seed", "6"],
+    "white_2d": ["--kind", "white", "--dim", "2", "--grid", "32", "--seed", "7"],
 }
 GOLDEN = {
     "inequality": "0789983f9310dffdf6b10bac1891d02d402dfd871133cc1c4f2b15bf37bd2ab2",
@@ -51,6 +53,8 @@ GOLDEN = {
     "bony": "0b8968526bc8dc02f9f3346fe91a8d71423c929d6211105a37afb1a96a68d878",
     "sample_1d": "cdabe80c46ed8cacd9076192970fcd20919778610609607e6880610dca10b527",
     "sample_2d": "48cc33e7952c9dfcf3c21b31945ef00bfa022a4feaaf30e4c42eccfcef375e74",
+    "white_1d": "b022b0a8ec17ccc1c676823d1ca23c6b1354a21f3821fdce6bc1cdcd935891d6",
+    "white_2d": "f5d9120c20d41c091158e86b5cfe8d32c4fb02c055518e337dae9cace50443ee",
 }
 
 

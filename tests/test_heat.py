@@ -11,13 +11,15 @@ from oracles import (
     SmoothTestFunction,
     damped_heat_batch_oracle,
     l1_contraction_curve,
+    lq_norm,
+    pairing_certificate_sides,
+    pairing_gap_factored,
     power_difference_residual,
     subsample,
     weak_residual,
 )
 from spdecrit.lab import (
     BlowupError,
-    PeriodicField,
     proof_inequality_gap,
     proof_inequality_gap_exact,
     steklov_average,
@@ -31,12 +33,12 @@ def grid(n=256):
 
 def smooth_field(n=256):
     x = grid(n)
-    return PeriodicField(np.sin(x) + 0.5 * np.cos(2 * x))
+    return np.sin(x) + 0.5 * np.cos(2 * x)
 
 
 def stack(*fields):
     """Fields' values as the (members, points) stack a march takes."""
-    return np.stack([f.values for f in fields])
+    return np.stack(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,7 @@ def stack(*fields):
 
 
 def test_zero_data_stays_zero():
-    (traj,) = damped_heat_batch_oracle([PeriodicField(np.zeros(64))], 3, 1e-3, 100)
+    (traj,) = damped_heat_batch_oracle([np.zeros(64)], 3, 1e-3, 100)
     assert all(np.max(np.abs(row)) == 0.0 for row in traj)
 
 
@@ -54,7 +56,7 @@ def test_constant_data_tracks_ode(n, c):
     """Spatially constant data reduces the flow to u' = -u^n, whose
     solution is c (1 + (n-1) c^(n-1) t)^(-1/(n-1))."""
     dt, T = 1e-4, 1.0
-    (traj,) = damped_heat_batch_oracle([PeriodicField(np.full(32, c))], n, dt, round(T / dt))
+    (traj,) = damped_heat_batch_oracle([np.full(32, c)], n, dt, round(T / dt))
     exact = c * (1.0 + (n - 1) * c ** (n - 1) * T) ** (-1.0 / (n - 1))
     assert abs(traj[-1][0] - exact) < 1e-3
 
@@ -90,7 +92,7 @@ def test_batch_needs_whole_steps_for_every_member(steps):
 
 
 def test_unstable_step_rejected():
-    big = PeriodicField(np.full(32, 100.0))
+    big = np.full(32, 100.0)
     with pytest.raises(ValueError):
         _checked(stack(big), 3, [1e-3], [10])
 
@@ -105,10 +107,10 @@ def test_unstable_step_rejected():
 def test_data_whose_power_overflows_are_refused(peak, n, dt, steps):
     message = f"max|u|^n overflows a double: max|u| = {peak:.3g}, n = {n}"
     with pytest.raises(ValueError) as info:
-        _checked(stack(PeriodicField(np.full(16, peak))), n, [dt], [steps])
+        _checked(stack(np.full(16, peak)), n, [dt], [steps])
     assert str(info.value) == message
     with pytest.raises(ValueError, match=r"max\|u\|\^n overflows"):
-        _checked(stack(smooth_field(16), PeriodicField(np.full(16, -peak))), n, [dt, dt], [steps, steps])
+        _checked(stack(smooth_field(16), np.full(16, -peak)), n, [dt, dt], [steps, steps])
 
 
 def test_negation_is_a_symmetry_of_the_odd_flow():
@@ -117,8 +119,8 @@ def test_negation_is_a_symmetry_of_the_odd_flow():
     never do here is flip the damping into growth; that distinction is
     what the quadratic divergence-form equations lack."""
     x = grid(128)
-    asym = PeriodicField(np.sin(x) + 0.3 * np.cos(3 * x) ** 2)
-    fwd, neg = damped_heat_batch_oracle([asym, PeriodicField(-asym.values)], 3, 1e-3, 200)
+    asym = np.sin(x) + 0.3 * np.cos(3 * x) ** 2
+    fwd, neg = damped_heat_batch_oracle([asym, -asym], 3, 1e-3, 200)
     # exact up to FFT roundoff (the library's kernels are not sign-bitwise)
     assert np.allclose(neg[-1], -fwd[-1], atol=1e-13)
 
@@ -128,21 +130,21 @@ def test_damping_cannot_be_flipped_by_negation():
     sign of the data: the nonlinearity's sign survives u -> -u."""
     u = smooth_field(128)
     dt = 1e-3
-    damped = u.values - dt * u.values**3
-    anti = u.values + dt * u.values**3
+    damped = u - dt * u**3
+    anti = u + dt * u**3
     assert np.max(np.abs(damped - anti)) > 1e-4
-    neg_damped = -u.values - dt * (-u.values) ** 3
+    neg_damped = -u - dt * (-u) ** 3
     assert np.array_equal(neg_damped, -damped)  # negation reproduces damping, never growth
 
 
 def test_blowup_guard():
     # data already beyond the runaway limit passes the step-size guard
     # with a tiny dt but trips the in-flight check immediately
-    u = PeriodicField(np.full(16, 2.0e6))
+    u = np.full(16, 2.0e6)
     with pytest.raises(BlowupError):
         damped_heat_batch_oracle([u], 3, 1.0e-14, 3)
     with pytest.raises(BlowupError):
-        next(_march(u.values[None], 3, [1.0e-14], [3]))
+        next(_march(u[None], 3, [1.0e-14], [3]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def test_weak_residual_zero_test_function():
 def test_weak_residual_rejects_nonsolutions():
     psi = make_psi()
     u0 = smooth_field()
-    frozen = np.stack([u0.values] * 1001)
+    frozen = np.stack([u0] * 1001)
     assert weak_residual(frozen, 1e-3, 3, psi) > 0.1
 
 
@@ -212,8 +214,8 @@ def test_steklov_contraction_random_series():
         for q in (1, 2, 3):
             for r in (1, 3, 7):
                 avg = steklov_average(vals, r)
-                lhs = sum(PeriodicField(row).lq_norm(q) ** q for row in avg)
-                rhs = sum(PeriodicField(row).lq_norm(q) ** q for row in vals)
+                lhs = sum(lq_norm(row, q) ** q for row in avg)
+                rhs = sum(lq_norm(row, q) ** q for row in vals)
                 assert lhs <= rhs + 1e-12
 
 
@@ -280,11 +282,42 @@ def test_gap_exact_nonnegative_higher_powers(a, b, n):
     assert proof_inequality_gap_exact(a, b, n) >= 0
 
 
+# every odd power that `verify inequality --n` accepts
+CLI_POWERS = range(3, 306, 2)
+
+
+def test_pairing_certificate_holds_at_every_cli_power():
+    """2 G_n = (a + b)^2 times a sum of squares, as integer polynomials:
+    so G_n >= 0 for every real pair, with equality only at a = -b."""
+    for n in CLI_POWERS:
+        left, right = pairing_certificate_sides(n)
+        assert left == right, n
+
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@given(rationals, rationals, st.sampled_from(CLI_POWERS))
+def test_gap_exact_equals_the_certificate(a, b, n):
+    assert proof_inequality_gap_exact(a, b, n) == pairing_gap_factored(a, b, n)
+
+
+@given(st.integers(-64, 64), st.integers(-64, 64), st.sampled_from(CLI_POWERS))
+def test_gap_tracks_the_certificate_in_floats(i, j, n):
+    """At multiples of 1/16 in [-4, 4], which floats hold exactly, the
+    float gap stays within roundoff of the certificate's exact value: n
+    roundings, each relative to a sum of n terms of size at most scale."""
+    a, b = i / 16, j / 16
+    exact = pairing_gap_factored(Fraction(i, 16), Fraction(j, 16), n)
+    scale = max(abs(a), abs(b), 1.0) ** (n - 1)
+    assert abs(Fraction(proof_inequality_gap(a, b, n)) - exact) <= 2 * n * n * 2.0**-52 * scale
+
+
 def test_power_difference_identity():
     a = smooth_field(128)
-    b = PeriodicField(np.roll(a.values, 7) * 0.9)
+    b = np.roll(a, 7) * 0.9
     assert power_difference_residual(a, a, 3) == 0.0
-    scale = max(a.lq_norm(math.inf), b.lq_norm(math.inf))
+    scale = max(lq_norm(a, math.inf), lq_norm(b, math.inf))
     assert power_difference_residual(a, b, 3) < 1e-10 * scale**3
     assert power_difference_residual(a, b, 9) < 1e-8 * scale**9
 
@@ -295,8 +328,8 @@ def test_power_difference_identity():
 
 def test_l1_distance_contracts():
     x = grid(128)
-    u1 = PeriodicField(np.sin(x))
-    u2 = PeriodicField(0.5 * np.cos(2 * x) + 0.1)
+    u1 = np.sin(x)
+    u2 = 0.5 * np.cos(2 * x) + 0.1
     t1, t2 = damped_heat_batch_oracle([u1, u2], 3, 1e-3, 500)
     curve = l1_contraction_curve(t1, t2)
     assert np.all(np.diff(curve) <= 1e-8)
@@ -304,7 +337,7 @@ def test_l1_distance_contracts():
 
 def test_l1_curve_against_zero_solution():
     x = grid(128)
-    pos = PeriodicField(0.6 + 0.5 * np.sin(x))
+    pos = 0.6 + 0.5 * np.sin(x)
     (traj,) = damped_heat_batch_oracle([pos], 3, 1e-3, 300)
     zero = np.zeros((len(traj), 128))
     curve = l1_contraction_curve(traj, zero)

@@ -1,38 +1,40 @@
 """Snapshot format round trips."""
 
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from spdecrit.lab import PeriodicField, Trajectory, sample_spatial_white, solve_z1_mild
+from spdecrit.lab import Trajectory, sample_spatial_white, solve_z1_mild, values_of
 from spdecrit.lab.io import MAGIC, field_to_bytes, read_field, read_trajectory, write_field, write_trajectory
 
 
 def z1_record(shape, steps, seed, dt=0.01):
-    """The record of a z1 solve: one field per row, at times 0, dt, ..."""
+    """The record of a z1 solve: one field's values per row, at times 0, dt, ..."""
     rows = solve_z1_mild(len(shape), shape, dt, steps, seed)
-    return Trajectory(dt, np.arange(steps + 1) * dt, [PeriodicField.from_spectral(row) for row in rows])
+    return Trajectory(dt, np.arange(steps + 1) * dt, [values_of(row) for row in rows])
 
 
 def test_field_round_trip(tmp_path):
-    f = sample_spatial_white(1, (64,), 5)
+    f = values_of(sample_spatial_white(1, (64,), 5))
     path = tmp_path / "f.spdf"
     write_field(f, path)
     g = read_field(path)
-    assert g.grid_shape == f.grid_shape
-    assert np.array_equal(g.values, f.values)
+    assert g.grid_shape == f.shape
+    assert np.array_equal(g.values, f)
 
 
 def test_field_round_trip_2d(tmp_path):
-    f = sample_spatial_white(2, (16, 16), 6)
+    f = values_of(sample_spatial_white(2, (16, 16), 6))
     write_field(f, tmp_path / "f.spdf")
     g = read_field(tmp_path / "f.spdf")
-    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(g.values, f)
 
 
 def test_header_layout():
-    f = sample_spatial_white(1, (16,), 7)
+    f = values_of(sample_spatial_white(1, (16,), 7))
     raw = field_to_bytes(f)
     assert raw[:4] == MAGIC
     assert int.from_bytes(raw[4:8], "little") == 1  # version
@@ -48,6 +50,34 @@ def test_bad_magic_rejected(tmp_path):
         read_field(path)
 
 
+def _snapshot(shape):
+    """A snapshot of zeros on shape, laid out by hand."""
+    return MAGIC + struct.pack(f"<II{len(shape)}I", 1, len(shape), *shape) + bytes(8 * int(np.prod(shape)))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        MAGIC + struct.pack("<II", 1, 1000),  # cut off after its header, before the extents
+        _snapshot((16,))[:-8],  # one sample short
+    ],
+    ids=["no extents", "short body"],
+)
+def test_a_cut_off_snapshot_is_refused_by_name(tmp_path, raw):
+    path = tmp_path / "cut.spdf"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        read_field(path)
+
+
+@pytest.mark.parametrize("shape", [(3,), (6,), (4, 4, 4)])
+def test_a_snapshot_off_the_lab_grids_is_refused(tmp_path, shape):
+    path = tmp_path / "odd.spdf"
+    path.write_bytes(_snapshot(shape))
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
 def test_trajectory_round_trip(tmp_path):
     traj = z1_record((32,), 5, seed=9)
     write_trajectory(traj, tmp_path / "run", seed=9)
@@ -55,7 +85,7 @@ def test_trajectory_round_trip(tmp_path):
     assert back.dt == traj.dt
     assert len(back.fields) == len(traj.fields)
     for a, b in zip(back.fields, traj.fields):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, b)
 
 
 def test_writes_are_deterministic(tmp_path):
@@ -76,7 +106,7 @@ def test_manifest_n_is_the_trajectory_grid(tmp_path, shape):
 
 def test_manifest_n_of_fields_written_one_at_a_time(tmp_path):
     rows = solve_z1_mild(2, (16, 8), 0.01, 2, seed=3)
-    write_trajectory(Trajectory(0.01, [0.0, 0.01, 0.02], map(PeriodicField.from_spectral, rows)), tmp_path / "run")
+    write_trajectory(Trajectory(0.01, [0.0, 0.01, 0.02], map(values_of, rows)), tmp_path / "run")
     assert json.loads((tmp_path / "run" / "manifest.json").read_text())["n"] == 16
     assert len(read_trajectory(tmp_path / "run").fields) == 3
 
@@ -104,6 +134,6 @@ def test_read_refuses_times_not_uniformly_spaced(tmp_path):
 
 def test_read_refuses_snapshots_on_two_grids(tmp_path):
     write_trajectory(z1_record((32,), 5, seed=9), tmp_path / "run", seed=9)
-    write_field(sample_spatial_white(1, (64,), 1), tmp_path / "run" / "field_00002.spdf")
+    write_field(values_of(sample_spatial_white(1, (64,), 1)), tmp_path / "run" / "field_00002.spdf")
     with pytest.raises(ValueError, match="more than one grid"):
         read_trajectory(tmp_path / "run")
