@@ -67,14 +67,28 @@ load_bundled_spec, parse_spec, validate_spec, expand = map(
 )
 
 
+# the most characters of a refused value that an error quotes: a longer
+# one is named by its length, as a spec literal is, and a reason that
+# long, which quotes it again as Python's literal errors do, is left out
+_QUOTED = 200
+
+
+def _quoted(text: str) -> str:
+    return repr(text) if len(text) <= _QUOTED else f"<{len(text)} characters>"
+
+
+def _why(exc: Exception) -> str:
+    return str(exc) if len(str(exc)) <= _QUOTED else "not a value it reads"
+
+
 def _env_seed() -> int:
     raw = os.environ.get("SPDECRIT_SEED", "0")
     try:
         seed = int(raw)
     except ValueError:
-        raise InputError(f"SPDECRIT_SEED must be an integer, got {raw!r}")
+        raise InputError(f"SPDECRIT_SEED must be an integer, got {_quoted(raw)}")
     if seed < 0:
-        raise InputError(f"SPDECRIT_SEED must not be negative, got {raw!r}")
+        raise InputError(f"SPDECRIT_SEED must not be negative, got {_quoted(raw)}")
     return seed
 
 
@@ -198,7 +212,7 @@ def _convert(table: dict, given: dict) -> dict:
         try:
             values[name] = convert(given[name])
         except ValueError as exc:
-            raise InputError(f"--{name} {given[name]!r}: {exc}") from None
+            raise InputError(f"--{name} {_quoted(given[name])}: {_why(exc)}") from None
     return values
 
 
@@ -227,11 +241,11 @@ def _apply_params(spec, params):
     for item in params or ():
         key, _, value = item.partition("=")
         if key not in known or not value:
-            raise InputError(f"--param expects k=v with k in {sorted(known)}, got {item!r}")
+            raise InputError(f"--param expects k=v with k in {sorted(known)}, got {_quoted(item)}")
         try:
             kwargs[key] = int(value) if key == "n" else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"--param {item!r}: {exc}")
+            raise InputError(f"--param {_quoted(item)}: {_why(exc)}")
     return spec.with_overrides(**kwargs) if kwargs else spec
 
 

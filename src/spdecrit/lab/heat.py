@@ -40,9 +40,8 @@ def _power(x, k: int):
 
 
 def _checked(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int]):
-    """The checks of a march of values, a (members, points) stack as
-    _march takes it, one step size and step count per member, which run
-    in the members' order."""
+    """The checks of a march of values, a (members, points) stack, one
+    step size and step count per member."""
     _odd_check(n)
     if not all(0 < d < math.inf for d in dts) or not all(isinstance(s, int) and s >= 1 for s in steps):
         raise ValueError("need 0 < dt < inf and whole steps >= 1")
@@ -56,76 +55,69 @@ def _checked(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[i
             raise ValueError(f"unstable step: dt * max|u|^(n-1) = {d * peak ** (n - 1):.3g} >= 0.5")
 
 
-# steps per block of the march: the guard runs once per block, and a
+# rows per block of the march: the guard runs once per block, and a
 # block of a few members on a 1D grid stays within a core's cache
 _BLOCK = 128
 
 
-def _march(values: np.ndarray, n: int, dts: Sequence[float], steps: Sequence[int]):
-    """March a stack of 1D fields in place; yield (first, rows) per block.
+def _march(values: np.ndarray, n: int, dts: Sequence[float], start: int, stop: int):
+    """March a stack of 1D fields in lockstep, in place, from row start
+    to row stop; yield the rows block by block.
 
-    values is (members, points), its members ordered by nonincreasing
-    steps, and dts and steps are the members' checked step sizes and
-    counts.  rows[j, i] is member i at step first + j while that step
-    is at most steps[i]; later rows of a finished member hold nothing.
-    The first block starts at step 0 with the data.  rows is a view of
-    one buffer that the next block overwrites, so read it before asking
-    for the next.  The first step of a block at which a marching
-    member's values exceed BLOWUP_LIMIT raises BlowupError naming it,
-    before the block is yielded.  A block may step on past that step, so
-    overflow and invalid values do not warn while a block is computed.
+    values is (members, points) and dts the members' checked step sizes.
+    Each row steps every member once, then member 0 alone once more, so
+    row k holds member 0 at step 2k and the others at step k.  A block
+    is a view of at most _BLOCK rows of one buffer that the next block
+    overwrites, so read it before asking for the next; values holds the
+    last row yielded.  The first row of a block with a value that is not
+    finite or exceeds BLOWUP_LIMIT raises BlowupError naming it, before
+    the block is yielded; a NaN or infinity at an odd step of member 0
+    reaches the next row through the transforms.  A block may step on
+    past that row, so overflow and invalid values do not warn while a
+    block is computed.
     """
     count, points = values.shape
     dt_rows = np.array(dts).reshape(count, 1)
     # complex already, as numpy would cast it for the product every step
     decay = np.exp(-(mode_magnitudes((points,)) ** 2) * dt_rows).astype(np.complex128)
-    total = steps[0] + 1  # rows, the data's included
-    block = np.empty((min(_BLOCK, total),) + values.shape)
+    block = np.empty((min(_BLOCK, stop - start),) + values.shape)
     work = np.empty_like(values)
     spectrum = np.empty_like(decay)
-    last = np.array(steps)
     # rfft's and irfft's bits without numpy's per-call wrappers: at a few
     # rows of a 1D grid a step costs what its calls into numpy cost
     forward, inverse = real_fft_pair(points)
     # dt as whole rows: the same products, without a broadcast, which
     # doubles the cost of the call
     dt_values = np.broadcast_to(dt_rows, values.shape).copy()
-    block[0] = values
-    # the views of the members still marching, bound again only when one
-    # finishes; at first every member marches
-    marching = count
-    w, s, dt_m, decay_m, row = work, spectrum, dt_values, decay, list(block)
-    for first in range(0, total, len(block)):
-        size = min(len(block), total - first)
+    # the buffers of a step of the whole stack, and of member 0 alone
+    stacked = work, spectrum, dt_values, decay
+    single = work[:1], spectrum[:1], dt_values[:1], decay[:1]
+
+    def step(v, out, w, s, dt, e):
+        np.multiply(v, v, w)
+        for _ in range(n - 2):
+            np.multiply(w, v, w)
+        np.multiply(dt, w, w)
+        np.subtract(v, w, w)
+        forward(w, s)
+        np.multiply(e, s, s)
+        inverse(s, out)
+
+    for first in range(start + 1, stop + 1, _BLOCK):
+        rows = block[: min(_BLOCK, stop + 1 - first)]
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1 if first == 0 else 0, size):
-                k = first + j - 1  # the step from k to k + 1
-                if steps[marching - 1] <= k:
-                    marching = sum(last_step > k for last_step in steps)
-                    w, s, dt_m, decay_m = work[:marching], spectrum[:marching], dt_values[:marching], decay[:marching]
-                    row = [r[:marching] for r in block]
-                # at j = 0 the step before is the last row of the block
-                # before, which was full
-                v = row[j - 1]
-                np.multiply(v, v, w)
-                for _ in range(n - 2):
-                    np.multiply(w, v, w)
-                np.multiply(dt_m, w, w)
-                np.subtract(v, w, w)
-                forward(w, s)
-                np.multiply(decay_m, s, s)
-                inverse(s, row[j])
-        rows = block[:size]
-        # one guard per block: max|u| of each member at each step, over
-        # the members marching into that step (a NaN hides the step, as
-        # numpy's max of the whole stack would)
-        peaks = np.maximum(np.max(rows, axis=2), -np.min(rows, axis=2))
-        step = np.arange(first, first + size)[:, None]
-        live = (step >= 1) & (step <= last)
-        over = np.max(np.where(live, peaks, 0.0), axis=1) > BLOWUP_LIMIT
+            v = values
+            for row, head in zip(rows, rows[:, :1]):
+                step(v, row, *stacked)
+                step(head, head, *single)
+                v = row
+        # one guard per block: max|u| over the members at each row
+        peaks = np.maximum(np.max(rows, axis=(1, 2)), -np.min(rows, axis=(1, 2)))
+        over = ~(peaks <= BLOWUP_LIMIT)  # NaN compares false
         if over.any():
             raise BlowupError(f"field exceeded {BLOWUP_LIMIT:g} at step {first + int(np.argmax(over))}")
-        yield first, rows
+        values[...] = rows[-1]
+        yield rows
 
 
 def steklov_average(values: np.ndarray, r: int) -> np.ndarray:

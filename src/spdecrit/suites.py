@@ -9,6 +9,7 @@ the suite tables of `spdecrit.cli`; a runner's `InputError` names its flags.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List
@@ -117,9 +118,9 @@ def _smooth_data(grid: int, kind: int = 0) -> np.ndarray:
 
 # steps of the longest march, the dt/2 run: 25 times the default's 2 x 10,000
 _UNIQUENESS_BUDGET = 500_000
-# grid points of the rows the ring, the march's block and its stack keep:
-# 25 times the default's 5,893 rows of 256 points (12 MB)
-_UNIQUENESS_POINTS_BUDGET = 25 * 5_893 * 256
+# grid points of the rows the march's block and its data keep: 25 times
+# the default's 645 rows of 256 points (1.3 MB)
+_UNIQUENESS_POINTS_BUDGET = 25 * 645 * 256
 
 
 def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Dict:
@@ -129,9 +130,7 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     check_budget(f"--tmax {tmax!r} --dt {dt!r}", fine_steps, _UNIQUENESS_BUDGET,
                  f"the dt/2 run marches {fine_steps:g} steps")
     steps = round(tmax / dt)
-    # the ring's rows (see below), the march's block of five runs and their data
-    ring_rows = lh._BLOCK * (steps // (2 * lh._BLOCK) + 2)
-    kept = ring_rows + 5 * min(lh._BLOCK, 2 * steps + 1) + 5
+    kept = 5 * (min(lh._BLOCK, steps) + 1)  # a block of five runs' rows, and their data
     check_budget(f"--grid {grid} --tmax {tmax!r} --dt {dt!r}", kept * grid, _UNIQUENESS_POINTS_BUDGET,
                  f"the march keeps {kept} rows of {grid} points")
     # the contraction checks march at a coarser step of their own
@@ -139,43 +138,35 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     steps_b = round(tmax / dt_b)
     if steps_b < 1:  # dt_b >= dt, so steps >= steps_b
         raise InputError(f"--tmax {tmax!r} --dt {dt!r}: tmax={tmax!r} is shorter than one step of {dt_b!r}")
-    # five runs march as one stack: the same data at dt and at dt/2, and
+    # five runs march as one stack: the same data at dt/2 and at dt, and
     # three contraction runs at the coarser step
-    data = np.stack([_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)])
-    dts, counts = [dt, dt / 2.0, dt_b, dt_b, dt_b], [steps, 2 * steps, steps_b, steps_b, steps_b]
-    try:  # the step-size guard, on the data's peak
-        lh._checked(data, n, dts, counts)
+    stack = np.stack([_smooth_data(grid, k) for k in (0, 0, 0, 1, 2)])
+    dts = [dt / 2.0, dt, dt_b, dt_b, dt_b]
+    try:  # the step-size guard, on the data's peak; the dt/2 run passes where the dt run does
+        lh._checked(stack[1:], n, dts[1:], [steps, steps_b, steps_b, steps_b])
     except ValueError as exc:
         raise InputError(f"--n {n} --dt {dt!r}: {exc}") from None
-    # only the dt run's rows that the dt/2 run has not reached are kept,
-    # those from step first // 2 on: at most half of them and a block, in
-    # a ring of whole blocks, so no block's rows wrap; each block reduces
-    # the dt/2 run's even steps against them and the contraction runs to
-    # their curves
-    ring = np.empty((ring_rows, grid))
-    diff = np.empty(steps + 1)
-    curve = np.empty(steps_b + 1)
-    curve0 = np.empty(steps_b + 1)
+    # the march steps the dt/2 run twice per row, so each row holds every
+    # run at the dt run's time, and the contraction runs leave after
+    # steps_b rows.  Each block reduces to running values that carry
+    # across its edges: the worst gap of the dt and dt/2 runs, and each
+    # curve's last value
     dv = 2.0 * math.pi / grid
-    order = (1, 0, 2, 3, 4)  # the march takes the longest run first
-    for first, rows in lh._march(data[list(order)], n, [dts[i] for i in order], [counts[i] for i in order]):
-        size = min(len(rows), steps + 1 - first)
-        if size > 0:
-            at = first % len(ring)
-            ring[at : at + size] = rows[:size, 1]
-        # a block starts at an even step (_BLOCK is even), so its even
-        # rows are the dt/2 run at the dt run's steps k, k + 1, ...
-        k = first // 2
-        fine = rows[::2, 0]
-        at = k % len(ring)
-        diff[k : k + len(fine)] = lh._l1_rows(ring[at : at + len(fine)] - fine, dv)
-        size = min(len(rows), steps_b + 1 - first)
-        if size > 0:
-            curve[first : first + size] = lh._l1_rows(rows[:size, 2] - rows[:size, 3], dv)
+    worst = 0.0  # at the data, which the two runs share
+    distance = lh._l1_rows(stack[2:3] - stack[3:4], dv)[0]
+    norm = first_norm = lh._l1_rows(stack[4:5].copy(), dv)[0]
+    growth, monotone = -math.inf, True
+    marches = (lh._march(stack, n, dts, 0, steps_b), lh._march(stack[:2], n, dts[:2], steps_b, steps))
+    for rows in itertools.chain(*marches):
+        worst = max(worst, float(np.max(lh._l1_rows(rows[:, 1] - rows[:, 0], dv))))
+        if rows.shape[1] > 2:
+            curve = lh._l1_rows(rows[:, 2] - rows[:, 3], dv)
+            growth = max(growth, float(np.max(np.diff(curve, prepend=distance))))
             # the distance to the zero solution
-            curve0[first : first + size] = lh._l1_rows(rows[:size, 4].copy(), dv)
+            norms = lh._l1_rows(rows[:, 4].copy(), dv)
+            monotone = monotone and bool(np.all(np.diff(norms, prepend=norm) <= 1.0e-12))
+            distance, norm = curve[-1], norms[-1]
     checks = []
-    worst = float(np.max(diff))
     # the method is first order: above the reference step the bound scales
     tol = 1.0e-4 * max(1.0, dt / 1.0e-4)
     checks.append(
@@ -187,7 +178,6 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
         )
     )
 
-    growth = float(np.max(np.diff(curve)))
     checks.append(
         _check(
             "distinct data: L1 distance non-increasing",
@@ -200,8 +190,8 @@ def run_uniqueness(*, n: int, dim: int, grid: int, tmax: float, dt: float) -> Di
     checks.append(
         _check(
             "zero is a solution: ||u(t)||_L1 decreases",
-            bool(np.all(np.diff(curve0) <= 1.0e-12)),
-            value=float(curve0[-1] / curve0[0]),
+            monotone,
+            value=float(norm / first_norm),
             target="monotone",
         )
     )
@@ -277,6 +267,10 @@ def _lq_lq(values: np.ndarray, q: int, dt: float) -> float:
 # coefficients (~0.1 s and ~50 MB to build); four times that takes
 # ~0.6 s and ~180 MB at --alpha 2.
 _TYCHONOV_TABLE_BUDGET = 1_000_000
+# digits of the finite-difference check: 25 times the default's 120; it
+# needs 383 at --terms 100, and 13,583 (3.6 s) at --alpha 6 --terms 1
+# --region 0.1,0.2,-1,1
+_TYCHONOV_DIGITS_BUDGET = 3_000
 
 
 def _tychonov_table_size(alpha: int, terms: int) -> int:
@@ -316,21 +310,20 @@ def run_tychonov(*, alpha: int, terms: int, region) -> Dict:
     # Python floats: a numpy scalar would warn where a float series overflows
     t_grid = np.linspace(t0, t1, 5).tolist()
     x_grid = np.linspace(x0, x1, 5).tolist()
+    flags = f"--alpha {alpha} --terms {terms} --region {','.join(map(repr, region))}"
     # the float bounds first: one that overflows is an error before any mp work
     try:
         max_k = lt.tychonov_residual(series, terms, t_grid, x_grid)
         max_k10 = lt.tychonov_residual(series, terms + 10, t_grid, x_grid)
     except OverflowError:
-        region_text = ",".join(map(repr, region))
-        raise InputError(
-            f"--alpha {alpha} --terms {terms} --region {region_text}: the residual bound overflows a double"
-        ) from None
+        raise InputError(f"{flags}: the residual bound overflows a double") from None
 
     points = [(t, x) for t in t_grid for x in x_grid]
     analytic = [lt.analytic_heat_residual_mp(series, terms, t, x) for t, x in points]
     scale = max(abs(v) for v in analytic)
     # the smaller the residual, the finer the stencil and the more digits
     delta, dps = lt.fd_step_and_precision(scale)
+    check_budget(flags, dps, _TYCHONOV_DIGITS_BUDGET, f"the finite-difference check needs {dps} digits")
     fd = [lt.fd_heat_residual(series, terms, t, x, delta=delta, dps=dps) for t, x in points]
     worst = max(abs(a - b) for a, b in zip(analytic, fd))
     rel = float(worst / scale) if scale > 0 else 0.0

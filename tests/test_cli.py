@@ -949,6 +949,51 @@ def test_noise_sample_white_refuses_steps_and_dt(tmp_path, capsys, monkeypatch, 
     assert not out_dir.exists()
 
 
+_NINES = "9" * 5000
+_LIMIT = ": Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("analyze", "phi4", "--levels", _NINES), "--levels <5000 characters>" + _LIMIT),
+        (("analyze", "phi4", "--dim", _NINES), "--dim <5000 characters>" + _LIMIT),
+        (("analyze", "phi4", "--param", "n=" + _NINES), "--param <5002 characters>" + _LIMIT),
+        (("analyze", "sqg", "--param", "gamma=" + _NINES), "--param <5006 characters>" + _LIMIT),
+        (("analyze", "sqg", "--param", "gamma=1/" + _NINES), "--param <5008 characters>" + _LIMIT),
+        # Python's own reason quotes the value again, so it is left out
+        (("analyze", "sqg", "--param", "gamma=" + _NINES + "x"), "--param <5007 characters>: not a value it reads"),
+        (("analyze", "sqg", "--param", "x" + _NINES + "=1"),
+         "--param expects k=v with k in ['alpha', 'gamma', 'gamma1', 'n'], got <5003 characters>"),
+        (("verify", "inequality", "--n", _NINES), "--n <5000 characters>" + _LIMIT),
+        (("verify", "uniqueness", "--n", _NINES), "--n <5000 characters>" + _LIMIT),
+        (("verify", "noise", "--grid", _NINES), "--grid <5000 characters>" + _LIMIT),
+        (("verify", "noise", "--seed", _NINES), "--seed <5000 characters>" + _LIMIT),
+        (("verify", "tychonov", "--region", _NINES + "x,1,2,3"), "--region <5007 characters>: not a value it reads"),
+    ],
+    ids=["levels", "dim", "param-n", "param-gamma", "param-gamma-denominator", "param-gamma-literal", "param-key",
+         "inequality-n", "uniqueness-n", "noise-grid", "noise-seed", "tychonov-region"],
+)
+def test_a_long_flag_value_is_named_by_its_length(capsys, argv, message):
+    """A refused value of thousands of characters exits 2 naming its
+    length, as a spec literal does, not echoing every digit."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_long_config_value_or_seed_variable_is_named_by_its_length(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed {_NINES};\n")
+    code, out, err = run(capsys, "verify", "bony", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: --seed <5000 characters>{_LIMIT}\n")
+    monkeypatch.setenv("SPDECRIT_SEED", _NINES)
+    code, out, err = run(capsys, "verify", "bony")
+    assert (code, out, err) == (2, "", "error: SPDECRIT_SEED must be an integer, got <5000 characters>\n")
+    monkeypatch.setenv("SPDECRIT_SEED", "-" + _NINES[:4000])
+    code, out, err = run(capsys, "verify", "bony")
+    assert (code, out, err) == (2, "", "error: SPDECRIT_SEED must not be negative, got <4001 characters>\n")
+
+
 def test_noise_sample_white_still_runs_without_steps(tmp_path, capsys):
     code, out, _ = run(
         capsys, "noise", "sample", "--kind", "white", "--dim", "1", "--grid", "64", "--out", str(tmp_path / "w")
@@ -1195,6 +1240,26 @@ def test_tychonov_refuses_an_oversized_derivative_table_up_front(capsys):
     )
 
 
+@pytest.mark.parametrize("alpha,digits", [("6", 13583), ("8", 339299)])
+def test_tychonov_refuses_a_check_past_its_digit_budget_before_differencing(capsys, monkeypatch, alpha, digits):
+    """The finite-difference check grows its precision with the residual
+    it resolves: 13,583 digits once took 3.6 s at --alpha 6, and --alpha 8
+    ran for more than 20 s.  The refusal comes once the 120-digit
+    residual is known, before any stencil."""
+    from spdecrit.lab import tychonov as lt
+
+    calls = []
+    monkeypatch.setattr(lt, "fd_heat_residual", lambda *args, **kwargs: calls.append(args))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "tychonov", "--alpha", alpha, "--terms", "1", "--region", "0.1,0.2,-1,1")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, calls) == (2, "", [])
+    assert err == (
+        f"error: --alpha {alpha} --terms 1 --region 0.1,0.2,-1.0,1.0: the finite-difference check needs"
+        f" {digits} digits, over the budget of 3000\n"
+    )
+
+
 @pytest.mark.parametrize("n", ["307", "401"])
 def test_inequality_rejects_n_past_a_double_before_drawing(capsys, n):
     import warnings
@@ -1274,8 +1339,8 @@ def test_verify_uniqueness_refuses_a_grid_past_its_budget_before_allocating(tmp_
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        f"error: --grid {2**60} --tmax 1.0 --dt 0.0001: the march keeps 5893 rows of {2**60} points,"
-        " over the budget of 37715200\n"
+        f"error: --grid {2**60} --tmax 1.0 --dt 0.0001: the march keeps 645 rows of {2**60} points,"
+        " over the budget of 4128000\n"
     )
     assert not (tmp_path / "F").exists()
 

@@ -395,58 +395,74 @@ def test_real_fft_pair_matches_numpys_public_transforms(fft_pair_source, shape):
     assert same_bits(back, np.fft.irfft(c, n=n))
 
 
-def assert_march_rows(values, n, dts, steps, want):
-    """Run _march over the stack values, its members by nonincreasing
-    steps, and hold each block row by row against want[i], member i's
-    rows from step 0; every row of every member is compared once."""
-    done = 0
-    for first, rows in lh._march(values, n, dts, steps):
-        assert first == done
-        done += len(rows)
-        for i, member in enumerate(want):
-            size = min(len(rows), len(member) - first)
-            if size > 0:
-                assert same_bits(rows[:size, i], member[first : first + size])
-    assert done == len(want[0])
+def assert_march_rows(values, n, dts, rows, want, leave=None):
+    """March the stack values as the suite marches its own: every member
+    to row `leave` (default `rows`), then the first two on to `rows`.
+    Hold each block row by row against want[i], member i's rows from
+    step 0 at its own dt, of which row k keeps step 2k of member 0 and
+    step k of the others; every kept row is compared once, and values
+    ends at each member's last row."""
+    leave = rows if leave is None else leave
+    kept = [member[2::2] if i == 0 else member[1:] for i, member in enumerate(want)]
+    assert [len(k) for k in kept] == [rows if i < 2 else leave for i in range(len(want))]
+    values = values.copy()
+    got = [[] for _ in want]
+    for stack, start, stop in [(values, 0, leave), (values[:2], leave, rows)]:
+        for block in lh._march(stack, n, dts[: len(stack)], start, stop):
+            assert 1 <= len(block) <= lh._BLOCK
+            for i in range(len(stack)):
+                got[i].append(block[:, i].copy())
+    for i, k in enumerate(kept):
+        assert same_bits(np.concatenate(got[i]), k)
+        assert same_bits(values[i], k[-1])
+
+
+def own_steps(rows, leave, members):
+    """The steps of each member of a march of `rows` rows whose members
+    from 2 on leave after `leave`."""
+    return [2 * rows, rows, *[leave] * (members - 2)][:members]
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_damped_heat_march_is_the_same_on_either_fft_pair(fft_pair_source, n):
-    data = [smooth_values((256,), seed, peak=0.5 + 0.2 * seed) for seed in range(3)]
-    want = [np.stack(heat_oracle(u, n, 1e-3, steps)) for u, steps in zip(data, [40, 25, 7])]
-    assert_march_rows(np.stack(data), n, [1e-3] * 3, [40, 25, 7], want)
+    # two members across a block edge, two leaving inside the first block
+    data = [smooth_values((256,), seed, peak=0.5 + 0.2 * seed) for seed in range(4)]
+    steps = own_steps(lh._BLOCK + 1, 40, 4)
+    want = damped_heat_batch_oracle(data, n, 1e-3, steps)
+    assert_march_rows(np.stack(data), n, [1e-3] * 4, lh._BLOCK + 1, want, leave=40)
 
 
 @FAST
 @given(st.sampled_from([(16,), (64,)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
 def test_damped_heat_matches_per_step_loop(shape, seed, n, steps):
     u = smooth_values(shape, seed)
-    assert_march_rows(u[None], n, [1e-3], [steps], [np.stack(heat_oracle(u, n, 1e-3, steps))])
+    assert_march_rows(u[None], n, [1e-3], steps, [np.stack(heat_oracle(u, n, 1e-3, 2 * steps))])
 
 
 @FAST
 @given(st.sampled_from([(16,), (256,)]), seeds, st.integers(1, 4), st.integers(1, 30))
 def test_damped_heat_batch_matches_separate_runs(shape, seed, members, steps):
     data = [smooth_values(shape, seed + i, peak=0.5 + 0.2 * i) for i in range(members)]
-    want = [np.stack(heat_oracle(u, 3, 1e-3, steps)) for u in data]
-    assert_march_rows(np.stack(data), 3, [1e-3] * members, [steps] * members, want)
+    want = [np.stack(heat_oracle(u, 3, 1e-3, count)) for u, count in zip(data, own_steps(steps, steps, members))]
+    assert_march_rows(np.stack(data), 3, [1e-3] * members, steps, want)
 
 
 @FAST
 @given(
     st.sampled_from([(16,), (256,)]),
     seeds,
-    st.lists(st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3]), st.integers(1, 30)), min_size=1, max_size=5),
+    st.lists(st.sampled_from([1e-3, 5e-4, 2e-3]), min_size=1, max_size=5),
+    st.integers(1, 30),
+    st.integers(1, 30),
 )
-def test_stacked_runs_with_own_steps_match_separate_runs(shape, seed, runs):
-    # each member with its own dt and step count; members drop out as they finish
-    runs = sorted(runs, key=lambda run: -run[1])
-    data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(runs))]
-    dts, steps = map(list, zip(*runs))
-    want = [np.stack(heat_oracle(u, 3, dt, count)) for u, (dt, count) in zip(data, runs)]
-    assert_march_rows(np.stack(data), 3, dts, steps, want)
-    for u, (dt, count), rows in zip(data, runs, want):
-        assert_march_rows(u[None], 3, [dt], [count], [rows])
+def test_stacked_runs_with_own_steps_match_separate_runs(shape, seed, dts, rows, leave):
+    # each member at its own dt; members from 2 on leave the stack after `leave` rows
+    leave = min(leave, rows)
+    data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(dts))]
+    steps = own_steps(rows, leave, len(dts))
+    want = [np.stack(heat_oracle(u, 3, dt, count)) for u, dt, count in zip(data, dts, steps)]
+    assert_march_rows(np.stack(data), 3, dts, rows, want, leave=leave)
+    assert_march_rows(data[0][None], 3, dts[:1], rows, want[:1])
 
 
 def test_uniqueness_stack_matches_separate_runs():
@@ -456,14 +472,14 @@ def test_uniqueness_stack_matches_separate_runs():
 
     data = [_smooth_data(256, k) for k in (0, 0, 0, 1, 2)]
     dts = [5e-4, 1e-3, 4e-3, 4e-3, 4e-3]
-    steps = [200, 100, 25, 25, 25]
+    steps = own_steps(100, 25, 5)
     want = [np.stack(heat_oracle(u, 3, dt, count)) for u, dt, count in zip(data, dts, steps)]
-    assert_march_rows(np.stack(data), 3, dts, steps, want)
+    assert_march_rows(np.stack(data), 3, dts, 100, want, leave=25)
 
 
-# step counts up to about three blocks of the march, those next to a
+# row counts up to about three blocks of the march, those next to a
 # block edge drawn often: a member's last row on, just before or just
-# after an edge (a block's rows start at a multiple of _BLOCK)
+# after an edge (a block's rows start after a multiple of _BLOCK)
 _EDGES = sorted({1, 2} | {b * lh._BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)})
 block_steps = st.one_of(st.sampled_from(_EDGES), st.integers(1, 3 * lh._BLOCK + 1))
 # (n, dt, points) of each march in test_heat.py's flow-property tests,
@@ -475,10 +491,10 @@ _FLOW_CASES = [
 
 
 def flow_examples(test):
-    """test with one explicit example per flow case: a run across a block
-    edge marched beside a short run at another dt."""
+    """test with one explicit example per flow case: two runs across a
+    block edge, beside a short run at another dt."""
     for n, dt, points in _FLOW_CASES:
-        test = example(shape=(points,), seed=1, n=n, runs=[(dt, lh._BLOCK + 1), (1e-3, 2)])(test)
+        test = example(shape=(points,), seed=1, n=n, dts=[dt, dt, 1e-3], rows=lh._BLOCK + 1, leave=2)(test)
     return test
 
 
@@ -488,37 +504,57 @@ def flow_examples(test):
     st.sampled_from([(16,), (32,), (64,), (128,), (256,)]),
     seeds,
     st.sampled_from([3, 5]),
-    st.lists(
-        st.tuples(st.sampled_from([1e-3, 5e-4, 2e-3, 1e-4, 2e-4, 4e-3, 1e-14]), block_steps), min_size=1, max_size=4
-    ),
+    st.lists(st.sampled_from([1e-3, 5e-4, 2e-3, 1e-4, 2e-4, 4e-3, 1e-14]), min_size=1, max_size=4),
+    block_steps,
+    block_steps,
 )
-def test_blocked_march_matches_stacked_loop(shape, seed, n, runs):
-    runs = sorted(runs, key=lambda run: -run[1])
-    data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(runs))]
-    dts, steps = map(list, zip(*runs))
-    want = damped_heat_batch_oracle(data, n, dts, steps)
-    assert_march_rows(np.stack(data), n, dts, steps, want)
+def test_blocked_march_matches_stacked_loop(shape, seed, n, dts, rows, leave):
+    leave = min(leave, rows)
+    data = [smooth_values(shape, seed + i, peak=0.5 + 0.1 * i) for i in range(len(dts))]
+    want = damped_heat_batch_oracle(data, n, dts, own_steps(rows, leave, len(dts)))
+    assert_march_rows(np.stack(data), n, dts, rows, want, leave=leave)
 
 
 @pytest.mark.parametrize("hidden", [1, lh._BLOCK - 2, lh._BLOCK - 1, lh._BLOCK, 2 * lh._BLOCK + 3])
-def test_blowup_inside_a_block_names_the_loops_step(hidden):
-    """While a NaN member marches, the stack's max is NaN and the guard
-    passes; the step after it finishes is the first to trip, wherever
-    that step falls in a block.  No warning and no error state leaks."""
+def test_blowup_inside_a_block_names_the_loops_step(monkeypatch, hidden):
+    """A NaN or an infinity planted in the stack trips the guard at the
+    first row that holds it, wherever that row falls in a block: planted
+    at step `hidden` of member 0, at row ceil(hidden / 2), since an odd
+    step, which no row keeps, reaches the next row through the
+    transforms; planted at step `hidden` of member 1, at row `hidden`.
+    No warning and no error state leaks."""
     import warnings
 
-    big, nan = np.full(16, 2.0e6), np.full(16, np.nan)
-    steps = [3 * lh._BLOCK, hidden]
-    with pytest.raises(BlowupError) as want:
-        damped_heat_batch_oracle([big, nan], 3, 1.0e-20, steps)
+    real_fft_pair = lh.real_fft_pair
+
+    def planting(call, member, value):
+        def pair(points):
+            forward, inverse = real_fft_pair(points)
+            calls = []
+
+            def inverse_planting(s, out):
+                inverse(s, out)
+                calls.append(None)
+                if len(calls) == call:
+                    out[member, 3] = value
+
+            return forward, inverse_planting
+
+        return pair
+
+    data = np.stack([smooth_values((16,), 1), smooth_values((16,), 2)])
     state = np.geterr()
-    with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as got:
-        warnings.simplefilter("always")
-        for _ in lh._march(np.stack([big, nan]), 3, [1.0e-20] * 2, steps):
-            pass
-    assert str(got.value) == str(want.value) == f"field exceeded 1e+06 at step {hidden + 1}"
-    assert [str(w.message) for w in caught] == []
-    assert np.geterr() == state
+    # each row calls the inverse transform twice: the stack's step, then member 0's
+    for member, call, row in [(0, hidden, (hidden + 1) // 2), (1, 2 * hidden - 1, hidden)]:
+        for value in (np.nan, np.inf, -np.inf):
+            monkeypatch.setattr(lh, "real_fft_pair", planting(call, member, value))
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as got:
+                warnings.simplefilter("always")
+                for _ in lh._march(data.copy(), 3, [1e-3] * 2, 0, 3 * lh._BLOCK):
+                    pass
+            assert str(got.value) == f"field exceeded 1e+06 at step {row}"
+            assert [str(w.message) for w in caught] == []
+            assert np.geterr() == state
 
 
 @pytest.mark.parametrize(
@@ -526,10 +562,16 @@ def test_blowup_inside_a_block_names_the_loops_step(hidden):
     [
         (16, 300, 1e-3, 3),  # at dt >= 1e-3 the contraction runs are as long as the dt run
         (32, 3 * lh._BLOCK + 1, 1e-3, 5),
-        (64, lh._BLOCK // 2, 2e-3, 3),  # the dt/2 run's last row opens a block
+        (64, lh._BLOCK // 2, 2e-3, 3),
         (128, lh._BLOCK - 1, 1e-3, 3),
         (256, 500, 1e-4, 3),  # contraction runs of 50 steps at 1e-3
         (256, lh._BLOCK + 1, 1e-4, 5),
+        (16, 1, 1e-3, 3),  # one row, and contraction runs of one step
+        (16, 10, 1e-4, 5),  # contraction runs of one step beside ten rows
+        (16, lh._BLOCK + 1, 1e-3, 3),
+        (32, 2 * lh._BLOCK, 1e-3, 3),  # every run ends on a block edge
+        (32, 13 * lh._BLOCK - 10, 1e-4, 3),  # contraction runs end mid-block, the others 10 rows before an edge
+        (16, 10 * lh._BLOCK + 10, 1e-4, 3),  # contraction runs end 1 row past an edge
     ],
 )
 def test_streamed_uniqueness_matches_stored_trajectories(grid, steps, dt, n):
@@ -540,21 +582,22 @@ def test_streamed_uniqueness_matches_stored_trajectories(grid, steps, dt, n):
 
 
 def test_streamed_uniqueness_stores_only_the_dt_run():
-    """The traced peak stays under the dt run's rows; storing all of them
-    took 1.2 times that, and storing all five trajectories and a
-    difference array over four times."""
+    """The traced peak stays under two blocks of the five runs' rows
+    (2.6 MB): a ring of about half the dt run's rows took 5.5 MB here,
+    and storing all five trajectories over four times the dt run's
+    10.2 MB."""
     grid, tmax, dt = 256, 0.5, 1e-4
-    coarse_bytes = (round(tmax / dt) + 1) * grid * 8
+    block_bytes = 5 * lh._BLOCK * grid * 8
     suites.run_uniqueness(n=3, dim=1, grid=16, tmax=0.01, dt=1e-3)  # caches filled outside the trace
-    assert traced_peak(lambda: suites.run_uniqueness(n=3, dim=1, grid=grid, tmax=tmax, dt=dt)) < coarse_bytes
+    assert traced_peak(lambda: suites.run_uniqueness(n=3, dim=1, grid=grid, tmax=tmax, dt=dt)) < 2 * block_bytes
 
 
 @FAST
 @given(st.sampled_from([(16,), (64,)]), seeds, st.sampled_from([3, 5]), st.integers(1, 30))
 def test_damped_heat_tracks_full_fft_power_step(shape, seed, n, steps):
     u = smooth_values(shape, seed)
-    got = np.concatenate([rows[:, 0].copy() for _, rows in lh._march(u[None], n, [1e-3], [steps])])
-    want = np.stack(heat_full_fft_oracle(u, n, 1e-3, steps))
+    got = np.concatenate([rows[:, 0].copy() for rows in lh._march(u[None].copy(), n, [1e-3], 0, steps)])
+    want = np.stack(heat_full_fft_oracle(u, n, 1e-3, 2 * steps))[2::2]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -583,12 +626,13 @@ def test_l1_contraction_curve_matches_field_loop(shape, seed, length):
 
 
 def test_l1_curve_on_batched_members():
-    # the curve of two members of one march, block by block as the suite reduces it
+    # the curve of members 1 and 2 of one march, block by block as the suite reduces it
     data = [smooth_values((128,), s) for s in (1, 2)]
     dv = volume_element(data[0].shape)
-    got = [lh._l1_rows(rows[:, 0] - rows[:, 1], dv) for _, rows in lh._march(np.stack(data), 3, [1e-3] * 2, [300] * 2)]
+    blocks = lh._march(np.stack([data[0], *data]), 3, [1e-3] * 3, 0, 300)
+    got = [lh._l1_rows(rows[:, 1] - rows[:, 2], dv) for rows in blocks]
     want = l1_oracle(heat_oracle(data[0], 3, 1e-3, 300), heat_oracle(data[1], 3, 1e-3, 300))
-    assert same_bits(np.concatenate(got), want)
+    assert same_bits(np.concatenate(got), want[1:])
 
 
 @FAST

@@ -143,8 +143,8 @@ def test_blowup_guard():
     u = np.full(16, 2.0e6)
     with pytest.raises(BlowupError):
         damped_heat_batch_oracle([u], 3, 1.0e-14, 3)
-    with pytest.raises(BlowupError):
-        next(_march(u[None], 3, [1.0e-14], [3]))
+    with pytest.raises(BlowupError, match="at step 1$"):
+        next(_march(u[None].copy(), 3, [1.0e-14], 0, 3))
 
 
 # ---------------------------------------------------------------------------
